@@ -7,10 +7,11 @@ the boundary structure, ``lattice`` develops the cusp cross sections,
 surgery coefficients and emits one record per tuple.
 
 Output is deterministic byte for byte: exact rationals are printed as
-fractions or exact decimals, records appear in lexicographic tuple
-order, and the thread count only changes how work is partitioned, not
-what is written.  Exit status 0 is success, 1 a computational contract
-failure (a hypothesis of the mathematics is not met), 2 an input error.
+fractions or exact decimals and records appear in lexicographic tuple
+order.  ``enumerate`` draws, renders and writes the box one chunk at a
+time, so its memory does not grow with the box.  Exit status 0 is
+success, 1 a computational contract failure (a hypothesis of the
+mathematics is not met), 2 an input error.
 """
 
 from __future__ import annotations
@@ -18,19 +19,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .chains import euler_characteristic, homology
-from .filling import FillingError, adapted_slopes, h1_filled, is_homology_sphere
+from .filling import FillingError, adapted_slopes, is_homology_sphere
 from .flatgeom import (
     FlatGeometryError,
     PrecisionError,
-    SlopeLength,
     develop_lattice,
     slope_length,
     two_pi_ok,
@@ -65,7 +64,6 @@ class RunConfig:
     scale: Fraction = Fraction(1)
     balance_c: Fraction | None = None
     format: str = "table"
-    threads: int = 1
     coefficients: tuple[tuple[int, int], ...] = ()
 
 
@@ -250,10 +248,28 @@ def cmd_lattice(config: RunConfig) -> int:
     return _emit(lines)
 
 
-def _measure(system, lattices, pairs, chi, balance_c):
+def _filling_setup(config: RunConfig):
+    """Peripheral system, cusp lattices and filling verdict for fill and enumerate.
+
+    kappa_2 and kappa_3 span each peripheral kernel, so every adapted
+    slope maps to its cusp's epsilon class: the filled H1, and with it
+    the verdict, is the same for every coefficient tuple.  It is computed
+    once, from the all-zero tuple.
+    """
+    spec = _load_spec(config)
+    q = quotient_complex(spec, copies=config.copies)
+    system = peripheral_system(q)
+    lattices = tuple(develop_lattice(s, scale=config.scale)
+                     for s in cusp_sections(q))
+    chi = euler_characteristic(q.chain)
+    slopes = adapted_slopes(system, ((0, 0),) * system.cusp_count)
+    result = is_homology_sphere(system, slopes, chi, orientable=True)
+    return system, lattices, result
+
+
+def _measure(system, lattices, result, pairs, balance_c):
     """Shared per-tuple evaluation for fill and enumerate."""
     slopes = adapted_slopes(system, pairs)
-    result = is_homology_sphere(system, slopes, chi, orientable=True)
     lengths = tuple(slope_length(lattices[i], slopes.classes[i])
                     for i in range(len(lattices)))
     status = "ok"
@@ -304,13 +320,9 @@ _TABLE_HEADER = (" b1  c1  b2  c2  b3  c3  b4  c4  b5  c5  "
 
 
 def cmd_fill(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    q = quotient_complex(spec, copies=config.copies)
-    system = peripheral_system(q)
-    lattices = tuple(develop_lattice(s, scale=config.scale)
-                     for s in cusp_sections(q))
-    chi = euler_characteristic(q.chain)
-    values = _measure(system, lattices, config.coefficients, chi, config.balance_c)
+    system, lattices, result = _filling_setup(config)
+    values = _measure(system, lattices, result, config.coefficients,
+                      config.balance_c)
     slopes, result, lengths, two_pi, balanced, status = values
     if config.format == "jsonl":
         return _emit([_jsonl(_record(config.coefficients, *values))])
@@ -330,46 +342,20 @@ def cmd_fill(config: RunConfig) -> int:
 
 
 def cmd_enumerate(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    q = quotient_complex(spec, copies=config.copies)
-    system = peripheral_system(q)
-    lattices = tuple(develop_lattice(s, scale=config.scale)
-                     for s in cusp_sections(q))
-    chi = euler_characteristic(q.chain)
+    system, lattices, result = _filling_setup(config)
 
     def render(tup: tuple[int, ...]) -> str:
         pairs = tuple((tup[2 * i], tup[2 * i + 1]) for i in range(5))
-        values = _measure(system, lattices, pairs, chi, config.balance_c)
+        values = _measure(system, lattices, result, pairs, config.balance_c)
         if config.format == "jsonl":
             return _jsonl(_record(pairs, *values))
-        _, result, lengths, two_pi, balanced, status = values
-        return _table_row(pairs, result, lengths, two_pi, balanced, status)
+        return _table_row(pairs, *values[1:])
 
-    def render_chunk(chunk: list[tuple[int, ...]]) -> list[str]:
-        return [render(tup) for tup in chunk]
-
-    ranges = [range(lo, hi + 1) for lo, hi in config.box]
-    tuples = product(*ranges)
+    tuples = product(*(range(lo, hi + 1) for lo, hi in config.box))
     if config.format == "table":
         sys.stdout.write(_TABLE_HEADER + "\n")
-
-    chunks = []
-    current: list[tuple[int, ...]] = []
-    for tup in tuples:
-        current.append(tup)
-        if len(current) == _CHUNK:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for lines in pool.map(render_chunk, chunks):
-                _emit(lines)
-    else:
-        for chunk in chunks:
-            _emit(render_chunk(chunk))
+    while chunk := list(islice(tuples, _CHUNK)):
+        _emit([render(tup) for tup in chunk])
     return 0
 
 
@@ -424,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--box", default="0:0",
                         help="'lo:hi' for all ten coefficients, or ten "
                              "comma-separated ranges")
-    p_enum.add_argument("--threads", type=int, default=1)
+    p_enum.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser
@@ -440,8 +427,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         balance_c = _parse_fraction(balance_text, "balance constant")
         if balance_c <= 0:
             raise _InputError("balance constant must be positive")
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
+    if getattr(args, "threads", 1) < 1:
         raise _InputError("thread count must be at least 1")
     return RunConfig(
         pairing=args.pairing,
@@ -450,7 +436,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         scale=scale,
         balance_c=balance_c,
         format=args.format,
-        threads=threads,
         coefficients=_parse_pairs(getattr(args, "coefficients", ())),
     )
 

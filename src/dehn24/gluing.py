@@ -17,7 +17,6 @@ identical machinery can be exercised on torus and Klein-bottle gluings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 

