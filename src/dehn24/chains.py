@@ -134,8 +134,9 @@ class HomologyBasis:
 def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     """Homology in dimension k together with its canonical generator cycles.
 
-    Cached by value: complexes are immutable and repeat callers (induced
-    maps, one call per cusp) would otherwise redo the same Smith forms.
+    Cached by value: complexes are immutable and repeat callers
+    (peripheral matrices, one call per cusp) would otherwise redo the
+    same Smith forms.
 
     Raises:
         ValueError: if k is outside 0..top_dim.
@@ -176,69 +177,3 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
 def homology(c: ChainComplex, k: int) -> AbelianGroup:
     """H_k(c; Z) in invariant-factor form."""
     return homology_basis(c, k).group
-
-
-@dataclass(frozen=True)
-class ChainMap:
-    """A degreewise map of chain complexes, one matrix per dimension."""
-
-    source: ChainComplex
-    target: ChainComplex
-    maps: tuple[IntMatrix, ...]
-
-    def __post_init__(self):
-        for k, f in enumerate(self.maps):
-            if f.cols != self.source.cell_count(k) or f.rows != self.target.cell_count(k):
-                raise ValueError(f"map dimensions wrong in degree {k}")
-
-    def commutes(self) -> bool:
-        """Check f d = d f in every degree where both sides exist."""
-        for k in range(1, len(self.maps)):
-            lhs = self.target.boundary[k] * self.maps[k]
-            rhs = self.maps[k - 1] * self.source.boundary[k]
-            if lhs != rhs:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class InducedH1:
-    """The H_1 functor applied to a chain map.
-
-    Columns run over the source generators (free first, then torsion);
-    ``free`` holds the coordinates in the target's free part and
-    ``torsion`` those in the target's torsion part, reduced mod the
-    invariant factors.
-    """
-
-    source_group: AbelianGroup
-    target_group: AbelianGroup
-    free: IntMatrix
-    torsion: IntMatrix
-
-
-def induced_h1(f: ChainMap) -> InducedH1:
-    """Matrix of H_1(source) -> H_1(target) in the canonical bases.
-
-    Raises:
-        ValueError: if the map fails to commute with the boundaries.
-    """
-    if len(f.maps) < 2:
-        raise ValueError("need matrices at least in degrees 0 and 1")
-    if not f.commutes():
-        raise ValueError("chain map does not commute with boundaries")
-    source_basis = homology_basis(f.source, 1)
-    target_basis = homology_basis(f.target, 1)
-    free_cols = []
-    torsion_cols = []
-    for j in range(source_basis.cycles.cols):
-        image_chain = f.maps[1].apply(source_basis.cycles.column(j))
-        free, torsion = target_basis.coordinates(image_chain)
-        free_cols.append(free)
-        torsion_cols.append(torsion)
-    return InducedH1(
-        source_group=source_basis.group,
-        target_group=target_basis.group,
-        free=IntMatrix.from_columns(free_cols, rows=target_basis.group.free_rank),
-        torsion=IntMatrix.from_columns(torsion_cols, rows=len(target_basis.group.torsion)),
-    )

@@ -113,7 +113,10 @@ def _load_spec(config: RunConfig):
     if config.pairing is None:
         return census_pairing()
     path = Path(config.pairing)
-    return parse_pairing(path.read_text())
+    try:
+        return parse_pairing(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not a text file ({exc.reason})") from exc
 
 
 def _exact_decimal(x: Fraction) -> str:

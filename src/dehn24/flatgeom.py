@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import floor, isqrt
 from typing import Iterable, Iterator, Sequence
 
-from .chains import ChainMap, homology_basis
+from .chains import homology_basis
 from .gluing import QuotientComplex, _compose, _invert, geometry
 from .intlinalg import AbelianGroup, IntMatrix
 from .peripheral import CuspSection
@@ -57,11 +57,13 @@ def _sqrt_enclosure(squared: Fraction) -> tuple[Fraction, Fraction]:
             Fraction(isqrt(ceil) + 1, _SQRT_SCALE))
 
 
-def _exp_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bounds on exp(x) for x >= 0.
+def _exp_partial_sums(x: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """Taylor partial sums of exp(x) for x >= 0, each with its last term.
 
-    Partial Taylor sum; once n + 1 >= 2x the tail is dominated by a
-    geometric series with ratio <= 1/2, so it is at most the last term.
+    Every partial sum is a lower bound on exp(x).  The sums stop once
+    n + 1 >= 2x and the last term is negligible: from there the tail is
+    dominated by a geometric series with ratio <= 1/2, so it is at most
+    the last term and the final pair encloses exp(x).
     """
     if x < 0:
         raise ValueError("argument must be nonnegative")
@@ -72,8 +74,16 @@ def _exp_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
         n += 1
         term *= x / n
         total += term
+        yield total, term
         if n + 1 >= 2 * x and term * 10 ** 30 <= total:
-            return total, total + term
+            return
+
+
+def _exp_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational bounds on exp(x) for x >= 0, from the last partial sum."""
+    for total, term in _exp_partial_sums(x):
+        pass
+    return total, total + term
 
 
 def _det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -318,10 +328,11 @@ def weakly_balanced(lengths: SlopeLengths, c: int | Fraction) -> bool:
     max_hi = max(s.upper for s in lengths)
     min_lo = min(s.lower for s in lengths)
     min_hi = min(s.upper for s in lengths)
-    rhs_lo = _exp_enclosure(c * min_lo ** 3)[0]
+    # A large argument's full series never ends in practice: stop at max_hi.
+    for rhs_lo, _ in _exp_partial_sums(c * min_lo ** 3):
+        if max_hi <= rhs_lo:
+            return True
     rhs_hi = _exp_enclosure(c * min_hi ** 3)[1]
-    if max_hi <= rhs_lo:
-        return True
     if max_lo > rhs_hi:
         return False
     raise PrecisionError(
@@ -342,12 +353,10 @@ def closed_section(q: QuotientComplex) -> CuspSection:
     if q.top_dim != 3:
         raise FlatGeometryError("need a quotient complex of top dimension 3")
     cells = tuple(tuple(range(q.chain.cell_count(k))) for k in range(4))
-    maps = tuple(IntMatrix.identity(q.chain.cell_count(k)) for k in range(4))
     return CuspSection(
         index=0,
         cells=cells,
         chain=q.chain,
-        inclusion=ChainMap(source=q.chain, target=q.chain, maps=maps),
         cube_count=q.chain.cell_count(3),
         ambient=q,
     )

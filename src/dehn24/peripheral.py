@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import ChainComplex, ChainMap, homology, induced_h1
+from .chains import ChainComplex, homology, homology_basis
 from .gluing import QuotientComplex, geometry, vertex_cycles
 from .intlinalg import AbelianGroup, IntMatrix, generates, kernel_basis, snf
 
@@ -32,19 +32,19 @@ class CuspSection:
     """One boundary component of a quotient complex.
 
     ``cells[k]`` lists the ambient quotient cell indices forming the
-    section in dimension k; ``chain`` is the section's own complex in
-    the same cell order and ``inclusion`` the chain map back into the
-    ambient complex.  ``cube_count`` is the number of top-dimensional
-    (cubical) cells, which equals the section's covolume in units of a
-    cross-section cube.  ``ambient`` keeps the quotient complex the
-    section was carved from, so geometric consumers can reach the
-    side-pairing maps behind each cell identification.
+    section in dimension k and is the inclusion: section k-cell j is
+    ambient k-cell ``cells[k][j]``.  ``chain`` is the section's own
+    complex, the ambient boundaries restricted to these cells.
+    ``cube_count`` is the number of top-dimensional (cubical) cells,
+    which equals the section's covolume in units of a cross-section
+    cube.  ``ambient`` keeps the quotient complex the section was carved
+    from, so geometric consumers can reach the side-pairing maps behind
+    each cell identification.
     """
 
     index: int
     cells: tuple[tuple[int, ...], ...]
     chain: ChainComplex
-    inclusion: ChainMap
     cube_count: int
     ambient: QuotientComplex
 
@@ -116,29 +116,21 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     for ci, cycle in enumerate(cycles):
         comp = by_cycle[cycle]
         cells = tuple(tuple(sorted(comp.get(k, ()))) for k in range(bdim + 1))
-        local = [{a: j for j, a in enumerate(cells[k])} for k in range(bdim + 1)]
-        boundaries = [IntMatrix([[] for _ in range(0)], cols=len(cells[0]))]
+        # The union-find above joined every face of a flagged cell to its
+        # component, so each section is closed under faces and its
+        # boundaries are plain restrictions of the ambient ones.
+        boundaries = [IntMatrix.zero(0, len(cells[0]))]
         for k in range(1, bdim + 1):
-            rows = [[0] * len(cells[k]) for _ in range(len(cells[k - 1]))]
-            for j, a in enumerate(cells[k]):
-                for r, coeff in enumerate(q.chain.boundary[k].column(a)):
-                    if coeff:
-                        rows[local[k - 1][r]][j] = coeff
-            boundaries.append(IntMatrix(rows, cols=len(cells[k])))
+            rows = (q.chain.boundary[k].row(r) for r in cells[k - 1])
+            boundaries.append(IntMatrix([[row[a] for a in cells[k]] for row in rows],
+                                        cols=len(cells[k])))
         labels = tuple(tuple(q.chain.cell_labels[k][a] for a in cells[k])
                        for k in range(bdim + 1))
         chain = ChainComplex(boundary=tuple(boundaries), cell_labels=labels)
-        maps = []
-        for k in range(bdim + 1):
-            cols = [[0] * len(cells[k]) for _ in range(q.chain.cell_count(k))]
-            for j, a in enumerate(cells[k]):
-                cols[a][j] = 1
-            maps.append(IntMatrix(cols, cols=len(cells[k])))
         sections.append(CuspSection(
             index=ci,
             cells=cells,
             chain=chain,
-            inclusion=ChainMap(source=chain, target=q.chain, maps=tuple(maps)),
             cube_count=len(cells[bdim]),
             ambient=q,
         ))
@@ -159,16 +151,23 @@ def peripheral_matrix(q: QuotientComplex, i: int) -> IntMatrix:
     sections = cusp_sections(q)
     if not 0 <= i < len(sections):
         raise PeripheralError(f"cusp index {i} out of range: {len(sections)} cusps")
-    ind = induced_h1(sections[i].inclusion)
-    if ind.source_group.torsion:
+    source = homology_basis(sections[i].chain, 1)
+    target = homology_basis(q.chain, 1)
+    if source.group.torsion:
         raise PeripheralError(
-            f"cusp {i} section has H_1 = {ind.source_group}; adapted bases need a "
+            f"cusp {i} section has H_1 = {source.group}; adapted bases need a "
             f"torsion-free section (a 3-torus cross section)")
-    if ind.target_group.torsion:
+    if target.group.torsion:
         raise PeripheralError(
-            f"ambient H_1 = {ind.target_group} has torsion; peripheral matrices "
+            f"ambient H_1 = {target.group} has torsion; peripheral matrices "
             f"are defined against a free ambient H_1")
-    return ind.free
+    columns = []
+    for cycle in source.cycles.columns():
+        lifted = [0] * q.chain.cell_count(1)
+        for a, x in zip(sections[i].cells[1], cycle):
+            lifted[a] = x
+        columns.append(target.coordinates(lifted)[0])
+    return IntMatrix.from_columns(columns, rows=target.group.free_rank)
 
 
 def _det3(u: Vector, v: Vector, w: Vector) -> int:

@@ -10,14 +10,13 @@ import random
 
 import pytest
 
+import dehn24
 from dehn24.chains import (
     ChainComplex,
-    ChainMap,
     euler_characteristic,
     first_invalid,
     homology,
     homology_basis,
-    induced_h1,
     validate,
 )
 from dehn24.intlinalg import AbelianGroup, IntMatrix
@@ -156,6 +155,12 @@ def test_homology_basis_coordinates_roundtrip():
         free, torsion = basis.coordinates(basis.cycles.column(j))
         assert torsion == ()
         assert free == tuple(1 if i == j else 0 for i in range(3))
+    # Torsion coordinates are reduced mod the invariant factor.
+    rp2 = homology_basis(projective_plane(), 1)
+    assert rp2.group == AbelianGroup(0, (2,))
+    assert rp2.coordinates((1,)) == ((), (1,))
+    assert rp2.coordinates((2,)) == ((), (0,))
+    assert rp2.coordinates((-1,)) == ((), (1,))
 
 
 def test_homology_basis_rejects_non_cycle():
@@ -166,62 +171,5 @@ def test_homology_basis_rejects_non_cycle():
         basis.coordinates((1,))
 
 
-def test_induced_h1_identity():
-    c = three_torus()
-    ident = ChainMap(source=c, target=c,
-                     maps=(IntMatrix.identity(1), IntMatrix.identity(3), IntMatrix.identity(3)))
-    induced = induced_h1(ident)
-    assert induced.free == IntMatrix.identity(3)
-    assert induced.torsion.rows == 0
-
-
-def test_induced_h1_into_contractible_target():
-    # Collapse every edge of the torus into a single-point complex.
-    torus = torus_surface()
-    point = ChainComplex(boundary=(empty_boundary(1), IntMatrix.zero(1, 0),
-                                   IntMatrix.zero(0, 0)))
-    collapse = ChainMap(source=torus, target=point,
-                        maps=(IntMatrix.identity(1), IntMatrix.zero(0, 2), IntMatrix.zero(0, 1)))
-    induced = induced_h1(collapse)
-    assert induced.target_group == AbelianGroup(0)
-    assert induced.free.rows == 0
-
-
-def test_induced_h1_composition():
-    torus = torus_surface()
-    # Degree map (a, b) -> (a + b, b) on the torus's H_1.
-    twist = ChainMap(source=torus, target=torus,
-                     maps=(IntMatrix.identity(1), IntMatrix([[1, 1], [0, 1]]),
-                           IntMatrix.identity(1)))
-    double = ChainMap(source=torus, target=torus,
-                      maps=(IntMatrix.identity(1), IntMatrix([[2, 0], [0, 1]]),
-                            IntMatrix([[2]])))
-    left = induced_h1(twist)
-    right = induced_h1(double)
-    composed = ChainMap(source=torus, target=torus,
-                        maps=tuple(a * b for a, b in zip(twist.maps, double.maps)))
-    assert induced_h1(composed).free == left.free * right.free
-
-
-def test_induced_h1_rejects_non_commuting():
-    klein = klein_bottle()
-    torus = torus_surface()
-    bad = ChainMap(source=klein, target=torus,
-                   maps=(IntMatrix.identity(1), IntMatrix.identity(2), IntMatrix([[1]])))
-    with pytest.raises(ValueError):
-        induced_h1(bad)
-
-
-def test_induced_h1_with_torsion_target():
-    # Wrap the circle twice around the projective plane's 1-skeleton loop:
-    # the generator maps to twice the torsion generator, i.e. zero.
-    circ = circle()
-    rp2 = projective_plane()
-    wrap2 = ChainMap(source=circ, target=rp2,
-                     maps=(IntMatrix.identity(1), IntMatrix([[2]])))
-    induced = induced_h1(wrap2)
-    assert induced.target_group == AbelianGroup(0, (2,))
-    assert induced.torsion == IntMatrix([[0]])
-    wrap1 = ChainMap(source=circ, target=rp2,
-                     maps=(IntMatrix.identity(1), IntMatrix([[1]])))
-    assert induced_h1(wrap1).torsion == IntMatrix([[1]])
+def test_public_names_resolve():
+    assert all(hasattr(dehn24, name) for name in dehn24.__all__)

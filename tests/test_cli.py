@@ -227,6 +227,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "line 1" in err
     code, _, _ = run(capsys, "build", "--pairing", str(tmp_path / "missing.txt"))
     assert code == 2
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "build", "--pairing", str(binary))
+    assert code == 2
+    assert "not a text file" in err
     code, _, err = run(capsys, "enumerate", "--box", "5:1")
     assert code == 2
     assert "empty" in err

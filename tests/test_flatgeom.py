@@ -7,10 +7,12 @@ the module never vouch for themselves.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from dehn24.filling import adapted_slopes
 from dehn24.flatgeom import (
     TWO_PI_SQUARED_HIGH,
     TWO_PI_SQUARED_LOW,
@@ -253,6 +255,18 @@ def test_weakly_balanced_verdicts():
     small = SlopeLength(slope=(0, 1, 0), squared=4,
                         lower=Fraction(2), upper=Fraction(2))
     assert weakly_balanced((big, small), Fraction(1, 100)) is False
+
+
+@pytest.mark.parametrize("c", [1, 100])
+def test_weakly_balanced_large_exponent_is_fast(census_system, m_lattices, c):
+    # exp(c * min_len^3) is astronomically larger than max_len here, and
+    # its full Taylor sum takes tens of seconds for c = 1 and does not
+    # finish for c = 100: the verdict must come from an early partial sum.
+    slopes = adapted_slopes(census_system, ((3, 3),) * 5)
+    lengths = tuple(slope_length(m_lattices[i], slopes.classes[i]) for i in range(5))
+    start = time.perf_counter()
+    assert weakly_balanced(lengths, c) is True
+    assert time.perf_counter() - start < 2
 
 
 def test_weakly_balanced_indeterminate_and_errors():
