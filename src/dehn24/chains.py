@@ -1,9 +1,11 @@
 """Finite chain complexes over Z and their homology.
 
-A complex stores one boundary matrix per dimension; homology is read off
-Smith normal forms.  The generator cycles chosen for each homology group
-follow a fixed convention (Smith form of the next boundary expressed in
-the canonical kernel basis), so matrices of induced maps are reproducible
+A complex stores one boundary matrix per dimension.  Homology groups are
+read off the invariant factors of the boundaries alone (``homology``):
+no Smith transform, kernel basis or lattice solve is built for them.
+Generators come only from ``homology_basis``, whose cycles follow a
+fixed convention (Smith form of the next boundary expressed in the
+canonical kernel basis), so matrices of induced maps are reproducible
 across runs and machines.
 """
 
@@ -174,6 +176,32 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     )
 
 
+@lru_cache(maxsize=8)
+def _invariant_factors(d: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors of one boundary matrix.
+
+    Cached by value, so the degrees of one complex share the Smith form
+    of each boundary; eight entries hold every boundary of a
+    4-dimensional complex plus the zero map past its top.
+    """
+    return snf(d, left=False, right=False).invariant_factors()
+
+
 def homology(c: ChainComplex, k: int) -> AbelianGroup:
-    """H_k(c; Z) in invariant-factor form."""
-    return homology_basis(c, k).group
+    """H_k(c; Z) in invariant-factor form, from invariant factors alone.
+
+    H_k is Z^(n_k - rank d_k - rank d_{k+1}) plus the torsion of
+    d_{k+1}, so only the transform-free Smith forms of the two
+    boundaries are needed.  For generator cycles use ``homology_basis``.
+
+    Raises:
+        ValueError: if k is outside 0..top_dim.
+    """
+    if not 0 <= k <= c.top_dim:
+        raise ValueError(f"dimension {k} out of range for a complex of top dimension {c.top_dim}")
+    rank_k = len(_invariant_factors(c.boundary[k]))
+    factors = _invariant_factors(c.boundary_or_zero(k + 1))
+    return AbelianGroup(
+        free_rank=c.cell_count(k) - rank_k - len(factors),
+        torsion=tuple(d for d in factors if d >= 2),
+    )

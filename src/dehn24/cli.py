@@ -48,6 +48,9 @@ from .gluing import (
 from .peripheral import PeripheralError, cusp_sections, peripheral_system, report
 
 _CHUNK = 1024
+# ``enumerate --threads`` is kept for compatibility and has no effect;
+# values outside 1.._MAX_THREADS are refused as input errors.
+_MAX_THREADS = 64
 
 
 class _InputError(ValueError):
@@ -414,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="'lo:hi' for all ten coefficients, or ten "
                              "comma-separated ranges")
     p_enum.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
+                        help=f"accepted for compatibility (1 to {_MAX_THREADS}); "
+                             f"has no effect")
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser
@@ -430,8 +434,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         balance_c = _parse_fraction(balance_text, "balance constant")
         if balance_c <= 0:
             raise _InputError("balance constant must be positive")
-    if getattr(args, "threads", 1) < 1:
+    threads = getattr(args, "threads", 1)
+    if threads < 1:
         raise _InputError("thread count must be at least 1")
+    if threads > _MAX_THREADS:
+        raise _InputError(f"thread count must be at most {_MAX_THREADS}")
     return RunConfig(
         pairing=args.pairing,
         copies=args.copies,

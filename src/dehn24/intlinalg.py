@@ -172,13 +172,15 @@ class SNFDecomposition:
     """Smith normal form ``U * A * V = D`` with unimodular U and V.
 
     ``u_inv`` is the exact inverse of U, accumulated during the reduction
-    so no separate inversion is ever needed.
+    so no separate inversion is ever needed.  A transform the caller did
+    not ask for is ``None``: U and ``u_inv`` come with the row side, V
+    with the column side.
     """
 
-    U: IntMatrix
+    U: IntMatrix | None
     D: IntMatrix
-    V: IntMatrix
-    u_inv: IntMatrix
+    V: IntMatrix | None
+    u_inv: IntMatrix | None
 
     @property
     def rank(self) -> int:
@@ -233,15 +235,17 @@ class AbelianGroup:
 
 class _Reduction:
     """Mutable state for the Smith reduction: the working matrix plus the
-    accumulators for U, its inverse and V."""
+    accumulators for U and its inverse (``left``) and for V (``right``).
+    An accumulator that was not asked for is ``None`` and never updated;
+    the pivot sequence depends on the working matrix alone."""
 
-    def __init__(self, a: IntMatrix):
+    def __init__(self, a: IntMatrix, left: bool, right: bool):
         self.m = a.rows
         self.n = a.cols
         self.d = a.row_lists()
-        self.u = IntMatrix.identity(self.m).row_lists()
-        self.ui = IntMatrix.identity(self.m).row_lists()
-        self.v = IntMatrix.identity(self.n).row_lists()
+        self.u = IntMatrix.identity(self.m).row_lists() if left else None
+        self.ui = IntMatrix.identity(self.m).row_lists() if left else None
+        self.v = IntMatrix.identity(self.n).row_lists() if right else None
 
     # Row operations act on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
 
@@ -249,15 +253,17 @@ class _Reduction:
         if i == k:
             return
         self.d[i], self.d[k] = self.d[k], self.d[i]
-        self.u[i], self.u[k] = self.u[k], self.u[i]
-        for row in self.ui:
-            row[i], row[k] = row[k], row[i]
+        if self.u is not None:
+            self.u[i], self.u[k] = self.u[k], self.u[i]
+            for row in self.ui:
+                row[i], row[k] = row[k], row[i]
 
     def negate_row(self, i: int) -> None:
         self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.ui:
-            row[i] = -row[i]
+        if self.u is not None:
+            self.u[i] = [-x for x in self.u[i]]
+            for row in self.ui:
+                row[i] = -row[i]
 
     def add_row(self, i: int, k: int, c: int) -> None:
         """row_i += c * row_k; inverse transform: col_k of Uinv -= c * col_i."""
@@ -266,11 +272,12 @@ class _Reduction:
         di, dk = self.d[i], self.d[k]
         for j in range(self.n):
             di[j] += c * dk[j]
-        ui_, uk = self.u[i], self.u[k]
-        for j in range(self.m):
-            ui_[j] += c * uk[j]
-        for row in self.ui:
-            row[k] -= c * row[i]
+        if self.u is not None:
+            ui_, uk = self.u[i], self.u[k]
+            for j in range(self.m):
+                ui_[j] += c * uk[j]
+            for row in self.ui:
+                row[k] -= c * row[i]
 
     # Column operations act on the right: D <- D F, V <- V F.
 
@@ -279,8 +286,9 @@ class _Reduction:
             return
         for row in self.d:
             row[j], row[k] = row[k], row[j]
-        for row in self.v:
-            row[j], row[k] = row[k], row[j]
+        if self.v is not None:
+            for row in self.v:
+                row[j], row[k] = row[k], row[j]
 
     def add_col(self, j: int, k: int, c: int) -> None:
         """col_j += c * col_k."""
@@ -288,11 +296,12 @@ class _Reduction:
             return
         for row in self.d:
             row[j] += c * row[k]
-        for row in self.v:
-            row[j] += c * row[k]
+        if self.v is not None:
+            for row in self.v:
+                row[j] += c * row[k]
 
 
-def snf(a: IntMatrix) -> SNFDecomposition:
+def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
     """Smith normal form of an integer matrix.
 
     The pivot at each stage is the nonzero entry of minimal absolute value
@@ -300,8 +309,13 @@ def snf(a: IntMatrix) -> SNFDecomposition:
     this keeps coefficient growth modest without modular tricks.  The
     reduction is fully deterministic, so the transforms (and everything
     derived from them, like canonical homology bases) are reproducible.
+
+    ``left=False`` skips U and its inverse, ``right=False`` skips V; the
+    skipped fields come back as ``None``.  Neither flag changes D or the
+    transforms that are built, so callers that need only the invariant
+    factors pay for the working matrix alone.
     """
-    r = _Reduction(a)
+    r = _Reduction(a, left, right)
     m, n = r.m, r.n
     t = 0
     while t < min(m, n):
@@ -351,16 +365,16 @@ def snf(a: IntMatrix) -> SNFDecomposition:
             r.add_row(t, bad_row, 1)
         t += 1
     return SNFDecomposition(
-        U=IntMatrix(r.u, cols=m),
+        U=IntMatrix(r.u, cols=m) if left else None,
         D=IntMatrix(r.d, cols=n),
-        V=IntMatrix(r.v, cols=n),
-        u_inv=IntMatrix(r.ui, cols=m),
+        V=IntMatrix(r.v, cols=n) if right else None,
+        u_inv=IntMatrix(r.ui, cols=m) if left else None,
     )
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:
     """The quotient Z^rows / (column span of ``a``) in invariant-factor form."""
-    decomp = snf(a)
+    decomp = snf(a, left=False, right=False)
     torsion = tuple(d for d in decomp.invariant_factors() if d >= 2)
     return AbelianGroup(free_rank=a.rows - decomp.rank, torsion=torsion)
 
@@ -475,7 +489,7 @@ def complete_to_basis(v: Sequence[int]) -> IntMatrix:
     if not is_primitive(v):
         raise ValueError("can only complete a primitive vector to a basis")
     column = IntMatrix([[int(x)] for x in v], cols=1)
-    decomp = snf(column)
+    decomp = snf(column, right=False)
     # U v = e_1, hence the first column of U^-1 is v itself.
     completion = decomp.u_inv
     assert completion.column(0) == tuple(int(x) for x in v)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chains import ChainComplex, homology, homology_basis
+from .chains import ChainComplex, homology_basis
 from .gluing import QuotientComplex, geometry, vertex_cycles
 from .intlinalg import AbelianGroup, IntMatrix, generates, kernel_basis, snf
 
@@ -195,7 +195,7 @@ def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
         raise PeripheralError(
             f"kernel rank {ker.cols} != 2: the surgery procedure needs a rank-1 "
             f"peripheral image")
-    decomp = snf(matrix)
+    decomp = snf(matrix, left=False)
     if decomp.D.diagonal_entries()[0] != 1:
         raise PeripheralError("peripheral image is not a direct summand of the "
                               "ambient H_1; no adapted basis exists")
@@ -255,7 +255,9 @@ def peripheral_system(q: QuotientComplex) -> PeripheralSystem:
             or epsilon classes failing to generate the ambient H_1.
     """
     sections = cusp_sections(q)
-    ambient = homology(q.chain, 1)
+    # Groups come from the generator path that the peripheral matrices
+    # build anyway, so no second Smith form runs.
+    ambient = homology_basis(q.chain, 1).group
     if ambient.torsion:
         raise PeripheralError(
             f"ambient H_1 = {ambient} has torsion; the peripheral system needs "
@@ -267,7 +269,7 @@ def peripheral_system(q: QuotientComplex) -> PeripheralSystem:
         matrices.append(matrix)
         bases.append(basis)
         epsilons.append(matrix.apply(basis[0]))
-        section_groups.append(homology(section.chain, 1))
+        section_groups.append(homology_basis(section.chain, 1).group)
     if not generates(epsilons, ambient.free_rank):
         raise PeripheralError("the adapted classes' images do not generate the "
                               "ambient H_1")

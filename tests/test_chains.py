@@ -11,6 +11,7 @@ import random
 import pytest
 
 import dehn24
+from dehn24 import chains, intlinalg
 from dehn24.chains import (
     ChainComplex,
     euler_characteristic,
@@ -20,6 +21,7 @@ from dehn24.chains import (
     validate,
 )
 from dehn24.intlinalg import AbelianGroup, IntMatrix
+from dehn24.peripheral import cusp_sections
 
 
 def empty_boundary(cells: int) -> IntMatrix:
@@ -145,6 +147,52 @@ def test_euler_characteristic_matches_betti_numbers():
     for c in (circle(), torus_surface(), three_torus(), klein_bottle(), projective_plane()):
         chi = sum((-1) ** k * homology(c, k).free_rank for k in range(c.top_dim + 1))
         assert chi == euler_characteristic(c)
+
+
+def _agrees_with_generator_path(c: ChainComplex) -> None:
+    for k in range(c.top_dim + 1):
+        assert homology(c, k) == homology_basis(c, k).group, k
+
+
+@pytest.mark.parametrize("make", [circle, three_torus, klein_bottle, projective_plane])
+def test_group_only_homology_matches_basis_small(make):
+    _agrees_with_generator_path(make())
+
+
+@pytest.mark.parametrize("name", ["census_n", "census_m"])
+def test_group_only_homology_matches_basis_census(name, request):
+    _agrees_with_generator_path(request.getfixturevalue(name).chain)
+
+
+def test_group_only_homology_matches_basis_sections(census_m):
+    for section in cusp_sections(census_m):
+        _agrees_with_generator_path(section.chain)
+
+
+def test_group_only_homology_builds_no_transforms(census_m, monkeypatch):
+    """H1..H3 of the double cover come from bare Smith forms alone."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("group-only homology reached the generator path")
+
+    for module in (chains, intlinalg):
+        monkeypatch.setattr(module, "kernel_basis", forbidden)
+        monkeypatch.setattr(module, "solve_in_lattice", forbidden)
+    decomps = []
+    real_snf = intlinalg.snf
+
+    def recording_snf(*args, **kwargs):
+        decomp = real_snf(*args, **kwargs)
+        decomps.append(decomp)
+        return decomp
+
+    for module in (chains, intlinalg):
+        monkeypatch.setattr(module, "snf", recording_snf)
+    chains._invariant_factors.cache_clear()
+    groups = [homology(census_m.chain, k) for k in (1, 2, 3)]
+    assert groups == [AbelianGroup(5), AbelianGroup(10), AbelianGroup(4)]
+    # d1..d4, each Smith-reduced once and shared between adjacent degrees.
+    assert len(decomps) == 4
+    assert all(d.U is None and d.u_inv is None and d.V is None for d in decomps)
 
 
 def test_homology_basis_coordinates_roundtrip():

@@ -243,6 +243,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, "enumerate", "--threads", "0")
     assert code == 2
+    # Refused while parsing the options, before any work (or thread) starts.
+    code, out, err = run(capsys, "enumerate", "--threads", "65")
+    assert code == 2
+    assert out == ""
+    assert err == "error: thread count must be at most 64\n"
     code, _, err = run(capsys, "fill", "1;2", "3,4", "5,6", "7,8", "9,10")
     assert code == 2
     assert "is not 'b,c'" in err

@@ -98,6 +98,25 @@ def test_snf_transform_identity_holds():
                     assert decomp.D[i, j] == 0
 
 
+def test_snf_transform_selection():
+    # Same matrices as test_snf_transform_identity_holds.
+    rng = random.Random(7)
+    for _ in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_matrix(rng, m, n)
+        full = snf(a)
+        bare = snf(a, left=False, right=False)
+        assert bare.D == full.D
+        assert bare.U is None and bare.u_inv is None and bare.V is None
+        column_side = snf(a, left=False)
+        assert column_side.D == full.D and column_side.V == full.V
+        assert column_side.U is None and column_side.u_inv is None
+        row_side = snf(a, right=False)
+        assert row_side.D == full.D
+        assert row_side.U == full.U and row_side.u_inv == full.u_inv
+        assert row_side.V is None
+
+
 def test_snf_matches_minor_gcd_oracle():
     rng = random.Random(11)
     for _ in range(300):

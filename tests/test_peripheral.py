@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+from dehn24 import chains, peripheral
 from dehn24.chains import homology
 from dehn24.gluing import quotient_complex
 from dehn24.intlinalg import IntMatrix, generates, is_primitive
@@ -199,6 +200,28 @@ def test_peripheral_system_of_m(census_m):
     assert IntMatrix.from_columns(system.epsilons).det() in (1, -1)
     for eps in system.epsilons:
         assert is_primitive(eps)
+
+
+def test_peripheral_system_reads_groups_from_generator_path(census_m, monkeypatch):
+    """Ambient and section groups reuse the bases the matrices need."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("peripheral_system ran a group-only Smith form")
+
+    monkeypatch.setattr(chains, "_invariant_factors", forbidden)
+    seen = []
+    real_basis = peripheral.homology_basis
+
+    def recording_basis(c, k):
+        seen.append((c, k))
+        return real_basis(c, k)
+
+    monkeypatch.setattr(peripheral, "homology_basis", recording_basis)
+    system = peripheral_system(census_m)
+    assert (census_m.chain, 1) in seen
+    for s in cusp_sections(census_m):
+        assert (s.chain, 1) in seen
+    assert str(system.ambient_h1) == "Z^5"
+    assert [str(g) for g in system.section_h1] == ["Z^3"] * 5
 
 
 def test_peripheral_system_rejects_n(census_n):
