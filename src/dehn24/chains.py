@@ -153,7 +153,7 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     # kernel is saturated, so the coefficients are integers.
     image_coords = IntMatrix.from_columns(
         [solve_in_lattice(cycles, d_next.column(j)) for j in range(d_next.cols)], rows=z)
-    decomp = snf(image_coords)
+    decomp = snf(image_coords, right=False)
     rank = decomp.rank
     factors = decomp.D.diagonal_entries()
     # Per adapted-basis position: 0 marks a free generator, 1 a killed one.

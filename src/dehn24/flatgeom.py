@@ -204,11 +204,9 @@ def enumerate_short(lattice: FlatLattice,
                     bound: int | Fraction) -> list[tuple[int, ...]]:
     """All nonzero classes with squared length strictly below ``bound``.
 
-    A Gershgorin lower bound on the scaled Gram matrix gives a complete
-    coordinate box when it is positive; otherwise an exact LDL^T
-    decomposition drives a standard recursive enumeration.  Either way
-    membership is decided by the exact quadratic form, and the output
-    is sorted by (squared length, class).
+    An exact LDL^T decomposition of the scaled Gram matrix drives a
+    Fincke-Pohst enumeration; membership is decided by the exact
+    quadratic form, and the output is sorted by (squared length, class).
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -219,27 +217,7 @@ def enumerate_short(lattice: FlatLattice,
     def value(v: tuple[int, int, int]) -> Fraction:
         return sum(q[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
 
-    gershgorin = min(q[i][i] - sum(abs(q[i][j]) for j in range(3) if j != i)
-                     for i in range(3))
-    found = []
-    if gershgorin > 0:
-        radius = bound / gershgorin
-        m = isqrt(radius.numerator // radius.denominator)
-        while (m + 1) ** 2 < radius:
-            m += 1
-        while m >= 0 and m ** 2 >= radius:
-            m -= 1
-        span = range(-m, m + 1)
-        for v in ((x, y, z) for x in span for y in span for z in span):
-            if v != (0, 0, 0):
-                val = value(v)
-                if val < bound:
-                    found.append((val, v))
-    else:
-        for v in _ldl_enumerate(q, bound):
-            found.append((value(v), v))
-    found.sort()
-    return [v for _, v in found]
+    return [v for _, v in sorted((value(v), v) for v in _ldl_enumerate(q, bound))]
 
 
 def _ldl_enumerate(q: list[list[Fraction]],

@@ -103,14 +103,6 @@ class CellModel:
         except KeyError:
             raise GluingError(f"no {dim}-cell with vertex set {sorted(vertices)}") from None
 
-    def boundary_matrix(self, k: int) -> IntMatrix:
-        rows = len(self.cells[k - 1]) if k >= 1 else 0
-        cols = [[0] * len(self.cells[k]) for _ in range(rows)]
-        for j, entries in enumerate(self.boundary_entries[k]):
-            for i, coeff in entries:
-                cols[i][j] = coeff
-        return IntMatrix(cols, cols=len(self.cells[k]))
-
     def body_facet_coefficients(self) -> dict[int, int]:
         """Coefficient of each facet in the body cell's boundary cycle."""
         return dict(self.boundary_entries[self.dim][0])
@@ -194,9 +186,9 @@ def geometry(name: str) -> Geometry:
     if name == "ideal24":
         return _ideal24_geometry()
     if name == "square":
-        return _square_geometry()
+        return _closed_geometry(name, _square_faces())
     if name == "cube":
-        return _cube_geometry()
+        return _closed_geometry(name, _cube_faces())
     raise GluingError(f"unknown geometry {name!r}")
 
 
@@ -248,62 +240,44 @@ def _ideal24_geometry() -> Geometry:
     )
 
 
-def _identity_extension(pairing: Pairing) -> dict[int, int]:
-    return pairing.forward()
+def _closed_geometry(name: str, faces) -> Geometry:
+    """A small untruncated polytope for test gluings.
+
+    Spec facets are the model's own facets, pairings act on the model's
+    vertex labels directly, and no cell lies in a manifold boundary.
+    """
+    top = len(faces) - 1
+    facets = faces[top - 1]
+    subcells = tuple(tuple(frozenset(r) for r in faces[top - 2] if set(f).issuperset(r))
+                     for f in facets)
+    return Geometry(
+        name=name,
+        model=build_cell_model(faces),
+        spec_vertex_count=len(faces[0]),
+        facet_vertices=facets,
+        facet_subcells=subcells,
+        model_facet=tuple(range(len(facets))),
+        labels=tuple(tuple(("cell", k, i) for i in range(len(faces[k])))
+                     for k in range(top + 1)),
+        boundary_mask=tuple(tuple(False for _ in faces[k]) for k in range(top + 1)),
+        extend_map=Pairing.forward,
+    )
 
 
-def _square_geometry() -> Geometry:
-    faces = (
+def _square_faces():
+    return (
         ((0,), (1,), (2,), (3,)),
         ((0, 1), (0, 3), (1, 2), (2, 3)),
         ((0, 1, 2, 3),),
     )
-    model = build_cell_model(faces)
-    labels = tuple(tuple(("cell", k, i) for i in range(len(faces[k]))) for k in range(3))
-    mask = tuple(tuple(False for _ in faces[k]) for k in range(3))
-    return Geometry(
-        name="square",
-        model=model,
-        spec_vertex_count=4,
-        facet_vertices=faces[1],
-        facet_subcells=tuple(() for _ in faces[1]),
-        model_facet=tuple(range(4)),
-        labels=labels,
-        boundary_mask=mask,
-        extend_map=_identity_extension,
-    )
 
 
-def _cube_geometry() -> Geometry:
+def _cube_faces():
     # Vertex i has binary coordinates (i & 1, (i >> 1) & 1, (i >> 2) & 1).
-    vertices = tuple((i,) for i in range(8))
-    edges = tuple(sorted(tuple(sorted((i, i ^ bit))) for i in range(8)
-                         for bit in (1, 2, 4) if i < i ^ bit))
-    squares = []
-    for axis in (1, 2, 4):
-        for level in (0, 1):
-            members = tuple(sorted(i for i in range(8)
-                                   if (1 if i & axis else 0) == level))
-            squares.append(members)
-    faces = (vertices, edges, tuple(sorted(squares)), (tuple(range(8)),))
-    model = build_cell_model(faces)
-    square_edges = []
-    for members in faces[2]:
-        s = set(members)
-        square_edges.append(tuple(frozenset(e) for e in edges if s.issuperset(e)))
-    labels = tuple(tuple(("cell", k, i) for i in range(len(faces[k]))) for k in range(4))
-    mask = tuple(tuple(False for _ in faces[k]) for k in range(4))
-    return Geometry(
-        name="cube",
-        model=model,
-        spec_vertex_count=8,
-        facet_vertices=faces[2],
-        facet_subcells=tuple(square_edges),
-        model_facet=tuple(range(6)),
-        labels=labels,
-        boundary_mask=mask,
-        extend_map=_identity_extension,
-    )
+    edges = tuple(sorted((i, i ^ bit) for i in range(8) for bit in (1, 2, 4) if i < i ^ bit))
+    squares = tuple(sorted(tuple(i for i in range(8) if (i & axis) == value)
+                           for axis in (1, 2, 4) for value in (0, axis)))
+    return tuple((i,) for i in range(8)), edges, squares, (tuple(range(8)),)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +398,31 @@ def write_pairing(spec: SidePairingSpec) -> str:
 # Vertex cycles.
 
 
+def components(elements, links) -> list[list]:
+    """Connected components of a graph, by union-find.
+
+    ``links`` are pairs of hashable elements, each of which must appear
+    in ``elements``.  Every component lists its members in ``elements``
+    order, and components come in the order of their first member.
+    """
+    parent = {e: e for e in elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict = {}
+    for e in elements:
+        groups.setdefault(find(e), []).append(e)
+    return list(groups.values())
+
+
 def vertex_cycles(spec: SidePairingSpec):
     """Orbits of the polytope vertices under all pairing bijections.
 
@@ -434,24 +433,9 @@ def vertex_cycles(spec: SidePairingSpec):
     validate_spec(spec)
     geo = geometry(spec.geometry)
     elements = [(c, v) for c in range(spec.copies) for v in range(geo.spec_vertex_count)]
-    parent = {e: e for e in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in spec.pairings:
-        for v, w in p.vertex_map:
-            a, b = find((p.copy_a, v)), find((p.copy_b, w))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-    groups: dict[tuple[int, int], list] = {}
-    for e in elements:
-        groups.setdefault(find(e), []).append(e)
-    cycles = sorted((sorted(g) for g in groups.values()), key=lambda g: (len(g), g[0]))
+    links = (((p.copy_a, v), (p.copy_b, w)) for p in spec.pairings for v, w in p.vertex_map)
+    cycles = sorted((sorted(g) for g in components(elements, links)),
+                    key=lambda g: (len(g), g[0]))
     if spec.copies == 1:
         return tuple(tuple(v for _, v in g) for g in cycles)
     return tuple(tuple(g) for g in cycles)
@@ -530,33 +514,12 @@ def orientation_character(spec: SidePairingSpec) -> OrientationCharacter:
     validate_spec(spec)
     signs = _facet_gluing_signs(spec)
     # The quotient is orientable iff the polytope copies admit +-1 labels
-    # with label_a * label_b = sign for every pairing.
-    label = {0: 1}
-    orientable = True
-    pending = list(range(len(spec.pairings)))
-    while pending and orientable:
-        progressed = False
-        for i in list(pending):
-            p = spec.pairings[i]
-            la = label.get(p.copy_a)
-            lb = label.get(p.copy_b)
-            if la is None and lb is None:
-                continue
-            if la is not None and lb is not None:
-                if la * lb != signs[i]:
-                    orientable = False
-            elif la is not None:
-                label[p.copy_b] = la * signs[i]
-            else:
-                label[p.copy_a] = lb * signs[i]
-            pending.remove(i)
-            progressed = True
-        if not progressed:
-            break
-    if orientable and pending:
-        # Disconnected copy graph cannot occur for validated full matchings
-        # with copies <= 2; treat leftovers as independently labeled.
-        orientable = all(signs[i] == 1 for i in pending)
+    # with label_a * label_b = sign for every pairing.  Copy 0 is +1 and
+    # copy 1 follows the first pairing that crosses between the copies.
+    crossing = (sign for p, sign in zip(spec.pairings, signs) if p.copy_a != p.copy_b)
+    label = (1, next(crossing, 1))
+    orientable = all(label[p.copy_a] * label[p.copy_b] == sign
+                     for p, sign in zip(spec.pairings, signs))
     reported = tuple(1 for _ in signs) if orientable else tuple(signs)
     return OrientationCharacter(signs=reported, orientable=orientable)
 
@@ -627,7 +590,6 @@ class _Orbits:
             self.parent[node] = key
             self.to_root_map[node] = mapping
             self.to_root_sign[node] = sign
-        # Recompute per-node data relative to the root for the caller.
         return key
 
     def relation(self, key):
@@ -722,7 +684,7 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
             for i in range(len(model.cells[k])):
                 orbits[k].add((c, i))
 
-    facet_cells = _facet_cell_cache(geo)
+    facet_cells = _facet_cells(geo.name)
     for p in spec.pairings:
         mapping = geo.extend_map(p)
         memo: dict[tuple[int, int], tuple[int, int]] = {}
@@ -786,7 +748,8 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
 
 
 @lru_cache(maxsize=None)
-def _facet_cell_cache_by_name(name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _facet_cells(name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per spec facet: the (dimension, index) model cells lying in it."""
     geo = geometry(name)
     model = geo.model
     out = []
@@ -799,10 +762,6 @@ def _facet_cell_cache_by_name(name: str) -> tuple[tuple[tuple[int, int], ...], .
                     cells.append((k, i))
         out.append(tuple(cells))
     return tuple(out)
-
-
-def _facet_cell_cache(geo: Geometry):
-    return _facet_cell_cache_by_name(geo.name)
 
 
 # ---------------------------------------------------------------------------
@@ -832,13 +791,6 @@ class Presentation:
         if not cols:
             return AbelianGroup(rows)
         return cokernel(IntMatrix.from_columns(cols, rows=rows))
-
-    def word_text(self, word: tuple[int, ...]) -> str:
-        parts = []
-        for letter in word:
-            name = self.generators[abs(letter) - 1]
-            parts.append(name if letter > 0 else f"{name}^-1")
-        return " ".join(parts) if parts else "1"
 
 
 def _generator_names(count: int) -> tuple[str, ...]:

@@ -102,18 +102,6 @@ class IntMatrix:
     def __hash__(self) -> int:
         return hash((self.cols, self._rows))
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self._rows], cols=self.cols)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self._rows, other._rows)],
-                         cols=self.cols)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -429,7 +417,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Returns:
         An (a.cols x k) matrix whose columns form a basis of ker(a).
     """
-    decomp = snf(a)
+    decomp = snf(a, left=False)
     rank = decomp.rank
     raw = [decomp.V.column(j) for j in range(rank, a.cols)]
     if not raw:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chains import ChainComplex, homology_basis
-from .gluing import QuotientComplex, geometry, vertex_cycles
+from .gluing import QuotientComplex, components, geometry, vertex_cycles
 from .intlinalg import AbelianGroup, IntMatrix, generates, kernel_basis, snf
 
 Vector = tuple[int, ...]
@@ -67,36 +67,17 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     model = geo.model
     bdim = q.top_dim - 1
 
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(bdim + 1):
-        for i, flagged in enumerate(q.boundary_flags[k]):
-            if flagged:
-                parent[(k, i)] = (k, i)
-    for k in range(1, bdim + 1):
-        for i, flagged in enumerate(q.boundary_flags[k]):
-            if not flagged:
-                continue
-            copy, idx = q.representatives[k][i]
-            for sub, _ in model.boundary_entries[k][idx]:
-                j, _ = q.orbit_index[k - 1][(copy, sub)]
-                a, b = find((k, i)), find((k - 1, j))
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for key in parent:
-        groups.setdefault(find(key), []).append(key)
+    elements = [(k, i) for k in range(bdim + 1)
+                for i, flagged in enumerate(q.boundary_flags[k]) if flagged]
+    links = []
+    for k, i in elements:
+        copy, idx = q.representatives[k][i]
+        for sub, _ in model.boundary_entries[k][idx]:
+            links.append(((k, i), (k - 1, q.orbit_index[k - 1][(copy, sub)][0])))
 
     cycles = vertex_cycles(q.spec)
     by_cycle: dict[tuple, dict[int, list[int]]] = {}
-    for members in groups.values():
+    for members in components(elements, links):
         comp: dict[int, list[int]] = {}
         for k, i in members:
             comp.setdefault(k, []).append(i)
@@ -116,9 +97,9 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     for ci, cycle in enumerate(cycles):
         comp = by_cycle[cycle]
         cells = tuple(tuple(sorted(comp.get(k, ()))) for k in range(bdim + 1))
-        # The union-find above joined every face of a flagged cell to its
-        # component, so each section is closed under faces and its
-        # boundaries are plain restrictions of the ambient ones.
+        # Every face of a flagged cell is linked into its component, so
+        # each section is closed under faces and its boundaries are plain
+        # restrictions of the ambient ones.
         boundaries = [IntMatrix.zero(0, len(cells[0]))]
         for k in range(1, bdim + 1):
             rows = (q.chain.boundary[k].row(r) for r in cells[k - 1])
@@ -170,12 +151,6 @@ def peripheral_matrix(q: QuotientComplex, i: int) -> IntMatrix:
     return IntMatrix.from_columns(columns, rows=target.group.free_rank)
 
 
-def _det3(u: Vector, v: Vector, w: Vector) -> int:
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
-
-
 def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
     """A basis (kappa_1, kappa_2, kappa_3) of Z^3 adapted to the map.
 
@@ -211,7 +186,7 @@ def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
         shift = kappa1[p] // row[p]
         kappa1 = [x - shift * y for x, y in zip(kappa1, row)]
     basis = (tuple(kappa1), ker.column(0), ker.column(1))
-    assert _det3(*basis) in (1, -1)
+    assert IntMatrix.from_columns(basis, rows=3).det() in (1, -1)
     return basis
 
 

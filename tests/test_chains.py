@@ -6,7 +6,10 @@ directly; the complexes themselves are written out cell by cell rather
 than produced by any gluing machinery.
 """
 
+import ast
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -195,6 +198,25 @@ def test_group_only_homology_builds_no_transforms(census_m, monkeypatch):
     assert all(d.U is None and d.u_inv is None and d.V is None for d in decomps)
 
 
+def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):
+    """kernel_basis reads only V; homology_basis reads only U and U^-1."""
+    flags = []
+    real_snf = intlinalg.snf
+
+    def recording_snf(a, *, left=True, right=True):
+        flags.append((left, right))
+        return real_snf(a, left=left, right=right)
+
+    for module in (chains, intlinalg):
+        monkeypatch.setattr(module, "snf", recording_snf)
+    c = klein_bottle()
+    intlinalg.kernel_basis(c.boundary[1])
+    assert flags == [(False, True)]
+    flags.clear()
+    assert homology_basis.__wrapped__(c, 1).group == AbelianGroup(1, (2,))
+    assert flags == [(False, True), (True, False)]
+
+
 def test_homology_basis_coordinates_roundtrip():
     c = three_torus()
     basis = homology_basis(c, 1)
@@ -221,3 +243,25 @@ def test_homology_basis_rejects_non_cycle():
 
 def test_public_names_resolve():
     assert all(hasattr(dehn24, name) for name in dehn24.__all__)
+
+
+def test_every_function_is_named_outside_its_def():
+    """Each non-dunder function or method of the package has a mention
+    in the package, demos, benchmark or tests besides its own def."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = "\n".join(path.read_text("utf-8")
+                     for top in ("src", "demos", "perfbench", "tests")
+                     for path in sorted((root / top).rglob("*.py")))
+    unused = []
+    for path in sorted((root / "src" / "dehn24").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            mentions = len(re.findall(rf"\b{name}\b", text))
+            definitions = len(re.findall(rf"\bdef {name}\b", text))
+            if mentions == definitions:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -133,8 +133,6 @@ def test_enumerate_matches_brute_force_at_two_pi(cubic):
 
 
 def test_enumerate_skew_lattice_uses_exact_fallback():
-    # Gram [[2,1,1],[1,2,1],[1,1,2]] has Gershgorin bound 0, forcing the
-    # LDL path; the result must still match the box scan.
     skew = FlatLattice.from_columns([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     for bound in (Fraction(3), Fraction(5), Fraction(41, 8)):
         assert enumerate_short(skew, bound) == brute_force_short(skew, bound)

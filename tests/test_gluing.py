@@ -9,6 +9,8 @@ cycles, orientation character, integral homology of the quotient and of
 its orientation double cover, and the ridge presentation.
 """
 
+import itertools
+
 import pytest
 
 from dehn24.chains import euler_characteristic, homology, validate
@@ -17,6 +19,7 @@ from dehn24.gluing import (
     Pairing,
     PairingError,
     SidePairingSpec,
+    _facet_gluing_signs,
     double_cover,
     geometry,
     orientation_character,
@@ -255,6 +258,31 @@ def test_census_orientation(census_spec):
     char = orientation_character(census_spec)
     assert not char.orientable
     assert char.signs == (1, 1, -1, -1, 1, -1, 1, 1, 1, -1, 1, 1)
+
+
+def _labels_exist(spec: SidePairingSpec) -> bool:
+    """The definition: +-1 copy labels with label_a * label_b = sign throughout."""
+    signs = _facet_gluing_signs(spec)
+    return any(all(label[p.copy_a] * label[p.copy_b] == sign
+                   for p, sign in zip(spec.pairings, signs))
+               for label in itertools.product((1, -1), repeat=spec.copies))
+
+
+def _glued_within_copies(spec: SidePairingSpec) -> SidePairingSpec:
+    """Two copies of ``spec``, each glued to itself: no pairing crosses."""
+    pairings = tuple(Pairing(p.facet_a, p.facet_b, p.vertex_map, c, c)
+                     for c in (0, 1) for p in spec.pairings)
+    return SidePairingSpec(pairings=pairings, geometry=spec.geometry, copies=2)
+
+
+def test_orientation_character_matches_definition(census_spec):
+    cases = [(torus_spec(), True), (klein_spec(), False),
+             (projective_plane_spec(), False), (three_torus_spec(), True),
+             (census_spec, False), (double_cover(census_spec), True),
+             (_glued_within_copies(census_spec), False),
+             (_glued_within_copies(torus_spec()), True)]
+    for spec, orientable in cases:
+        assert orientation_character(spec).orientable == _labels_exist(spec) == orientable
 
 
 def test_census_n_cells(census_n):
