@@ -383,22 +383,21 @@ def _face_normal(chart: dict[int, Vec3], face: Iterable[int]) -> Vec3:
 
 def _face_transition(chart_a: dict[int, Vec3], face_a: Sequence[int],
                      chart_b: dict[int, Vec3],
-                     psi: dict[int, int] | None) -> tuple[IntMatrix, Vec3]:
+                     psi: dict[int, int]) -> tuple[IntMatrix, Vec3]:
     """The isometry T with T(chart_a point) = chart_b point across a face.
 
     Determined by three face vertices plus the requirement that the
     outward normal on one side map to the inward normal on the other.
     """
-    image = (lambda g: g) if psi is None else psi.__getitem__
     qs = [chart_a[g] for g in face_a]
-    ps = [chart_b[image(g)] for g in face_a]
+    ps = [chart_b[psi[g]] for g in face_a]
     q0, p0 = qs[0], ps[0]
     edges = [k for k in range(1, 4)
              if sum((a - b) ** 2 for a, b in zip(qs[k], q0)) == 1]
     if len(edges) != 2:
         raise FlatGeometryError("face is not a chart unit square")
     n_a = _face_normal(chart_a, face_a)
-    n_b = _face_normal(chart_b, [image(g) for g in face_a])
+    n_b = _face_normal(chart_b, [psi[g] for g in face_a])
     q_cols = [tuple(a - b for a, b in zip(qs[k], q0)) for k in edges] + [n_a]
     p_cols = [tuple(a - b for a, b in zip(ps[k], p0)) for k in edges] + \
         [tuple(-x for x in n_b)]
@@ -407,7 +406,7 @@ def _face_transition(chart_a: dict[int, Vec3], face_a: Sequence[int],
     offset = tuple(a - b for a, b in zip(p0, linear.apply(q0)))
     for g in face_a:
         got = tuple(a + b for a, b in zip(linear.apply(chart_a[g]), offset))
-        if got != chart_b[image(g)]:
+        if got != chart_b[psi[g]]:
             raise FlatGeometryError("face identification is not an isometry "
                                     "of the chart cubes")
     return linear, offset
@@ -483,13 +482,11 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
         raise FlatGeometryError("cross section is not connected")
 
     positions: dict[tuple[int, int], Vec3] = {}
-    vertex_cube: dict[tuple[int, int], tuple[int, int]] = {}
     for key in cube_keys:
         rot, shift = placements[key]
         for g, coord in charts[key].items():
             positions[(key[0], g)] = tuple(
                 a + b for a, b in zip(rot.apply(coord), shift))
-            vertex_cube[(key[0], g)] = key
 
     references: dict[int, Vec3] = {}
     for vkey in sorted(positions):

@@ -398,31 +398,6 @@ def write_pairing(spec: SidePairingSpec) -> str:
 # Vertex cycles.
 
 
-def components(elements, links) -> list[list]:
-    """Connected components of a graph, by union-find.
-
-    ``links`` are pairs of hashable elements, each of which must appear
-    in ``elements``.  Every component lists its members in ``elements``
-    order, and components come in the order of their first member.
-    """
-    parent = {e: e for e in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict = {}
-    for e in elements:
-        groups.setdefault(find(e), []).append(e)
-    return list(groups.values())
-
-
 def vertex_cycles(spec: SidePairingSpec):
     """Orbits of the polytope vertices under all pairing bijections.
 
@@ -432,10 +407,24 @@ def vertex_cycles(spec: SidePairingSpec):
     """
     validate_spec(spec)
     geo = geometry(spec.geometry)
-    elements = [(c, v) for c in range(spec.copies) for v in range(geo.spec_vertex_count)]
-    links = (((p.copy_a, v), (p.copy_b, w)) for p in spec.pairings for v, w in p.vertex_map)
-    cycles = sorted((sorted(g) for g in components(elements, links)),
-                    key=lambda g: (len(g), g[0]))
+    # Union-find on (copy, vertex).  Keys are inserted in sorted order, so
+    # every class below lists its members sorted.
+    parent = {(c, v): (c, v) for c in range(spec.copies) for v in range(geo.spec_vertex_count)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in spec.pairings:
+        for v, w in p.vertex_map:
+            ra, rb = find((p.copy_a, v)), find((p.copy_b, w))
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict = {}
+    for e in parent:
+        groups.setdefault(find(e), []).append(e)
+    cycles = sorted(groups.values(), key=lambda g: (len(g), g[0]))
     if spec.copies == 1:
         return tuple(tuple(v for _, v in g) for g in cycles)
     return tuple(tuple(g) for g in cycles)
@@ -558,75 +547,13 @@ def double_cover(spec: SidePairingSpec) -> SidePairingSpec:
 # The quotient complex.
 
 
-class _Orbits:
-    """Union-find on (copy, cell) keys carrying vertex maps and signs.
-
-    ``to_root`` composes the vertex bijections along the identification
-    path, so closing a loop with a nontrivial self-map of a cell (an
-    orbifold-like gluing) is detected exactly.
-    """
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.to_root_map: dict = {}
-        self.to_root_sign: dict = {}
-
-    def add(self, key) -> None:
-        if key not in self.parent:
-            self.parent[key] = key
-            self.to_root_map[key] = None  # identity
-            self.to_root_sign[key] = 1
-
-    def find(self, key):
-        path = []
-        while self.parent[key] != key:
-            path.append(key)
-            key = self.parent[key]
-        mapping = None
-        sign = 1
-        for node in reversed(path):
-            mapping = _compose(self.to_root_map[node], mapping)
-            sign *= self.to_root_sign[node]
-            self.parent[node] = key
-            self.to_root_map[node] = mapping
-            self.to_root_sign[node] = sign
-        return key
-
-    def relation(self, key):
-        root = self.find(key)
-        return root, self.to_root_map[key], self.to_root_sign[key]
-
-    def union(self, ka, kb, mapping: dict[int, int], sign: int) -> None:
-        ra, ma, sa = self.relation(ka)
-        rb, mb, sb = self.relation(kb)
-        # Induced map between roots: root_a -> a -> b -> root_b.
-        induced = _compose(_compose(_invert(ma), mapping), mb)
-        induced_sign = sa * sign * sb
-        if ra == rb:
-            if not _is_identity(induced):
-                raise GluingError("side-pairing identifies a cell with itself by a "
-                                  "nontrivial symmetry; the quotient is not a CW complex")
-            return
-        self.parent[ra] = rb
-        self.to_root_map[ra] = induced
-        self.to_root_sign[ra] = induced_sign
-
-
-def _compose(first: dict | None, second: dict | None) -> dict | None:
-    """Apply ``first`` then ``second`` (either may be None for identity)."""
-    if first is None:
-        return None if second is None else dict(second)
-    if second is None:
-        return dict(first)
+def _compose(first: dict, second: dict) -> dict:
+    """Apply ``first`` then ``second``."""
     return {v: second[w] for v, w in first.items()}
 
 
-def _invert(mapping: dict | None) -> dict | None:
-    return None if mapping is None else {w: v for v, w in mapping.items()}
-
-
-def _is_identity(mapping: dict | None) -> bool:
-    return mapping is None or all(v == w for v, w in mapping.items())
+def _invert(mapping: dict) -> dict:
+    return {w: v for v, w in mapping.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,6 +564,11 @@ class QuotientComplex:
     provenance (copy, original face data) of each orbit representative.
     ``boundary_flags[k][i]`` marks quotient cells lying in the manifold
     boundary (the cubical cells of the truncated polytope).
+    ``representatives[k]`` lists each orbit's least (copy, cell) key;
+    ``orbit_index[k][key]`` is (orbit, sign of key relative to the
+    representative) and ``maps_to_rep[k][key]`` the vertex map from the
+    key's cell onto the representative's, a dict even for the
+    representative itself.
     """
 
     spec: SidePairingSpec
@@ -646,7 +578,7 @@ class QuotientComplex:
     representatives: tuple[tuple[tuple[int, int], ...], ...]
     orbit_index: tuple[dict[tuple[int, int], tuple[int, int]], ...]
     boundary_flags: tuple[tuple[bool, ...], ...]
-    maps_to_rep: tuple[dict[tuple[int, int], dict[int, int] | None], ...] = field(repr=False)
+    maps_to_rep: tuple[dict[tuple[int, int], dict[int, int]], ...] = field(repr=False)
 
     @property
     def top_dim(self) -> int:
@@ -678,42 +610,49 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     model = geo.model
     top = model.dim
 
-    orbits = [_Orbits() for _ in range(top + 1)]
-    for k in range(top + 1):
-        for c in range(spec.copies):
-            for i in range(len(model.cells[k])):
-                orbits[k].add((c, i))
-
+    # Per dimension: key -> [(neighbor key, sign, vertex map carrying the
+    # key's cell onto the neighbor's)]; the map is the pairing's whole
+    # facet map or its inverse, shared by every cell of the facet.
+    links: list[dict] = [{} for _ in range(top + 1)]
     facet_cells = _facet_cells(geo.name)
     for p in spec.pairings:
         mapping = geo.extend_map(p)
+        inverse = _invert(mapping)
         memo: dict[tuple[int, int], tuple[int, int]] = {}
         for dim, idx in facet_cells[p.facet_a]:
             target, sign = _map_sign(model, dim, idx, mapping, memo)
-            cell_map = {v: mapping[v] for v in model.cells[dim][idx]}
-            orbits[dim].union((p.copy_a, idx), (p.copy_b, target), cell_map, sign)
+            a, b = (p.copy_a, idx), (p.copy_b, target)
+            links[dim].setdefault(a, []).append((b, sign, mapping))
+            links[dim].setdefault(b, []).append((a, sign, inverse))
 
     representatives = []
     orbit_index = []
     maps_to_rep = []
     for k in range(top + 1):
-        groups: dict = {}
-        for key in orbits[k].parent:
-            root = orbits[k].find(key)
-            groups.setdefault(root, []).append(key)
-        reps = sorted(min(members) for members in groups.values())
-        rep_of_root = {orbits[k].find(rep): rep for rep in reps}
-        index_of_rep = {rep: i for i, rep in enumerate(reps)}
-        table = {}
-        rep_maps = {}
-        for key in orbits[k].parent:
-            root, key_map, key_sign = orbits[k].relation(key)
-            rep = rep_of_root[root]
-            _, rep_map, rep_sign = orbits[k].relation(rep)
-            # map key -> rep through the root.
-            full = _compose(key_map, _invert(rep_map))
-            table[key] = (index_of_rep[rep], key_sign * rep_sign)
-            rep_maps[key] = full
+        # Walk each orbit from its least key, which becomes the representative;
+        # every key reached records its sign and vertex map to that key.
+        reps: list[tuple[int, int]] = []
+        table: dict = {}
+        rep_maps: dict = {}
+        for rep in [(c, i) for c in range(spec.copies) for i in range(len(model.cells[k]))]:
+            if rep in table:
+                continue
+            table[rep] = (len(reps), 1)
+            rep_maps[rep] = {v: v for v in model.cells[k][rep[1]]}
+            reps.append(rep)
+            stack = [rep]
+            while stack:
+                key = stack.pop()
+                for other, sign, to_other in links[k].get(key, ()):
+                    other_map = {to_other[v]: w for v, w in rep_maps[key].items()}
+                    if other not in table:
+                        table[other] = (len(reps) - 1, sign * table[key][1])
+                        rep_maps[other] = other_map
+                        stack.append(other)
+                    elif rep_maps[other] != other_map:
+                        raise GluingError(
+                            "side-pairing identifies a cell with itself by a "
+                            "nontrivial symmetry; the quotient is not a CW complex")
         representatives.append(tuple(reps))
         orbit_index.append(table)
         maps_to_rep.append(rep_maps)
@@ -872,7 +811,10 @@ def presentation(spec: SidePairingSpec) -> Presentation:
             relators.append((i + 1, i + 1))
     if spec.copies == 2:
         # Contract one crossing generator so the groupoid presents a group.
-        tree_gen = next(i for i, p in enumerate(spec.pairings) if p.copy_a != p.copy_b)
+        tree_gen = next((i for i, p in enumerate(spec.pairings) if p.copy_a != p.copy_b), None)
+        if tree_gen is None:
+            raise GluingError("no pairing crosses between the two copies; the quotient "
+                              "is disconnected and has no single fundamental group")
         relators.append((tree_gen + 1,))
 
     return Presentation(generators=_generator_names(len(spec.pairings)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .chains import ChainComplex, homology_basis
-from .gluing import QuotientComplex, components, geometry, vertex_cycles
+from .gluing import QuotientComplex, vertex_cycles
 from .intlinalg import AbelianGroup, IntMatrix, generates, kernel_basis, snf
 
 Vector = tuple[int, ...]
@@ -51,55 +51,40 @@ class CuspSection:
 
 @lru_cache(maxsize=8)
 def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
-    """Connected components of the boundary subcomplex, in cusp order.
+    """The boundary subcomplex split by ideal vertex cycle, in cusp order.
 
-    Components are matched against the ideal vertex cycles of the
-    side-pairing and returned in the cycles' canonical order (cycles
+    Every boundary cell label (copy, kind, v, ...) names the ideal vertex
+    v the cell truncates, and pairings keep it inside v's vertex cycle,
+    so each flagged cell goes to the cycle holding v (or (copy, v) on
+    two copies).  Sections come in the cycles' canonical order (cycles
     sorted by size then smallest member), so the short unit-vector
-    cycles come first and the large half-integer cycle last.
+    cycles come first and the large half-integer cycle last.  A face of
+    a cell truncating v truncates v too, so each section is closed under
+    faces and its boundaries are plain restrictions of the ambient ones.
 
     Raises:
-        PeripheralError: if the boundary components fail to biject with
-            the vertex cycles, which would mean the complex was not
-            built by the gluing module's conventions.
+        PeripheralError: if some vertex cycle gets no boundary cube,
+            which would mean the complex was not built by the gluing
+            module's conventions (or has no boundary at all).
     """
-    geo = geometry(q.geometry_name)
-    model = geo.model
     bdim = q.top_dim - 1
-
-    elements = [(k, i) for k in range(bdim + 1)
-                for i, flagged in enumerate(q.boundary_flags[k]) if flagged]
-    links = []
-    for k, i in elements:
-        copy, idx = q.representatives[k][i]
-        for sub, _ in model.boundary_entries[k][idx]:
-            links.append(((k, i), (k - 1, q.orbit_index[k - 1][(copy, sub)][0])))
-
     cycles = vertex_cycles(q.spec)
-    by_cycle: dict[tuple, dict[int, list[int]]] = {}
-    for members in components(elements, links):
-        comp: dict[int, list[int]] = {}
-        for k, i in members:
-            comp.setdefault(k, []).append(i)
-        tags = []
-        for i in comp.get(bdim, ()):
-            label = q.cell_label(bdim, i)
-            if label[1] != "vertex":
-                raise PeripheralError("boundary 3-cell is not a vertex cube")
-            tags.append(label[2] if q.copies == 1 else (label[0], label[2]))
-        by_cycle[tuple(sorted(tags))] = comp
-    if sorted(by_cycle) != sorted(cycles):
+    cusp_of = {v: ci for ci, cycle in enumerate(cycles) for v in cycle}
+    by_cycle: list[list[list[int]]] = [[[] for _ in range(bdim + 1)] for _ in cycles]
+    for k in range(bdim + 1):
+        for i, flagged in enumerate(q.boundary_flags[k]):
+            if flagged:
+                copy, _, v = q.cell_label(k, i)[:3]
+                by_cycle[cusp_of[v if q.copies == 1 else (copy, v)]][k].append(i)
+    covered = sum(1 for comp in by_cycle if comp[bdim])
+    if covered != len(cycles):
         raise PeripheralError(
             f"boundary components do not match the ideal vertex cycles: "
-            f"{len(by_cycle)} components for {len(cycles)} cycles")
+            f"{covered} components for {len(cycles)} cycles")
 
     sections = []
-    for ci, cycle in enumerate(cycles):
-        comp = by_cycle[cycle]
-        cells = tuple(tuple(sorted(comp.get(k, ()))) for k in range(bdim + 1))
-        # Every face of a flagged cell is linked into its component, so
-        # each section is closed under faces and its boundaries are plain
-        # restrictions of the ambient ones.
+    for ci, comp in enumerate(by_cycle):
+        cells = tuple(map(tuple, comp))
         boundaries = [IntMatrix.zero(0, len(cells[0]))]
         for k in range(1, bdim + 1):
             rows = (q.chain.boundary[k].row(r) for r in cells[k - 1])

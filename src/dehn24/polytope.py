@@ -51,8 +51,23 @@ def _facet_normals() -> tuple[Coord, ...]:
     return tuple(sorted(normals))
 
 
+class _Faces:
+    """Methods shared by both lattices, which store ``faces`` by dimension."""
+
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(len(self.faces[k]) for k in range(4))
+
+    def dump(self) -> str:
+        """Canonical text dump: one face per line as `dim index v1 v2 ...`."""
+        lines = []
+        for dim in range(5):
+            for idx, vs in enumerate(self.faces[dim]):
+                lines.append(f"{dim} {idx} " + " ".join(str(v) for v in vs))
+        return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
-class FaceLattice:
+class FaceLattice(_Faces):
     """The face lattice of the 24-cell.
 
     ``faces[k]`` lists the k-faces as sorted tuples of vertex indices, in
@@ -71,22 +86,11 @@ class FaceLattice:
     def face_index(self, dim: int, vertex_set: tuple[int, ...]) -> int:
         return self.faces[dim].index(tuple(sorted(vertex_set)))
 
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces[k]) for k in range(4))
-
     def facet_of_normal(self, normal: Coord) -> int:
         """Index of the facet whose outward normal is ``normal``."""
         members = tuple(sorted(i for i, v in enumerate(self.vertices)
                                if _inner(normal, v) == 1))
         return self.faces[3].index(members)
-
-    def dump(self) -> str:
-        """Canonical text dump: one face per line as `dim index v1 v2 ...`."""
-        lines = []
-        for dim in range(5):
-            for idx, vs in enumerate(self.faces[dim]):
-                lines.append(f"{dim} {idx} " + " ".join(str(v) for v in vs))
-        return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=1)
@@ -137,7 +141,7 @@ def build_24cell() -> FaceLattice:
 
 
 @dataclass(frozen=True)
-class TruncatedLattice:
+class TruncatedLattice(_Faces):
     """The truncated 24-cell, with provenance back to the ideal lattice.
 
     Vertices are flags (original vertex, incident original edge); every
@@ -172,16 +176,6 @@ class TruncatedLattice:
                 return i
         raise KeyError(key)
 
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces[k]) for k in range(4))
-
-    def dump(self) -> str:
-        lines = []
-        for dim in range(5):
-            for idx, vs in enumerate(self.faces[dim]):
-                lines.append(f"{dim} {idx} " + " ".join(str(v) for v in vs))
-        return "\n".join(lines) + "\n"
-
 
 @lru_cache(maxsize=1)
 def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
@@ -204,11 +198,13 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
         return flag_index[(vertex, edge)]
 
     # dim 1: truncated middles of original edges, plus cube edges (one per
-    # incident vertex-triangle flag).
+    # incident vertex-triangle flag); dim 2: hexagons from original
+    # triangles.
     middles = {}
     for e, (a, b) in enumerate(edges):
         middles[tuple(sorted((corner(a, e), corner(b, e))))] = ("edge", e)
     cube_edges = {}
+    hexagons = {}
     for t, trio in enumerate(triangles):
         tri_edges = [e for e, pair in enumerate(edges) if set(pair) <= set(trio)]
         assert len(tri_edges) == 3
@@ -216,35 +212,29 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
             ends = tuple(sorted(corner(v, e) for e in tri_edges if v in edges[e]))
             assert len(ends) == 2
             cube_edges[ends] = ("corner_edge", v, t)
-
-    # dim 2: hexagons from original triangles; squares where a cube meets
-    # a truncated octahedron (one per incident vertex-facet flag).
-    hexagons = {}
-    for t, trio in enumerate(triangles):
-        tri_edges = [e for e, pair in enumerate(edges) if set(pair) <= set(trio)]
         members = tuple(sorted(corner(v, e) for e in tri_edges for v in edges[e]))
         assert len(members) == 6
         hexagons[members] = ("triangle", t)
+
+    # dim 2: squares where a cube meets a truncated octahedron (one per
+    # incident vertex-facet flag); dim 3: truncated octahedra and cubes
+    # (vertex figures).
     squares = {}
+    trocts = {}
     for o, members6 in enumerate(facets):
         facet_edges = [e for e, pair in enumerate(edges) if set(pair) <= set(members6)]
         for v in members6:
             ends = tuple(sorted(corner(v, e) for e in facet_edges if v in edges[e]))
             assert len(ends) == 4
             squares[ends] = ("vertex_facet", v, o)
-
-    # dim 3: cubes (vertex figures) and truncated octahedra.
+        members = tuple(sorted(corner(v, e) for e in facet_edges for v in edges[e]))
+        assert len(members) == 24
+        trocts[members] = ("facet", o)
     cubes = {}
     for v in range(len(base.vertices)):
         members = tuple(sorted(i for i, (w, _) in enumerate(flags) if w == v))
         assert len(members) == 8
         cubes[members] = ("vertex", v)
-    trocts = {}
-    for o, members6 in enumerate(facets):
-        facet_edges = [e for e, pair in enumerate(edges) if set(pair) <= set(members6)]
-        members = tuple(sorted(corner(v, e) for e in facet_edges for v in edges[e]))
-        assert len(members) == 24
-        trocts[members] = ("facet", o)
 
     def sorted_faces(table: dict) -> tuple[list[tuple[int, ...]], list[tuple]]:
         keys = sorted(table)

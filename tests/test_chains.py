@@ -265,3 +265,61 @@ def test_every_function_is_named_outside_its_def():
             if mentions == definitions:
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _write_only_locals(tree: ast.AST) -> list[str]:
+    """Locals bound to a fresh dict, list or set and then only item-assigned."""
+    fresh = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(func.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                 ast.ClassDef)):
+                continue
+            own.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+        stores = {id(node.value) for node in ast.walk(func)
+                  if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+        for node in own:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target = node.target
+            else:
+                continue
+            value = node.value
+            if not (isinstance(target, ast.Name)
+                    and (isinstance(value, fresh)
+                         or (isinstance(value, ast.Call) and not value.args
+                             and isinstance(value.func, ast.Name)
+                             and value.func.id in ("dict", "list", "set")))):
+                continue
+            uses = [n for n in ast.walk(func)
+                    if isinstance(n, ast.Name) and n.id == target.id and n is not target]
+            if all(id(n) in stores for n in uses):
+                found.append(f"{func.name} {target.id}")
+    return found
+
+
+def test_no_local_is_written_and_never_read():
+    """A fresh container that is only ever item-assigned is a dead store."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    found = [entry for path in sorted((root / "src" / "dehn24").glob("*.py"))
+             for entry in _write_only_locals(ast.parse(path.read_text("utf-8")))]
+    assert found == []
+
+
+def test_write_only_guard_spots_dead_stores_not_aliases():
+    dead = ("def f(keys):\n    seen = {}\n    for k in keys:\n        seen[k] = 1\n"
+            "    return keys\n")
+    alias = ("def add_row(self, i, j):\n    di = self.d[i]\n"
+             "    for c in range(3):\n        di[c] += self.d[j][c]\n")
+    read = ("def g(keys):\n    seen = set()\n    out = {}\n    for k in keys:\n"
+            "        out[k] = k in seen\n    return out\n")
+    assert _write_only_locals(ast.parse(dead)) == ["f seen"]
+    assert _write_only_locals(ast.parse(alias)) == []
+    assert _write_only_locals(ast.parse(read)) == []

@@ -153,6 +153,17 @@ def test_enumerate_threads_do_not_change_output(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    pytest.param(["build"], id="build"),
+    pytest.param(["build", "--format", "jsonl"], id="build_jsonl"),
+    pytest.param(["build", "--copies", "2"], id="build_copies2"),
+    pytest.param(["build", "--copies", "2", "--format", "jsonl"], id="build_copies2_jsonl"),
+    pytest.param(["cusps"], id="cusps"),
+    pytest.param(["cusps", "--copies", "2"], id="cusps_copies2"),
+    pytest.param(["cusps", "--copies", "2", "--format", "jsonl"], id="cusps_copies2_jsonl"),
+    pytest.param(["peripheral", "--format", "jsonl"], id="peripheral_jsonl"),
+    pytest.param(["lattice"], id="lattice"),
+    pytest.param(["lattice", "--format", "jsonl", "--scale", "1/2"],
+                 id="lattice_scale_jsonl"),
     pytest.param(["fill", "3,3", "3,3", "3,3", "3,3", "3,3"], id="fill_3_3"),
     pytest.param(["fill", "3,3", "3,3", "3,3", "3,3", "3,3", "--format", "jsonl"],
                  id="fill_3_3_jsonl"),

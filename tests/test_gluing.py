@@ -338,6 +338,25 @@ def test_census_cover_presentation(census_spec):
     assert (ab.free_rank, ab.torsion) == (5, ())
 
 
+def test_presentation_refuses_two_copies_without_crossing():
+    with pytest.raises(GluingError, match="no pairing crosses"):
+        presentation(_glued_within_copies(torus_spec()))
+
+
+@pytest.mark.parametrize("name", ["census_n", "census_m"])
+def test_maps_to_rep_carry_each_cell_onto_its_representative(name, request):
+    q = request.getfixturevalue(name)
+    model = geometry(q.geometry_name).model
+    for k in range(q.top_dim + 1):
+        for (copy, idx), mapping in q.maps_to_rep[k].items():
+            orbit, _ = q.orbit_index[k][(copy, idx)]
+            rep = q.representatives[k][orbit]
+            assert tuple(sorted(mapping)) == model.cells[k][idx]
+            assert tuple(sorted(mapping.values())) == model.cells[k][rep[1]]
+            if (copy, idx) == rep:
+                assert all(v == w for v, w in mapping.items())
+
+
 def test_census_boundary_flags(census_n):
     q = census_n
     # One cubical 3-cell survives per ideal vertex orbit representative:
