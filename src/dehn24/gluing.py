@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .chains import ChainComplex
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis
@@ -221,7 +222,7 @@ def _ideal24_geometry() -> Geometry:
         phi = pairing.forward()
         mapping = {}
         source = set(base.faces[3][pairing.facet_a])
-        for (v, e), flag in trunc._flag_index.items():
+        for flag, (v, e) in enumerate(trunc.flags):
             if v in source and set(edges[e]) <= source:
                 image_edge = edge_index[frozenset(phi[w] for w in edges[e])]
                 mapping[flag] = trunc.flag_index(phi[v], image_edge)
@@ -441,6 +442,8 @@ def _map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
     ``mapping`` must cover the source cell's vertices.  The sign compares
     the pushed-forward boundary chain with the target cell's own chain;
     both are fundamental cycles, so they agree up to a global sign.
+    ``memo`` receives every cell of the source's closure; run on a paired
+    facet it is that pairing's cell table (see ``_pairing_action``).
     """
     key = (dim, source)
     if key in memo:
@@ -460,6 +463,23 @@ def _map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
         raise GluingError("vertex bijection does not extend to a cell isomorphism")
     memo[key] = (target, sign)
     return memo[key]
+
+
+@lru_cache(maxsize=1024)
+def _pairing_action(name: str, facet_a: int, facet_b: int,
+                    vertex_map: tuple[tuple[int, int], ...]):
+    """One side-pairing's vertex map extended to the model, and its cell table.
+
+    The table sends every model cell ``(dim, index)`` of ``facet_a`` to its
+    image cell and orientation sign.  Copy indices play no part, so both
+    copies of a double cover share one cache entry.
+    """
+    geo = geometry(name)
+    model = geo.model
+    mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
+    table: dict[tuple[int, int], tuple[int, int]] = {}
+    _map_sign(model, model.dim - 1, geo.model_facet[facet_a], mapping, table)
+    return MappingProxyType(mapping), MappingProxyType(table)
 
 
 @dataclass(frozen=True)
@@ -489,10 +509,9 @@ def _facet_gluing_signs(spec: SidePairingSpec) -> list[int]:
     omega = model.body_facet_coefficients()
     signs = []
     for p in spec.pairings:
-        mapping = geo.extend_map(p)
-        fa = geo.model_facet[p.facet_a]
-        fb = geo.model_facet[p.facet_b]
-        target, sign = _map_sign(model, model.dim - 1, fa, mapping, {})
+        _, table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
+        fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
+        target, sign = table[(model.dim - 1, fa)]
         assert target == fb
         signs.append(-omega[fa] * omega[fb] * sign)
     return signs
@@ -614,13 +633,10 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     # key's cell onto the neighbor's)]; the map is the pairing's whole
     # facet map or its inverse, shared by every cell of the facet.
     links: list[dict] = [{} for _ in range(top + 1)]
-    facet_cells = _facet_cells(geo.name)
     for p in spec.pairings:
-        mapping = geo.extend_map(p)
+        mapping, table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
         inverse = _invert(mapping)
-        memo: dict[tuple[int, int], tuple[int, int]] = {}
-        for dim, idx in facet_cells[p.facet_a]:
-            target, sign = _map_sign(model, dim, idx, mapping, memo)
+        for (dim, idx), (target, sign) in table.items():
             a, b = (p.copy_a, idx), (p.copy_b, target)
             links[dim].setdefault(a, []).append((b, sign, mapping))
             links[dim].setdefault(b, []).append((a, sign, inverse))
@@ -686,23 +702,6 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     )
 
 
-@lru_cache(maxsize=None)
-def _facet_cells(name: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per spec facet: the (dimension, index) model cells lying in it."""
-    geo = geometry(name)
-    model = geo.model
-    out = []
-    for f in range(geo.facet_count):
-        facet_verts = set(model.cells[model.dim - 1][geo.model_facet[f]])
-        cells = []
-        for k in range(model.dim):
-            for i, cell in enumerate(model.cells[k]):
-                if facet_verts.issuperset(cell):
-                    cells.append((k, i))
-        out.append(tuple(cells))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Poincare polyhedron presentation.
 
@@ -757,27 +756,27 @@ def presentation(spec: SidePairingSpec) -> Presentation:
         if not p.is_self_pairing():
             slot_of_facet[(p.copy_b, geo.model_facet[p.facet_b])] = (i, -1)
 
-    paired_facets = {geo.model_facet[f] for p in spec.pairings
-                     for f in (p.facet_a, p.facet_b)}
-    ridge_facets: dict[int, tuple[int, ...]] = {}
-    for r, cell in enumerate(model.cells[top - 2]):
-        members = set(cell)
-        incident = tuple(f for f in range(len(model.cells[top - 1]))
-                         if set(model.cells[top - 1][f]).issuperset(members)
-                         and f in paired_facets)
-        if len(incident) == 2:
-            ridge_facets[r] = incident
+    # Ridges shared by two paired facets (validation pairs every spec facet).
+    incident: dict[int, list[int]] = {}
+    for f in sorted(geo.model_facet):
+        for r, _ in model.boundary_entries[top - 1][f]:
+            incident.setdefault(r, []).append(f)
+    ridge_facets = {r: tuple(fs) for r, fs in incident.items() if len(fs) == 2}
 
-    extensions = {i: geo.extend_map(p) for i, p in enumerate(spec.pairings)}
+    # Per slot (generator, direction): where the pairing sends each ridge.
+    ridge_maps = {}
+    for i, p in enumerate(spec.pairings):
+        _, table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
+        ridge_maps[i, 1] = {r: t for (d, r), (t, _) in table.items() if d == top - 2}
+        ridge_maps[i, -1] = _invert(ridge_maps[i, 1])
 
     def step(state):
         copy, ridge, facet = state
         gen, direction = slot_of_facet[(copy, facet)]
         p = spec.pairings[gen]
-        mapping = extensions[gen] if direction == 1 else _invert(extensions[gen])
         new_copy = p.copy_b if direction == 1 else p.copy_a
         arrival = geo.model_facet[p.facet_b if direction == 1 else p.facet_a]
-        new_ridge = model.index_of(top - 2, (mapping[v] for v in model.cells[top - 2][ridge]))
+        new_ridge = ridge_maps[gen, direction][ridge]
         a, b = ridge_facets[new_ridge]
         next_facet = b if a == arrival else a
         assert arrival in (a, b)

@@ -65,12 +65,6 @@ class IntMatrix:
         return IntMatrix([[columns[j][i] for j in range(len(columns))] for i in range(height)],
                          cols=len(columns))
 
-    @staticmethod
-    def diagonal(entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        return IntMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)],
-                         cols=n)
-
     # -- access -------------------------------------------------------
 
     def __getitem__(self, idx: tuple[int, int]) -> int:

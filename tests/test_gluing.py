@@ -13,6 +13,7 @@ import itertools
 
 import pytest
 
+from dehn24 import gluing
 from dehn24.chains import euler_characteristic, homology, validate
 from dehn24.gluing import (
     GluingError,
@@ -336,6 +337,61 @@ def test_census_cover_presentation(census_spec):
     pres = presentation(double_cover(census_spec))
     ab = pres.abelianization()
     assert (ab.free_rank, ab.torsion) == (5, ())
+
+
+CENSUS_RELATORS = (
+    (1, 2, -12, -2), (1, 3, 12, -3), (2, -4, 5, -3), (1, 4, 12, -4), (2, -3, 5, -4),
+    (1, 5, -12, -5), (1, -10, 12, -6), (2, 6, 5, -6), (1, 11, -1, -7), (3, -11, -4, -7),
+    (2, 8, -5, -8), (3, -9, -3, -8), (6, -11, -6, -7), (6, -9, -10, -8), (7, 9, -7, -8),
+    (2, 9, -5, -9), (4, -8, -4, -9), (6, -8, -10, -9), (1, -6, 12, -10), (5, 10, 2, -10),
+    (7, 10, 11, -10), (3, -7, -4, -11), (8, 11, -9, -11), (7, 12, -11, -12),
+)
+
+CENSUS_COVER_RELATORS = (
+    (1, 3, -23, -3), (1, 5, 24, -5), (3, -8, 10, -5), (1, 7, 24, -7), (3, -6, 10, -7),
+    (1, 9, -23, -9), (5, -4, 8, -9), (7, -4, 6, -9), (1, -20, 24, -11), (3, 11, 10, -11),
+    (1, 21, -1, -13), (5, -22, -7, -13), (3, 15, -9, -15), (5, -18, -5, -15),
+    (11, -22, -11, -13), (11, -18, -19, -15), (13, 17, -13, -15), (3, 17, -9, -17),
+    (7, -16, -7, -17), (11, -16, -19, -17), (1, -12, 24, -19), (9, 19, 4, -19),
+    (13, 19, 22, -19), (3, -20, 10, 20), (5, -14, -7, -21), (15, -12, 18, 20),
+    (15, 21, -17, -21), (-20, -14, 20, -21), (17, -12, 16, 20), (9, -12, 4, 12),
+    (21, -12, 14, 12), (11, -2, 20, -23), (13, 23, -21, -23), (19, -2, 12, -23),
+    (13, -6, 22, 8), (15, -8, 18, 8), (21, -6, 14, 8), (17, -6, 16, 6), (23, -8, 2, 8),
+    (23, -6, 2, 6), (2, 4, -24, -4), (2, 10, -24, -10), (2, 22, -2, -14), (4, 16, -10, -16),
+    (14, 18, -14, -16), (4, 18, -10, -18), (16, 22, -18, -22), (14, 24, -22, -24), (5,),
+)
+
+
+def test_presentation_relators_word_for_word(census_spec):
+    """The ridge walk's exact words: start ridge, facet and direction."""
+    assert presentation(census_spec).relators == CENSUS_RELATORS
+    assert presentation(double_cover(census_spec)).relators == CENSUS_COVER_RELATORS
+    assert presentation(torus_spec()).relators == ((1, 2, -1, -2),)
+    assert presentation(klein_spec()).relators == ((1, 2, 1, -2),)
+    assert presentation(three_torus_spec()).relators == (
+        (3, 2, -3, -2), (3, 1, -3, -1), (2, 1, -2, -1))
+
+
+def test_each_pairing_is_resolved_once(census_spec, monkeypatch):
+    """One facet-level cell map per distinct pairing, shared by the signs,
+    the gluing and the ridge walk, and by both copies of the cover."""
+    top = geometry("ideal24").model.dim
+    facet_calls = []
+    real_map_sign = gluing._map_sign
+
+    def counting_map_sign(model, dim, source, mapping, memo):
+        if dim == top - 1:
+            facet_calls.append(source)
+        return real_map_sign(model, dim, source, mapping, memo)
+
+    monkeypatch.setattr(gluing, "_map_sign", counting_map_sign)
+    gluing._pairing_action.cache_clear()
+    quotient_complex(census_spec, copies=2)
+    assert len(facet_calls) == len(census_spec.pairings) == 12
+    facet_calls.clear()
+    quotient_complex(census_spec)
+    presentation(census_spec)
+    assert facet_calls == []
 
 
 def test_presentation_refuses_two_copies_without_crossing():
