@@ -24,9 +24,6 @@ from types import MappingProxyType
 from .chains import ChainComplex
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis
 
-GEOMETRIES = ("ideal24", "square", "cube")
-
-
 class GluingError(ValueError):
     """A side-pairing cannot be interpreted as requested."""
 
@@ -66,13 +63,17 @@ class SidePairingSpec:
     """A full side-pairing: a perfect matching of all facet slots.
 
     ``copies`` is 1 for a plain quotient, 2 for a double-cover spec whose
-    pairings reference (copy, facet) slots.
+    pairings reference (copy, facet) slots.  Building a spec validates
+    it (see ``validate_spec``), so an invalid spec cannot be built.
     """
 
     pairings: tuple[Pairing, ...]
     geometry: str = "ideal24"
     copies: int = 1
     metadata: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        validate_spec(self)
 
     def metadata_dict(self) -> dict[str, str]:
         return dict(self.metadata)
@@ -99,10 +100,11 @@ class CellModel:
     cell_index: tuple[dict[tuple[int, ...], int], ...]
 
     def index_of(self, dim: int, vertices) -> int:
+        key = tuple(sorted(vertices))
         try:
-            return self.cell_index[dim][tuple(sorted(vertices))]
+            return self.cell_index[dim][key]
         except KeyError:
-            raise GluingError(f"no {dim}-cell with vertex set {sorted(vertices)}") from None
+            raise GluingError(f"no {dim}-cell with vertex set {list(key)}") from None
 
     def body_facet_coefficients(self) -> dict[int, int]:
         """Coefficient of each facet in the body cell's boundary cycle."""
@@ -171,7 +173,6 @@ class Geometry:
     model: CellModel
     spec_vertex_count: int
     facet_vertices: tuple[tuple[int, ...], ...]
-    facet_subcells: tuple[tuple[frozenset[int], ...], ...]
     model_facet: tuple[int, ...]
     labels: tuple[tuple[tuple[object, ...], ...], ...]
     boundary_mask: tuple[tuple[bool, ...], ...]
@@ -201,14 +202,6 @@ def _ideal24_geometry() -> Geometry:
     model = build_cell_model(trunc.faces)
 
     edges = base.faces[1]
-    triangles = base.faces[2]
-    facet_subcells = []
-    for members in base.faces[3]:
-        s = set(members)
-        subs = [frozenset(e) for e in edges if s.issuperset(e)]
-        subs += [frozenset(t) for t in triangles if s.issuperset(t)]
-        facet_subcells.append(tuple(subs))
-
     model_facet = tuple(trunc.troct_facet(o) for o in range(24))
 
     labels = tuple(tuple(trunc.provenance[k][i] for i in range(len(trunc.faces[k])))
@@ -219,13 +212,19 @@ def _ideal24_geometry() -> Geometry:
     edge_index = {frozenset(e): i for i, e in enumerate(edges)}
 
     def extend(pairing: Pairing) -> dict[int, int]:
+        # Flags run in (vertex, edge) order, so the first refused edge is
+        # the least one; once edges map to edges, so do the triangles.
         phi = pairing.forward()
         mapping = {}
         source = set(base.faces[3][pairing.facet_a])
         for flag, (v, e) in enumerate(trunc.flags):
             if v in source and set(edges[e]) <= source:
-                image_edge = edge_index[frozenset(phi[w] for w in edges[e])]
-                mapping[flag] = trunc.flag_index(phi[v], image_edge)
+                image = frozenset(phi[w] for w in edges[e])
+                if image not in edge_index:
+                    raise PairingError(
+                        f"bijection sends face {list(edges[e])} of facet {pairing.facet_a} "
+                        f"to the non-face {sorted(image)} of facet {pairing.facet_b}")
+                mapping[flag] = trunc.flag_index(phi[v], edge_index[image])
         return mapping
 
     return Geometry(
@@ -233,7 +232,6 @@ def _ideal24_geometry() -> Geometry:
         model=model,
         spec_vertex_count=24,
         facet_vertices=base.faces[3],
-        facet_subcells=tuple(facet_subcells),
         model_facet=model_facet,
         labels=labels,
         boundary_mask=mask,
@@ -249,14 +247,11 @@ def _closed_geometry(name: str, faces) -> Geometry:
     """
     top = len(faces) - 1
     facets = faces[top - 1]
-    subcells = tuple(tuple(frozenset(r) for r in faces[top - 2] if set(f).issuperset(r))
-                     for f in facets)
     return Geometry(
         name=name,
         model=build_cell_model(faces),
         spec_vertex_count=len(faces[0]),
         facet_vertices=facets,
-        facet_subcells=subcells,
         model_facet=tuple(range(len(facets))),
         labels=tuple(tuple(("cell", k, i) for i in range(len(faces[k])))
                      for k in range(top + 1)),
@@ -286,7 +281,10 @@ def _cube_faces():
 
 
 def validate_spec(spec: SidePairingSpec) -> None:
-    """Check matching and facet-isomorphism conditions; raise PairingError."""
+    """Check matching and facet-isomorphism conditions; raise PairingError.
+
+    Every ``SidePairingSpec`` runs this when it is built.
+    """
     geo = geometry(spec.geometry)
     if spec.copies not in (1, 2):
         raise PairingError("copies must be 1 or 2")
@@ -311,6 +309,12 @@ def validate_spec(spec: SidePairingSpec) -> None:
 
 
 def _validate_bijection(geo: Geometry, p: Pairing) -> None:
+    """Refuse a vertex map that is not a facet isomorphism.
+
+    Past the identity, domain and image checks, the pairing's resolution
+    on the model refuses a face sent to a non-face; its cached cell table
+    is what the signs, the quotient and the ridge walk read later.
+    """
     forward = p.forward()
     source = geo.facet_vertices[p.facet_a]
     target = geo.facet_vertices[p.facet_b]
@@ -324,13 +328,7 @@ def _validate_bijection(geo: Geometry, p: Pairing) -> None:
     if sorted(forward.values()) != sorted(target):
         raise PairingError(
             f"bijection image is not facet {p.facet_b}'s vertex set")
-    target_subcells = set(geo.facet_subcells[p.facet_b])
-    for sub in geo.facet_subcells[p.facet_a]:
-        image = frozenset(forward[v] for v in sub)
-        if image not in target_subcells:
-            raise PairingError(
-                f"bijection sends face {sorted(sub)} of facet {p.facet_a} to the "
-                f"non-face {sorted(image)} of facet {p.facet_b}")
+    _pairing_action(geo.name, p.facet_a, p.facet_b, p.vertex_map)
 
 
 def census_pairing() -> SidePairingSpec:
@@ -372,10 +370,8 @@ def parse_pairing(text: str) -> SidePairingSpec:
                                f"got {len(assignments)}")
         pairings.append(Pairing(facet_a=int(fa_str), facet_b=int(fb_str),
                                 vertex_map=tuple(sorted(assignments))))
-    spec = SidePairingSpec(pairings=tuple(pairings), geometry="ideal24",
+    return SidePairingSpec(pairings=tuple(pairings), geometry="ideal24",
                            metadata=tuple(metadata))
-    validate_spec(spec)
-    return spec
 
 
 def write_pairing(spec: SidePairingSpec) -> str:
@@ -406,7 +402,6 @@ def vertex_cycles(spec: SidePairingSpec):
     (size, first member).  For a single-copy spec the members are vertex
     indices; for a two-copy spec they are (copy, vertex) pairs.
     """
-    validate_spec(spec)
     geo = geometry(spec.geometry)
     # Union-find on (copy, vertex).  Keys are inserted in sorted order, so
     # every class below lists its members sorted.
@@ -472,13 +467,18 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
 
     The table sends every model cell ``(dim, index)`` of ``facet_a`` to its
     image cell and orientation sign.  Copy indices play no part, so both
-    copies of a double cover share one cache entry.
+    copies of a double cover share one cache entry.  A map sending a face
+    to a non-face raises PairingError.
     """
     geo = geometry(name)
     model = geo.model
     mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
     table: dict[tuple[int, int], tuple[int, int]] = {}
-    _map_sign(model, model.dim - 1, geo.model_facet[facet_a], mapping, table)
+    try:
+        _map_sign(model, model.dim - 1, geo.model_facet[facet_a], mapping, table)
+    except GluingError as error:
+        raise PairingError(f"bijection sends facet {facet_a} to a non-face of "
+                           f"facet {facet_b}: {error}") from None
     return MappingProxyType(mapping), MappingProxyType(table)
 
 
@@ -519,7 +519,6 @@ def _facet_gluing_signs(spec: SidePairingSpec) -> list[int]:
 
 def orientation_character(spec: SidePairingSpec) -> OrientationCharacter:
     """Orientation sign per generator and orientability of the quotient."""
-    validate_spec(spec)
     signs = _facet_gluing_signs(spec)
     # The quotient is orientable iff the polytope copies admit +-1 labels
     # with label_a * label_b = sign for every pairing.  Copy 0 is +1 and
@@ -624,7 +623,6 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
         spec = double_cover(spec)
     elif spec.copies != copies:
         raise GluingError(f"spec has {spec.copies} copies, requested {copies}")
-    validate_spec(spec)
     geo = geometry(spec.geometry)
     model = geo.model
     top = model.dim
@@ -745,7 +743,6 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     walking around the ridge.  Words are defined up to cyclic rotation,
     inversion and base-point conventions.
     """
-    validate_spec(spec)
     geo = geometry(spec.geometry)
     model = geo.model
     top = model.dim

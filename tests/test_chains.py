@@ -246,7 +246,7 @@ def test_public_names_resolve():
 
 
 def _identifiers(tree: ast.AST) -> collections.Counter:
-    """Names the code uses: ``Name`` ids, ``Attribute`` attrs, import aliases,
+    """Names the code uses: ``Name`` ids read, ``Attribute`` attrs, import aliases,
     and string constants spelled as identifiers (as ``getattr`` or a
     monkeypatch names them), docstrings aside.  Comments never count."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
@@ -255,7 +255,7 @@ def _identifiers(tree: ast.AST) -> collections.Counter:
                   and node.body and isinstance(node.body[0], ast.Expr)}
     used = collections.Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used[node.id] += 1
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
@@ -267,9 +267,29 @@ def _identifiers(tree: ast.AST) -> collections.Counter:
     return used
 
 
+def _defined_names(tree: ast.Module):
+    """(line, name) of each function or method, and of each module-level
+    assignment target."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.lineno, node.name
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    yield stmt.lineno, node.id
+
+
 def test_every_function_is_named_outside_its_def():
-    """Each non-dunder function or method of the package is used by code in
-    the package, demos, benchmark or tests; prose mentions do not count."""
+    """Each non-dunder function, method or module-level name of the package
+    is read by code in the package, demos, benchmark or tests; prose
+    mentions and the assignment itself do not count."""
     root = pathlib.Path(__file__).resolve().parents[1]
     used = collections.Counter()
     for top in ("src", "demos", "perfbench", "tests"):
@@ -277,14 +297,11 @@ def test_every_function_is_named_outside_its_def():
             used += _identifiers(ast.parse(path.read_text("utf-8")))
     unused = []
     for path in sorted((root / "src" / "dehn24").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            name = node.name
+        for lineno, name in _defined_names(ast.parse(path.read_text("utf-8"))):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if not used[name]:
-                unused.append(f"{path.name}:{node.lineno} {name}")
+                unused.append(f"{path.name}:{lineno} {name}")
     assert unused == []
 
 
@@ -299,6 +316,13 @@ def test_identifier_guard_ignores_prose():
     used = _identifiers(ast.parse(code))
     assert "orphan" not in used and "word" not in used
     assert used["column"] == used["row"] == used["rank"] == used["path"] == 1
+
+
+def test_guard_reads_module_assignments():
+    tree = ast.parse("A, B = 1, 2\nC: int = A\nD = {}\nD[0] = B\ndef f():\n    E = 3\n")
+    assert [name for _, name in _defined_names(tree)] == ["f", "A", "B", "C", "D"]
+    used = _identifiers(tree)
+    assert (used["A"], used["B"], used["C"], used["D"], used["E"]) == (1, 1, 0, 1, 0)
 
 
 def _write_only_locals(tree: ast.AST) -> list[str]:

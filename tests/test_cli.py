@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import threading
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -262,6 +263,34 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "fill", "1;2", "3,4", "5,6", "7,8", "9,10")
     assert code == 2
     assert "is not 'b,c'" in err
+
+
+_CENSUS_TEXT = resources.files("dehn24").joinpath("data/pairing_1011.txt").read_text("utf-8")
+_RECORD_0_5 = "0 5 ; 0->0 1->5 2->6 3->7 4->8 9->14\n"
+
+
+@pytest.mark.parametrize("old, new, err", [
+    pytest.param("0 5 ; 0->0 1->5", "0 5 ; 0->5 1->0",
+                 "error: bijection sends face [0, 4] of facet 0 to the non-face [5, 8] "
+                 "of facet 5\n", id="non_face"),
+    pytest.param("3 20 ; 0->23 2->21 4->19 6->17 8->15 12->11\n", "",
+                 "error: facets left unpaired: [(0, 3), (0, 20)]\n", id="unpaired"),
+    pytest.param(_RECORD_0_5, _RECORD_0_5 * 2,
+                 "error: facet (0, 0) appears in more than one pairing\n", id="repeated"),
+    pytest.param("18 23 ;", "18 24 ;",
+                 "error: facet index 24 out of range\n", id="facet_range"),
+    pytest.param("4->8 9->14", "4->8 10->14",
+                 "error: bijection domain [0, 1, 2, 3, 4, 10] is not facet 0's vertex set\n",
+                 id="domain"),
+    pytest.param("4->8 9->14", "4->8 9->13",
+                 "error: bijection image is not facet 5's vertex set\n", id="image"),
+])
+def test_invalid_pairing_file_refusals(capsys, tmp_path, old, new, err):
+    """One edit of the bundled file per validation rule, refused with exit 2."""
+    assert _CENSUS_TEXT.count(old) == 1
+    path = tmp_path / "pairing.txt"
+    path.write_text(_CENSUS_TEXT.replace(old, new))
+    assert run(capsys, "build", "--pairing", str(path)) == (2, "", err)
 
 
 def test_contract_failures_exit_1(capsys):

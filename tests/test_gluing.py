@@ -10,6 +10,7 @@ its orientation double cover, and the ridge presentation.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from dehn24.gluing import (
     vertex_cycles,
     write_pairing,
 )
+from dehn24.peripheral import peripheral_system, report
 
 # Square facets in canonical order: 0=(0,1), 1=(0,3), 2=(1,2), 3=(2,3).
 # Cube squares: 0 is z=0, 1 is y=0, 2 is x=0, 3 is x=1, 4 is y=1, 5 is z=1.
@@ -191,13 +193,25 @@ def test_validation_rejects_bad_bijection():
 
 def test_validation_rejects_non_face_image():
     # x=0 to x=1 by a map that breaks an edge of the square.
-    bad = SidePairingSpec(geometry="cube", pairings=(
-        Pairing(2, 3, ((0, 1), (2, 3), (4, 7), (6, 5))),
-        Pairing(1, 4, ((0, 2), (1, 3), (4, 6), (5, 7))),
-        Pairing(0, 5, ((0, 4), (1, 5), (2, 6), (3, 7))),
-    ))
     with pytest.raises(PairingError, match="non-face"):
+        bad = SidePairingSpec(geometry="cube", pairings=(
+            Pairing(2, 3, ((0, 1), (2, 3), (4, 7), (6, 5))),
+            Pairing(1, 4, ((0, 2), (1, 3), (4, 6), (5, 7))),
+            Pairing(0, 5, ((0, 4), (1, 5), (2, 6), (3, 7))),
+        ))
         validate_spec(bad)
+
+
+def test_non_face_refusal_names_the_image():
+    # A one-shot iterable of vertices, as the cell-map recursion passes.
+    with pytest.raises(GluingError, match=r"no 1-cell with vertex set \[1, 7\]$"):
+        geometry("cube").model.index_of(1, (v for v in (7, 1)))
+    with pytest.raises(PairingError, match=r"non-face of facet 3: .* \[1, 7\]$"):
+        SidePairingSpec(geometry="cube", pairings=(
+            Pairing(2, 3, ((0, 1), (2, 3), (4, 7), (6, 5))),
+            Pairing(1, 4, ((0, 2), (1, 3), (4, 6), (5, 7))),
+            Pairing(0, 5, ((0, 4), (1, 5), (2, 6), (3, 7))),
+        ))
 
 
 def test_validation_rejects_pointwise_self_gluing():
@@ -425,7 +439,17 @@ def test_census_boundary_flags(census_n):
     assert all(lab[1] == "facet" for lab in labels)
 
 
-def test_pairing_order_does_not_matter(census_spec):
+def _shuffled_and_flipped(spec: SidePairingSpec) -> SidePairingSpec:
+    """The records in a seeded order, every other one written from its far side."""
+    pairings = list(spec.pairings)
+    random.Random(1011).shuffle(pairings)
+    pairings = [Pairing(p.facet_b, p.facet_a, tuple(sorted(p.backward().items()))) if i % 2
+                else p for i, p in enumerate(pairings)]
+    return SidePairingSpec(pairings=tuple(pairings), geometry=spec.geometry,
+                           metadata=spec.metadata)
+
+
+def test_pairing_order_does_not_matter(census_spec, census_n, census_m, census_system):
     reordered = SidePairingSpec(
         pairings=tuple(reversed(census_spec.pairings)),
         geometry=census_spec.geometry,
@@ -436,6 +460,15 @@ def test_pairing_order_does_not_matter(census_spec):
     h1 = homology(q.chain, 1)
     assert (h1.free_rank, h1.torsion) == (0, (2,) * 6)
     assert vertex_cycles(reordered) == vertex_cycles(census_spec)
+
+    flipped = _shuffled_and_flipped(census_spec)
+    assert sum(p not in census_spec.pairings for p in flipped.pairings) == 6
+    for expected in (census_n, census_m):
+        q = quotient_complex(flipped, expected.copies)
+        assert q.representatives == expected.representatives
+        assert q.chain.boundary == expected.chain.boundary
+        assert q.chain.cell_labels == expected.chain.cell_labels
+    assert report(peripheral_system(q)) == report(census_system)
 
 
 def test_parse_errors():
