@@ -17,10 +17,10 @@ from typing import Sequence
 
 from .intlinalg import (
     AbelianGroup,
+    EchelonBasis,
     IntMatrix,
     kernel_basis,
     snf,
-    solve_in_lattice,
 )
 
 
@@ -99,13 +99,16 @@ class HomologyBasis:
 
     Generators are ordered free part first, then torsion in increasing
     invariant-factor order.  ``cycles`` holds one generating cycle per
-    column, as a chain in the underlying complex.
+    column, as a chain in the underlying complex.  The canonical kernel
+    basis is kept as the ``EchelonBasis`` that built the generators, so
+    ``coordinates`` solves against it without reading the matrix again.
     """
 
     group: AbelianGroup
     dim: int
     cycles: IntMatrix
-    _kernel: IntMatrix = field(repr=False)
+    # A function of ``_boundary``, so equality need not compare it.
+    _kernel: EchelonBasis = field(repr=False, compare=False)
     _to_adapted: IntMatrix = field(repr=False)
     _orders: tuple[int, ...] = field(repr=False)
     _boundary: IntMatrix = field(repr=False)
@@ -125,7 +128,7 @@ class HomologyBasis:
         """
         if any(x != 0 for x in self._boundary.apply(chain)):
             raise ValueError("chain is not a cycle")
-        in_kernel = solve_in_lattice(self._kernel, chain)
+        in_kernel = self._kernel.solve(chain)
         adapted = self._to_adapted.apply(in_kernel)
         free = tuple(adapted[i] for i, d in enumerate(self._orders) if d == 0)
         torsion = tuple(adapted[i] % d for i, d in enumerate(self._orders) if d >= 2)
@@ -146,21 +149,23 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     if not 0 <= k <= c.top_dim:
         raise ValueError(f"dimension {k} out of range for a complex of top dimension {c.top_dim}")
     d_k = c.boundary[k]
-    d_next = c.boundary_or_zero(k + 1)
     cycles = kernel_basis(d_k)
+    kernel = EchelonBasis(cycles)
     z = cycles.cols
     # Express the image of the next boundary inside the cycle lattice; the
     # kernel is saturated, so the coefficients are integers.
     image_coords = IntMatrix.from_columns(
-        [solve_in_lattice(cycles, d_next.column(j)) for j in range(d_next.cols)], rows=z)
+        [kernel.solve(col) for col in c.boundary_or_zero(k + 1).columns()], rows=z)
     decomp = snf(image_coords, right=False)
     rank = decomp.rank
     factors = decomp.D.diagonal_entries()
     # Per adapted-basis position: 0 marks a free generator, 1 a killed one.
     orders = tuple(factors[i] if i < rank else 0 for i in range(z))
-    adapted_cycles = cycles * decomp.u_inv
-    generator_columns = [adapted_cycles.column(i) for i, d in enumerate(orders) if d == 0]
-    generator_columns += [adapted_cycles.column(i) for i, d in enumerate(orders) if d >= 2]
+    # Generators are the free, then torsion, columns of cycles * U^-1;
+    # only those columns are formed, not the whole product.
+    kept = [i for i, d in enumerate(orders) if d == 0]
+    kept += [i for i, d in enumerate(orders) if d >= 2]
+    u_inv_columns = decomp.u_inv.columns()
     group = AbelianGroup(
         free_rank=sum(1 for d in orders if d == 0),
         torsion=tuple(d for d in orders if d >= 2),
@@ -168,8 +173,9 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     return HomologyBasis(
         group=group,
         dim=k,
-        cycles=IntMatrix.from_columns(generator_columns, rows=c.cell_count(k)),
-        _kernel=cycles,
+        cycles=IntMatrix.from_columns([cycles.apply(u_inv_columns[i]) for i in kept],
+                                      rows=c.cell_count(k)),
+        _kernel=kernel,
         _to_adapted=decomp.U,
         _orders=orders,
         _boundary=d_k,

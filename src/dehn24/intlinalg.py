@@ -78,7 +78,10 @@ class IntMatrix:
         return tuple(r[j] for r in self._rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        """Every column, read in one transposing pass over the rows."""
+        if not self._rows:
+            return [()] * self.cols
+        return list(zip(*self._rows))
 
     def row_lists(self) -> list[list[int]]:
         """A mutable copy of the entries, row-major."""
@@ -113,8 +116,7 @@ class IntMatrix:
         return tuple(sum(r[k] * vector[k] for k in range(self.cols)) for r in self._rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                         cols=self.rows)
+        return IntMatrix(self.columns(), cols=self.rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self._rows for x in row)
@@ -413,7 +415,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     """
     decomp = snf(a, left=False)
     rank = decomp.rank
-    raw = [decomp.V.column(j) for j in range(rank, a.cols)]
+    raw = decomp.V.columns()[rank:]
     if not raw:
         return IntMatrix([[] for _ in range(a.cols)], cols=0)
     reduced = row_hermite(IntMatrix(raw, cols=a.cols))
@@ -422,33 +424,59 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=a.cols)
 
 
-def solve_in_lattice(basis: IntMatrix, target: Sequence[int]) -> tuple[int, ...]:
-    """Express ``target`` in terms of echelon basis columns, exactly.
+class EchelonBasis:
+    """A lattice basis in column-echelon form, read once for exact solves.
 
-    Args:
-        basis: matrix whose columns are in column-echelon form (as produced
-            by ``kernel_basis``) and integrally independent.
-        target: vector in the column span.
-
-    Raises:
-        ValueError: if ``target`` is not an integer combination.
+    Each column is recorded as its pivot row (its first nonzero entry),
+    that pivot, and its nonzero ``(row, value)`` pairs.  Every solve then
+    walks the record and subtracts over nonzeros only, so a basis that is
+    solved against many times (a whole boundary matrix, or repeated
+    homology coordinates) is extracted from its matrix just once.
     """
-    residual = [int(x) for x in target]
-    if len(residual) != basis.rows:
-        raise ValueError("vector length mismatch")
-    coeffs = []
-    for j in range(basis.cols):
-        col = basis.column(j)
-        pivot_row = next(i for i, x in enumerate(col) if x != 0)
-        q, rem = divmod(residual[pivot_row], col[pivot_row])
-        if rem != 0:
+
+    __slots__ = ("rows", "_columns")
+
+    def __init__(self, basis: IntMatrix):
+        """Record the columns of ``basis``.
+
+        Args:
+            basis: matrix whose columns are in column-echelon form (as
+                produced by ``kernel_basis``) and integrally independent.
+
+        Raises:
+            ValueError: if a column is zero.
+        """
+        columns = []
+        for j, col in enumerate(basis.columns()):
+            entries = tuple((i, x) for i, x in enumerate(col) if x != 0)
+            if not entries:
+                raise ValueError(f"basis column {j} is zero")
+            columns.append((entries[0][0], entries[0][1], entries))
+        self.rows = basis.rows
+        self._columns = tuple(columns)
+
+    def solve(self, target: Sequence[int]) -> tuple[int, ...]:
+        """Express ``target`` in terms of the basis columns, exactly.
+
+        Raises:
+            ValueError: if ``target`` has the wrong length or is not an
+                integer combination of the columns.
+        """
+        residual = [int(x) for x in target]
+        if len(residual) != self.rows:
+            raise ValueError("vector length mismatch")
+        coeffs = []
+        for pivot_row, pivot, entries in self._columns:
+            q, rem = divmod(residual[pivot_row], pivot)
+            if rem != 0:
+                raise ValueError("target is not in the integer span")
+            coeffs.append(q)
+            if q:
+                for i, x in entries:
+                    residual[i] -= q * x
+        if any(x != 0 for x in residual):
             raise ValueError("target is not in the integer span")
-        coeffs.append(q)
-        for i in range(basis.rows):
-            residual[i] -= q * col[i]
-    if any(x != 0 for x in residual):
-        raise ValueError("target is not in the integer span")
-    return tuple(coeffs)
+        return tuple(coeffs)
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -179,7 +179,7 @@ def test_group_only_homology_builds_no_transforms(census_m, monkeypatch):
 
     for module in (chains, intlinalg):
         monkeypatch.setattr(module, "kernel_basis", forbidden)
-        monkeypatch.setattr(module, "solve_in_lattice", forbidden)
+        monkeypatch.setattr(module, "EchelonBasis", forbidden)
     decomps = []
     real_snf = intlinalg.snf
 
@@ -215,6 +215,117 @@ def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):
     flags.clear()
     assert homology_basis.__wrapped__(c, 1).group == AbelianGroup(1, (2,))
     assert flags == [(False, True), (True, False)]
+
+
+def _dense_generators(c: ChainComplex, k: int):
+    """The generator path written densely, as an oracle: each column of the
+    next boundary solved against the kernel basis column by column, then
+    the whole product cycles * U^-1, from which the kept columns are read.
+
+    Returns (group, generator matrix, coordinates function)."""
+    cycles = intlinalg.kernel_basis(c.boundary[k])
+    basis = [cycles.column(j) for j in range(cycles.cols)]
+
+    def solve(target):
+        residual = list(target)
+        coeffs = []
+        for col in basis:
+            pivot_row = next(i for i, x in enumerate(col) if x != 0)
+            q, rem = divmod(residual[pivot_row], col[pivot_row])
+            assert rem == 0
+            coeffs.append(q)
+            residual = [r - q * x for r, x in zip(residual, col)]
+        assert not any(residual)
+        return tuple(coeffs)
+
+    d_next = c.boundary_or_zero(k + 1)
+    image = IntMatrix.from_columns([solve(d_next.column(j)) for j in range(d_next.cols)],
+                                   rows=cycles.cols)
+    decomp = intlinalg.snf(image)
+    factors = decomp.D.diagonal_entries()
+    orders = [factors[i] if i < decomp.rank else 0 for i in range(cycles.cols)]
+    free = [i for i, d in enumerate(orders) if d == 0]
+    torsion = [i for i, d in enumerate(orders) if d >= 2]
+    adapted = cycles * decomp.u_inv
+    generators = IntMatrix.from_columns([adapted.column(i) for i in free + torsion],
+                                        rows=c.cell_count(k))
+
+    def coordinates(chain):
+        x = decomp.U.apply(solve(chain))
+        return (tuple(x[i] for i in free), tuple(x[i] % orders[i] for i in torsion))
+
+    group = AbelianGroup(len(free), tuple(orders[i] for i in torsion))
+    return group, generators, coordinates
+
+
+def _agrees_with_dense_generators(c: ChainComplex, k: int, rng: random.Random) -> None:
+    basis = homology_basis(c, k)
+    group, generators, coordinates = _dense_generators(c, k)
+    assert basis.group == group
+    assert basis.cycles == generators
+    for chain in generators.columns():
+        assert basis.coordinates(chain) == coordinates(chain)
+    # A random cycle mixes free and torsion classes (and boundaries).
+    kernel = intlinalg.kernel_basis(c.boundary[k])
+    if kernel.cols:
+        chain = kernel.apply([rng.randint(-3, 3) for _ in range(kernel.cols)])
+        assert basis.coordinates(chain) == coordinates(chain)
+
+
+@pytest.mark.parametrize("make", [circle, torus_surface, three_torus, klein_bottle,
+                                  projective_plane])
+def test_generators_match_dense_reference_small(make):
+    c = make()
+    rng = random.Random(5)
+    for k in range(c.top_dim + 1):
+        _agrees_with_dense_generators(c, k, rng)
+        # Equal complexes give equal bases, as values.
+        assert homology_basis.__wrapped__(c, k) == homology_basis(c, k)
+
+
+def test_generators_match_dense_reference_census(census_m):
+    rng = random.Random(7)
+    _agrees_with_dense_generators(census_m.chain, 1, rng)
+    for section in cusp_sections(census_m):
+        for k in range(section.chain.top_dim + 1):
+            _agrees_with_dense_generators(section.chain, k, rng)
+
+
+def test_generator_path_reads_the_kernel_once(census_m, monkeypatch):
+    """The cover's H_1 generators: the kernel basis and the next boundary
+    are each read in one pass, and only kept columns of cycles * U^-1 are
+    formed, never the whole product."""
+    kernel = intlinalg.kernel_basis(census_m.chain.boundary[1])
+    z = kernel.cols
+    product_widths, single_columns, all_columns = [], [], []
+    real_mul, real_column, real_columns = IntMatrix.__mul__, IntMatrix.column, IntMatrix.columns
+
+    def recording_mul(self, other):
+        product_widths.append(other.cols)
+        return real_mul(self, other)
+
+    def recording_column(self, j):
+        single_columns.append(self)
+        return real_column(self, j)
+
+    def recording_columns(self):
+        all_columns.append(self)
+        return real_columns(self)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", recording_mul)
+    monkeypatch.setattr(IntMatrix, "column", recording_column)
+    monkeypatch.setattr(IntMatrix, "columns", recording_columns)
+    homology_basis.cache_clear()
+    basis = homology_basis(census_m.chain, 1)
+    assert basis.group == AbelianGroup(5)
+    assert z not in product_widths
+    assert single_columns == []
+    assert sum(m == kernel for m in all_columns) == 1
+    assert sum(m == census_m.chain.boundary[2] for m in all_columns) == 1
+    chain = basis.cycles.column(0)
+    all_columns.clear()
+    assert basis.coordinates(chain) == ((1, 0, 0, 0, 0), ())
+    assert all_columns == []
 
 
 def test_homology_basis_coordinates_roundtrip():

@@ -6,6 +6,7 @@ development, filling) runs exactly as a shell user would see it.
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -309,8 +310,11 @@ def test_argparse_arity_error(capsys):
 
 
 def test_console_entry_point_runs():
+    # The child imports the package this process imported, installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dehn24.cli", "build", "--format", "jsonl"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["chi"] == 1

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dehn24.intlinalg import (
     AbelianGroup,
+    EchelonBasis,
     IntMatrix,
     cokernel,
     complete_to_basis,
@@ -24,7 +25,6 @@ from dehn24.intlinalg import (
     kernel_basis,
     row_hermite,
     snf,
-    solve_in_lattice,
 )
 
 
@@ -188,7 +188,57 @@ def test_kernel_membership_solver():
             continue
         coeffs = [rng.randint(-5, 5) for _ in range(k.cols)]
         target = k.apply(coeffs)
-        assert solve_in_lattice(k, target) == tuple(coeffs)
+        assert EchelonBasis(k).solve(target) == tuple(coeffs)
+
+
+def test_echelon_solver_many_targets_per_basis():
+    """One record solves many targets: members round-trip, non-members are
+    refused.  The kernel is saturated, so v is a member exactly when
+    a v = 0; doubling the basis makes odd coefficients non-members too."""
+    rng = random.Random(43)
+    checked = refused = 0
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(2, 7)
+        a = random_matrix(rng, m, n)
+        k = kernel_basis(a)
+        if k.cols == 0:
+            continue
+        basis = EchelonBasis(k)
+        doubled = EchelonBasis(IntMatrix([[2 * x for x in row] for row in k.row_lists()],
+                                         cols=k.cols))
+        for _ in range(6):
+            coeffs = [rng.randint(-6, 6) for _ in range(k.cols)]
+            member = k.apply(coeffs)
+            assert basis.solve(member) == tuple(coeffs)
+            if all(c % 2 == 0 for c in coeffs):
+                assert doubled.solve(member) == tuple(c // 2 for c in coeffs)
+            else:
+                with pytest.raises(ValueError):
+                    doubled.solve(member)
+                refused += 1
+            other = [rng.randint(-3, 3) for _ in range(n)]
+            if any(a.apply(other)):
+                with pytest.raises(ValueError):
+                    basis.solve(other)
+                refused += 1
+            else:
+                assert k.apply(basis.solve(other)) == tuple(other)
+            checked += 1
+    assert checked > 100 and refused > 50
+
+
+def test_echelon_solver_refuses_bad_input():
+    with pytest.raises(ValueError, match="column 1 is zero"):
+        EchelonBasis(IntMatrix([[1, 0], [0, 0]]))
+    basis = EchelonBasis(IntMatrix([[1, 0], [0, 3], [2, 1]]))
+    assert basis.solve((2, 3, 5)) == (2, 1)
+    with pytest.raises(ValueError, match="length"):
+        basis.solve((1, 0))
+    with pytest.raises(ValueError, match="integer span"):
+        basis.solve((0, 1, 0))
+    with pytest.raises(ValueError, match="integer span"):
+        basis.solve((1, 0, 0))
+    assert EchelonBasis(IntMatrix([[], []], cols=0)).solve((0, 0)) == ()
 
 
 def test_is_primitive():
