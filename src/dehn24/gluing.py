@@ -119,7 +119,8 @@ def build_cell_model(faces_by_dim) -> CellModel:
             tuples; dimension D must hold exactly the body cell.
 
     Subfaces are recognized by vertex-set containment, which is exact for
-    faces of a convex polytope.  Each cell's boundary is the fundamental
+    faces of a convex polytope; only the (k-1)-faces whose first vertex
+    lies in a k-cell are tested.  Each cell's boundary is the fundamental
     cycle of its boundary sphere, found as the rank-one kernel of the
     sphere's own boundary matrix; this keeps every orientation choice
     deterministic without any coordinate geometry.
@@ -129,16 +130,21 @@ def build_cell_model(faces_by_dim) -> CellModel:
     index = tuple({f: i for i, f in enumerate(cells[k])} for k in range(dim + 1))
     boundary: list[tuple[tuple[tuple[int, int], ...], ...]] = [tuple(() for _ in cells[0])]
 
-    for k in range(1, dim + 1):
+    if dim >= 1:
+        boundary.append(tuple(((index[0][(a,)], -1), (index[0][(b,)], 1))
+                              for a, b in cells[1]))
+    for k in range(2, dim + 1):
         previous = boundary[k - 1]
+        # A subface's first vertex lies in the cell, so each subface is
+        # listed under exactly one vertex of the cell.
+        faces_at: dict[int, list[int]] = {}
+        for i, f in enumerate(cells[k - 1]):
+            faces_at.setdefault(f[0], []).append(i)
         level = []
         for cell in cells[k]:
             members = set(cell)
-            subs = [i for i, f in enumerate(cells[k - 1]) if members.issuperset(f)]
-            if k == 1:
-                a, b = cell
-                level.append(((index[0][(a,)], -1), (index[0][(b,)], 1)))
-                continue
+            subs = sorted(i for v in cell for i in faces_at.get(v, ())
+                          if members.issuperset(cells[k - 1][i]))
             # Local chain complex of the boundary sphere of this cell.
             rows = sorted({i for s in subs for i, _ in previous[s]})
             row_pos = {r: t for t, r in enumerate(rows)}

@@ -24,7 +24,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[int]], *, cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -217,19 +217,35 @@ class AbelianGroup:
         return self.describe()
 
 
+def _add_scaled(target: dict[int, int], source: dict[int, int], c: int) -> None:
+    """target += c * source on sparse vectors, dropping entries that cancel."""
+    for k, x in source.items():
+        y = target.get(k, 0) + c * x
+        if y:
+            target[k] = y
+        else:
+            del target[k]
+
+
 class _Reduction:
-    """Mutable state for the Smith reduction: the working matrix plus the
-    accumulators for U and its inverse (``left``) and for V (``right``).
-    An accumulator that was not asked for is ``None`` and never updated;
-    the pivot sequence depends on the working matrix alone."""
+    """Mutable state for the Smith reduction, stored row-sparse.
+
+    The working matrix is one ``{column: nonzero}`` dict per row; U is
+    kept as row dicts, its inverse and V as column dicts, so every
+    elementary operation costs only the nonzeros it touches.  No zero is
+    ever stored.  An accumulator that was not asked for is ``None`` and
+    never updated; the pivot sequence depends on the working matrix alone.
+    """
 
     def __init__(self, a: IntMatrix, left: bool, right: bool):
         self.m = a.rows
         self.n = a.cols
-        self.d = a.row_lists()
-        self.u = IntMatrix.identity(self.m).row_lists() if left else None
-        self.ui = IntMatrix.identity(self.m).row_lists() if left else None
-        self.v = IntMatrix.identity(self.n).row_lists() if right else None
+        self.d = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(self.m)]
+        self.u = [{i: 1} for i in range(self.m)] if left else None
+        self.ui = [{i: 1} for i in range(self.m)] if left else None
+        self.v = [{j: 1} for j in range(self.n)] if right else None
+        # Stage of the reduction: rows t..m-1 are the active ones.
+        self.t = 0
 
     # Row operations act on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
 
@@ -239,50 +255,101 @@ class _Reduction:
         self.d[i], self.d[k] = self.d[k], self.d[i]
         if self.u is not None:
             self.u[i], self.u[k] = self.u[k], self.u[i]
-            for row in self.ui:
-                row[i], row[k] = row[k], row[i]
+            self.ui[i], self.ui[k] = self.ui[k], self.ui[i]
 
     def negate_row(self, i: int) -> None:
-        self.d[i] = [-x for x in self.d[i]]
+        self.d[i] = {j: -x for j, x in self.d[i].items()}
         if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
-            for row in self.ui:
-                row[i] = -row[i]
+            self.u[i] = {j: -x for j, x in self.u[i].items()}
+            self.ui[i] = {j: -x for j, x in self.ui[i].items()}
 
     def add_row(self, i: int, k: int, c: int) -> None:
         """row_i += c * row_k; inverse transform: col_k of Uinv -= c * col_i."""
         if c == 0:
             return
-        di, dk = self.d[i], self.d[k]
-        for j in range(self.n):
-            di[j] += c * dk[j]
+        _add_scaled(self.d[i], self.d[k], c)
         if self.u is not None:
-            ui_, uk = self.u[i], self.u[k]
-            for j in range(self.m):
-                ui_[j] += c * uk[j]
-            for row in self.ui:
-                row[k] -= c * row[i]
+            _add_scaled(self.u[i], self.u[k], c)
+            _add_scaled(self.ui[k], self.ui[i], -c)
 
-    # Column operations act on the right: D <- D F, V <- V F.
+    # Column operations act on the right: D <- D F, V <- V F.  They only
+    # ever touch columns >= t, and every row above t already holds its
+    # diagonal entry alone (a finished stage clears its row and column,
+    # and later stages add only rows and columns that are zero there), so
+    # the active rows t..m-1 hold every nonzero they change.
 
     def swap_cols(self, j: int, k: int) -> None:
         if j == k:
             return
-        for row in self.d:
-            row[j], row[k] = row[k], row[j]
+        for row in self.d[self.t:]:
+            if j in row or k in row:
+                x = row.pop(j, 0)
+                y = row.pop(k, 0)
+                if x:
+                    row[k] = x
+                if y:
+                    row[j] = y
         if self.v is not None:
-            for row in self.v:
-                row[j], row[k] = row[k], row[j]
+            self.v[j], self.v[k] = self.v[k], self.v[j]
 
-    def add_col(self, j: int, k: int, c: int) -> None:
-        """col_j += c * col_k."""
+    def add_col(self, j: int, c: int) -> None:
+        """col_j += c * col_t, once the row phase has cleared column t
+        below the pivot: of the active rows only row t then changes."""
         if c == 0:
             return
-        for row in self.d:
-            row[j] += c * row[k]
+        t = self.t
+        row = self.d[t]
+        y = row.get(j, 0) + c * row[t]
+        if y:
+            row[j] = y
+        else:
+            del row[j]
         if self.v is not None:
-            for row in self.v:
-                row[j] += c * row[k]
+            _add_scaled(self.v[j], self.v[t], c)
+
+    def pivot(self) -> tuple[int, int] | None:
+        """The active nonzero of least absolute value, lowest row, then
+        lowest column; ``None`` once the active rows are all zero.
+
+        Every stored entry of an active row lies in an active column, so
+        the scan reads stored nonzeros only.  A +-1 cannot be beaten, so
+        the first row holding one ends the scan.
+        """
+        best, least = None, 0
+        for i in range(self.t, self.m):
+            row = self.d[i]
+            if row:
+                low = min(map(abs, row.values()))
+                if best is None or low < least:
+                    best = (i, min(j for j, x in row.items() if abs(x) == low))
+                    least = low
+                    if low == 1:
+                        break
+        return best
+
+    def matrices(self) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None]:
+        """U, D, V and U^-1 as ``IntMatrix`` values (``None`` when not kept)."""
+        m, n = self.m, self.n
+        u = ui = v = None
+        if self.u is not None:
+            u = _dense(self.u, m, m)
+            ui = _dense(self.ui, m, m, columns=True)
+        if self.v is not None:
+            v = _dense(self.v, n, n, columns=True)
+        return u, _dense(self.d, m, n), v, ui
+
+
+def _dense(vectors: list[dict[int, int]], m: int, n: int, *, columns: bool = False) -> IntMatrix:
+    """The m x n matrix whose rows (or, with ``columns``, whose columns)
+    hold the entries of ``vectors``."""
+    out = [[0] * n for _ in range(m)]
+    for a, vector in enumerate(vectors):
+        for b, x in vector.items():
+            if columns:
+                out[b][a] = x
+            else:
+                out[a][b] = x
+    return IntMatrix(out, cols=n)
 
 
 def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
@@ -294,66 +361,60 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     reduction is fully deterministic, so the transforms (and everything
     derived from them, like canonical homology bases) are reproducible.
 
+    The working matrix and the transforms are stored row- or column-sparse
+    while the reduction runs, so a step costs the nonzeros it touches
+    rather than the size of the matrix; the pivot rule above fixes every
+    step, so the results are those of the plain dense elimination.
+
     ``left=False`` skips U and its inverse, ``right=False`` skips V; the
     skipped fields come back as ``None``.  Neither flag changes D or the
     transforms that are built, so callers that need only the invariant
     factors pay for the working matrix alone.
     """
     r = _Reduction(a, left, right)
-    m, n = r.m, r.n
-    t = 0
-    while t < min(m, n):
-        # Deterministic pivot selection over the active submatrix.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = r.d[i][j]
-                if x != 0 and (best is None or abs(x) < abs(r.d[best[0]][best[1]])):
-                    best = (i, j)
+    d = r.d
+    while r.t < min(r.m, r.n):
+        t = r.t
+        best = r.pivot()
         if best is None:
             break
         r.swap_rows(t, best[0])
         r.swap_cols(t, best[1])
         while True:
-            if r.d[t][t] < 0:
+            if d[t][t] < 0:
                 r.negate_row(t)
+            # Clearing one row (or column) never changes another's entry at
+            # t, so the rows (columns) to clear can be listed up front.
             restart = False
-            for i in range(t + 1, m):
-                if r.d[i][t] != 0:
-                    r.add_row(i, t, -(r.d[i][t] // r.d[t][t]))
-                    if r.d[i][t] != 0:
-                        # Remainder is a strictly smaller pivot candidate.
-                        r.swap_rows(t, i)
-                        restart = True
-                        break
+            for i in [i for i in range(t + 1, r.m) if t in d[i]]:
+                r.add_row(i, t, -(d[i][t] // d[t][t]))
+                if t in d[i]:
+                    # Remainder is a strictly smaller pivot candidate.
+                    r.swap_rows(t, i)
+                    restart = True
+                    break
             if restart:
                 continue
-            for j in range(t + 1, n):
-                if r.d[t][j] != 0:
-                    r.add_col(j, t, -(r.d[t][j] // r.d[t][t]))
-                    if r.d[t][j] != 0:
-                        r.swap_cols(t, j)
-                        restart = True
-                        break
+            for j in sorted(j for j in d[t] if j > t):
+                r.add_col(j, -(d[t][j] // d[t][t]))
+                if j in d[t]:
+                    r.swap_cols(t, j)
+                    restart = True
+                    break
             if restart:
                 continue
             # Row and column at t are clear; enforce the divisibility chain.
-            p = r.d[t][t]
-            bad_row = None
-            for i in range(t + 1, m):
-                if any(x % p != 0 for x in r.d[i][t + 1:]):
-                    bad_row = i
-                    break
+            p = d[t][t]
+            if p == 1:
+                break
+            bad_row = next((i for i in range(t + 1, r.m)
+                            if any(x % p for x in d[i].values())), None)
             if bad_row is None:
                 break
             r.add_row(t, bad_row, 1)
-        t += 1
-    return SNFDecomposition(
-        U=IntMatrix(r.u, cols=m) if left else None,
-        D=IntMatrix(r.d, cols=n),
-        V=IntMatrix(r.v, cols=n) if right else None,
-        u_inv=IntMatrix(r.ui, cols=m) if left else None,
-    )
+        r.t += 1
+    u, dm, v, ui = r.matrices()
+    return SNFDecomposition(U=u, D=dm, V=v, u_inv=ui)
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:

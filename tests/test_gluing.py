@@ -17,11 +17,13 @@ import pytest
 from dehn24 import gluing
 from dehn24.chains import euler_characteristic, homology, validate
 from dehn24.gluing import (
+    CellModel,
     GluingError,
     Pairing,
     PairingError,
     SidePairingSpec,
     _facet_gluing_signs,
+    build_cell_model,
     double_cover,
     geometry,
     orientation_character,
@@ -32,7 +34,9 @@ from dehn24.gluing import (
     vertex_cycles,
     write_pairing,
 )
+from dehn24.intlinalg import IntMatrix, kernel_basis
 from dehn24.peripheral import peripheral_system, report
+from dehn24.polytope import truncate
 
 # Square facets in canonical order: 0=(0,1), 1=(0,3), 2=(1,2), 3=(2,3).
 # Cube squares: 0 is z=0, 1 is y=0, 2 is x=0, 3 is x=1, 4 is y=1, 5 is z=1.
@@ -167,6 +171,55 @@ def test_vertex_cycles_square():
     assert vertex_cycles(torus_spec()) == ((0, 1, 2, 3),)
     assert vertex_cycles(projective_plane_spec()) == ((0, 2), (1, 3))
     assert vertex_cycles(sphere_spec()) == ((0,), (2,), (1, 3))
+
+
+def containment_model(faces_by_dim) -> CellModel:
+    """The cell model as built by testing every (k-1)-face for containment
+    in every k-cell: the oracle for ``build_cell_model``."""
+    dim = len(faces_by_dim) - 1
+    cells = tuple(tuple(tuple(f) for f in faces_by_dim[k]) for k in range(dim + 1))
+    index = tuple({f: i for i, f in enumerate(cells[k])} for k in range(dim + 1))
+    boundary: list[tuple[tuple[tuple[int, int], ...], ...]] = [tuple(() for _ in cells[0])]
+
+    for k in range(1, dim + 1):
+        previous = boundary[k - 1]
+        level = []
+        for cell in cells[k]:
+            members = set(cell)
+            subs = [i for i, f in enumerate(cells[k - 1]) if members.issuperset(f)]
+            if k == 1:
+                a, b = cell
+                level.append(((index[0][(a,)], -1), (index[0][(b,)], 1)))
+                continue
+            # Local chain complex of the boundary sphere of this cell.
+            rows = sorted({i for s in subs for i, _ in previous[s]})
+            row_pos = {r: t for t, r in enumerate(rows)}
+            local = [[0] * len(subs) for _ in rows]
+            for col, s in enumerate(subs):
+                for r, coeff in previous[s]:
+                    local[row_pos[r]][col] = coeff
+            cycle = kernel_basis(IntMatrix(local, cols=len(subs)))
+            if cycle.cols != 1:
+                raise GluingError(f"boundary of a {k}-cell is not a sphere cycle")
+            coeffs = cycle.column(0)
+            if any(c not in (1, -1) for c in coeffs):
+                raise GluingError(f"degenerate fundamental cycle on a {k}-cell")
+            if coeffs[0] < 0:
+                coeffs = tuple(-c for c in coeffs)
+            level.append(tuple(sorted(zip(subs, coeffs))))
+        boundary.append(tuple(level))
+
+    return CellModel(dim=dim, cells=cells, boundary_entries=tuple(boundary), cell_index=index)
+
+
+@pytest.mark.parametrize("faces", [truncate().faces, gluing._square_faces(), gluing._cube_faces()],
+                         ids=["truncated24", "square", "cube"])
+def test_cell_model_matches_containment_scan(faces):
+    got, expected = build_cell_model(faces), containment_model(faces)
+    assert got.dim == expected.dim
+    assert got.cells == expected.cells
+    assert got.boundary_entries == expected.boundary_entries
+    assert got.cell_index == expected.cell_index
 
 
 def test_validation_rejects_duplicate_facet():
