@@ -62,7 +62,7 @@ class ChainComplex:
         if 0 <= k <= self.top_dim:
             return self.boundary[k]
         if k == self.top_dim + 1:
-            return IntMatrix([[] for _ in range(self.cell_count(self.top_dim))], cols=0)
+            return IntMatrix.zero(self.cell_count(self.top_dim), 0)
         raise ValueError(f"dimension {k} out of range")
 
 
@@ -77,8 +77,8 @@ def first_invalid(c: ChainComplex) -> tuple[int, int] | None:
             return (k, 0)
         if k >= 2:
             composed = c.boundary[k - 1] * c.boundary[k]
-            for j in range(composed.cols):
-                if any(composed[i, j] != 0 for i in range(composed.rows)):
+            for j, column in enumerate(composed.nonzero_columns()):
+                if column:
                     return (k, j)
     return None
 
@@ -101,7 +101,8 @@ class HomologyBasis:
     invariant-factor order.  ``cycles`` holds one generating cycle per
     column, as a chain in the underlying complex.  The canonical kernel
     basis is kept as the ``EchelonBasis`` that built the generators, so
-    ``coordinates`` solves against it without reading the matrix again.
+    ``coordinates`` solves against it without reading the matrix again,
+    and of the Smith transform U only the rows of the generators are kept.
     """
 
     group: AbelianGroup
@@ -109,6 +110,7 @@ class HomologyBasis:
     cycles: IntMatrix
     # A function of ``_boundary``, so equality need not compare it.
     _kernel: EchelonBasis = field(repr=False, compare=False)
+    # Rows of U for the generators, and each generator's order (0 if free).
     _to_adapted: IntMatrix = field(repr=False)
     _orders: tuple[int, ...] = field(repr=False)
     _boundary: IntMatrix = field(repr=False)
@@ -126,12 +128,11 @@ class HomologyBasis:
         Raises:
             ValueError: if the chain is not a cycle.
         """
-        if any(x != 0 for x in self._boundary.apply(chain)):
+        if any(self._boundary.apply(chain)):
             raise ValueError("chain is not a cycle")
-        in_kernel = self._kernel.solve(chain)
-        adapted = self._to_adapted.apply(in_kernel)
-        free = tuple(adapted[i] for i, d in enumerate(self._orders) if d == 0)
-        torsion = tuple(adapted[i] % d for i, d in enumerate(self._orders) if d >= 2)
+        adapted = self._to_adapted.apply(self._kernel.solve(chain))
+        free = tuple(x for x, d in zip(adapted, self._orders) if d == 0)
+        torsion = tuple(x % d for x, d in zip(adapted, self._orders) if d)
         return free, torsion
 
 
@@ -154,18 +155,19 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     z = cycles.cols
     # Express the image of the next boundary inside the cycle lattice; the
     # kernel is saturated, so the coefficients are integers.
-    image_coords = IntMatrix.from_columns(
-        [kernel.solve(col) for col in c.boundary_or_zero(k + 1).columns()], rows=z)
+    image_coords = IntMatrix.from_nonzeros(
+        [kernel.solve_nonzeros(col).items()
+         for col in c.boundary_or_zero(k + 1).nonzero_columns()], rows=z)
     decomp = snf(image_coords, right=False)
     rank = decomp.rank
     factors = decomp.D.diagonal_entries()
     # Per adapted-basis position: 0 marks a free generator, 1 a killed one.
     orders = tuple(factors[i] if i < rank else 0 for i in range(z))
     # Generators are the free, then torsion, columns of cycles * U^-1;
-    # only those columns are formed, not the whole product.
+    # only those columns are formed, not the whole product, and only
+    # their rows of U are kept for ``coordinates``.
     kept = [i for i, d in enumerate(orders) if d == 0]
     kept += [i for i, d in enumerate(orders) if d >= 2]
-    u_inv_columns = decomp.u_inv.columns()
     group = AbelianGroup(
         free_rank=sum(1 for d in orders if d == 0),
         torsion=tuple(d for d in orders if d >= 2),
@@ -173,11 +175,10 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     return HomologyBasis(
         group=group,
         dim=k,
-        cycles=IntMatrix.from_columns([cycles.apply(u_inv_columns[i]) for i in kept],
-                                      rows=c.cell_count(k)),
+        cycles=cycles * decomp.u_inv.submatrix(range(z), kept),
         _kernel=kernel,
-        _to_adapted=decomp.U,
-        _orders=orders,
+        _to_adapted=decomp.U.submatrix(kept, range(z)),
+        _orders=tuple(orders[i] for i in kept),
         _boundary=d_k,
     )
 

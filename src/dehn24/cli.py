@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +47,11 @@ from .gluing import (
     vertex_cycles,
 )
 from .peripheral import PeripheralError, cusp_sections, peripheral_system, report
+from .polytope import embedded_cusp_scale
 
 _CHUNK = 1024
+# The most tuples ``enumerate`` renders; a larger box is refused as input.
+_MAX_BOX = 1_000_000
 # ``enumerate --threads`` is kept for compatibility and has no effect;
 # values outside 1.._MAX_THREADS are refused as input errors.
 _MAX_THREADS = 64
@@ -261,7 +265,15 @@ def _filling_setup(config: RunConfig):
     slope maps to its cusp's epsilon class: the filled H1, and with it
     the verdict, is the same for every coefficient tuple.  It is computed
     once, from the all-zero tuple.
+
+    The 2*pi verdict assumes embedded, disjoint cusps, so a scale above
+    the largest embedded one is refused first.
     """
+    bound = embedded_cusp_scale()
+    if config.scale > bound:
+        raise FlatGeometryError(
+            f"scale {config.scale} exceeds the largest embedded cusp scale {bound}: "
+            f"the cusps overlap, so the 2pi test does not apply")
     spec = _load_spec(config)
     q = quotient_complex(spec, copies=config.copies)
     system = peripheral_system(q)
@@ -439,10 +451,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise _InputError("thread count must be at least 1")
     if threads > _MAX_THREADS:
         raise _InputError(f"thread count must be at most {_MAX_THREADS}")
+    box = _parse_box(getattr(args, "box", "0:0"))
+    size = math.prod(hi - lo + 1 for lo, hi in box)
+    if size > _MAX_BOX:
+        raise _InputError(f"box has {size:,} tuples; enumerate renders at most {_MAX_BOX:,}")
     return RunConfig(
         pairing=args.pairing,
         copies=args.copies,
-        box=_parse_box(getattr(args, "box", "0:0")),
+        box=box,
         scale=scale,
         balance_c=balance_c,
         format=args.format,

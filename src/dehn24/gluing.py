@@ -22,7 +22,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .chains import ChainComplex
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis
+from .intlinalg import AbelianGroup, IntMatrix, cokernel
 
 class GluingError(ValueError):
     """A side-pairing cannot be interpreted as requested."""
@@ -121,9 +121,9 @@ def build_cell_model(faces_by_dim) -> CellModel:
     Subfaces are recognized by vertex-set containment, which is exact for
     faces of a convex polytope; only the (k-1)-faces whose first vertex
     lies in a k-cell are tested.  Each cell's boundary is the fundamental
-    cycle of its boundary sphere, found as the rank-one kernel of the
-    sphere's own boundary matrix; this keeps every orientation choice
-    deterministic without any coordinate geometry.
+    cycle of its boundary sphere, found by one walk over the ridges its
+    subfaces share (see ``_sphere_cycle``); this keeps every orientation
+    choice deterministic without any coordinate geometry.
     """
     dim = len(faces_by_dim) - 1
     cells = tuple(tuple(tuple(f) for f in faces_by_dim[k]) for k in range(dim + 1))
@@ -145,25 +145,50 @@ def build_cell_model(faces_by_dim) -> CellModel:
             members = set(cell)
             subs = sorted(i for v in cell for i in faces_at.get(v, ())
                           if members.issuperset(cells[k - 1][i]))
-            # Local chain complex of the boundary sphere of this cell.
-            rows = sorted({i for s in subs for i, _ in previous[s]})
-            row_pos = {r: t for t, r in enumerate(rows)}
-            local = [[0] * len(subs) for _ in rows]
-            for col, s in enumerate(subs):
-                for r, coeff in previous[s]:
-                    local[row_pos[r]][col] = coeff
-            cycle = kernel_basis(IntMatrix(local, cols=len(subs)))
-            if cycle.cols != 1:
-                raise GluingError(f"boundary of a {k}-cell is not a sphere cycle")
-            coeffs = cycle.column(0)
-            if any(c not in (1, -1) for c in coeffs):
-                raise GluingError(f"degenerate fundamental cycle on a {k}-cell")
-            if coeffs[0] < 0:
-                coeffs = tuple(-c for c in coeffs)
-            level.append(tuple(sorted(zip(subs, coeffs))))
+            level.append(_sphere_cycle(k, subs, previous))
         boundary.append(tuple(level))
 
     return CellModel(dim=dim, cells=cells, boundary_entries=tuple(boundary), cell_index=index)
+
+
+def _sphere_cycle(k: int, subs: list[int], previous) -> tuple[tuple[int, int], ...]:
+    """The fundamental cycle of a k-cell's boundary sphere, +1 on ``subs[0]``.
+
+    ``subs`` are the cell's (k-1)-faces in increasing order and
+    ``previous[s]`` the boundary chain of face s.  On a sphere every ridge
+    lies in exactly two faces s and t, with coefficients a and b, and the
+    cycle cancels it: c_t = -a * b * c_s.  One walk from ``subs[0]``
+    across the shared ridges fixes every coefficient.
+
+    Raises:
+        GluingError: if a ridge lies in a number of faces other than two,
+            the walk reaches a face with both signs, or misses a face (not
+            a sphere cycle); or if a coefficient is not +-1 (degenerate).
+    """
+    faces_of: dict[int, list[tuple[int, int]]] = {}
+    for s in subs:
+        for r, a in previous[s]:
+            if a not in (1, -1):
+                raise GluingError(f"degenerate fundamental cycle on a {k}-cell")
+            faces_of.setdefault(r, []).append((s, a))
+    if not subs or any(len(faces) != 2 for faces in faces_of.values()):
+        raise GluingError(f"boundary of a {k}-cell is not a sphere cycle")
+    coeffs = {subs[0]: 1}
+    stack = [subs[0]]
+    while stack:
+        s = stack.pop()
+        for r, a in previous[s]:
+            (s1, a1), (s2, a2) = faces_of[r]
+            t, b = (s2, a2) if s1 == s else (s1, a1)
+            c = -a * b * coeffs[s]
+            if t not in coeffs:
+                coeffs[t] = c
+                stack.append(t)
+            elif coeffs[t] != c:
+                raise GluingError(f"boundary of a {k}-cell is not a sphere cycle")
+    if len(coeffs) != len(subs):
+        raise GluingError(f"boundary of a {k}-cell is not a sphere cycle")
+    return tuple((s, coeffs[s]) for s in subs)
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +702,17 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
         orbit_index.append(table)
         maps_to_rep.append(rep_maps)
 
-    boundary_matrices = [IntMatrix([[] for _ in range(0)], cols=len(representatives[0]))]
+    boundary_matrices = [IntMatrix.zero(0, len(representatives[0]))]
     for k in range(1, top + 1):
-        rows = len(representatives[k - 1])
-        cols = [[0] * len(representatives[k]) for _ in range(rows)]
-        for j, (copy, idx) in enumerate(representatives[k]):
+        columns = []
+        for copy, idx in representatives[k]:
+            column: dict[int, int] = {}
             for sub, coeff in model.boundary_entries[k][idx]:
                 q, sign = orbit_index[k - 1][(copy, sub)]
-                cols[q][j] += coeff * sign
-        boundary_matrices.append(IntMatrix(cols, cols=len(representatives[k])))
+                column[q] = column.get(q, 0) + coeff * sign
+            columns.append(column.items())
+        boundary_matrices.append(
+            IntMatrix.from_nonzeros(columns, rows=len(representatives[k - 1])))
 
     labels = tuple(
         tuple((copy,) + tuple(geo.labels[k][idx]) for copy, idx in representatives[k])

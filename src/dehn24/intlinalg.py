@@ -3,7 +3,10 @@
 Everything downstream (cellular homology, peripheral maps, filling
 cokernels) reduces to Smith or Hermite normal form computations over Z.
 Matrices are immutable, arbitrary precision, and all operations are pure,
-so values can be shared freely between threads.
+so values can be shared freely between threads.  Boundary matrices are a
+few percent nonzero, so a matrix stores only its nonzeros, column by
+column, and every product, solve and normal form costs the nonzeros it
+touches.
 """
 
 from __future__ import annotations
@@ -12,19 +15,40 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+Entries = Iterable[tuple[int, int]]
+
+
+def _transposed(vectors: Sequence[dict[int, int]], length: int) -> list[dict[int, int]]:
+    """Sparse vectors read the other way: entry b of vector a becomes
+    entry a of vector b, for b in 0..length-1."""
+    out: list[dict[int, int]] = [{} for _ in range(length)]
+    for a, vector in enumerate(vectors):
+        for b, x in vector.items():
+            out[b][a] = x
+    return out
+
+
+def _spread(vector: dict[int, int], length: int) -> tuple[int, ...]:
+    """A sparse vector written out with its zeros."""
+    out = [0] * length
+    for i, x in vector.items():
+        out[i] = x
+    return tuple(out)
+
 
 class IntMatrix:
     """An immutable matrix of arbitrary-precision integers.
 
-    Entries are stored row-major as a tuple of row tuples.  Construction is
-    the only place dimensions are fixed; every operation returns a new
-    matrix.
+    Nonzeros are stored by column, one ``{row: entry}`` dict per column
+    holding no zero; rows are derived on demand and kept once read.
+    Construction is the only place dimensions are fixed; every operation
+    returns a new matrix.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_cols", "_by_row", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[int]], *, cols: int | None = None):
-        data = tuple(tuple(map(int, row)) for row in rows)
+        data = [tuple(row) for row in rows]
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -35,9 +59,27 @@ class IntMatrix:
             width = cols
         if cols is not None and data and cols != width:
             raise ValueError("cols does not match row width")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_rows", data)
+        columns: list[dict[int, int]] = [{} for _ in range(width)]
+        for i, row in enumerate(data):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j][i] = int(x)
+        self._init(len(data), columns)
+
+    def _init(self, rows: int, columns: Sequence[dict[int, int]]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "_cols", tuple(columns))
+        object.__setattr__(self, "_by_row", None)
+        object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _adopt(rows: int, columns: Sequence[dict[int, int]]) -> "IntMatrix":
+        """The matrix that takes ``columns`` as its storage, uncopied: each
+        a ``{row: entry}`` dict with no zero, never changed afterwards."""
+        m = object.__new__(IntMatrix)
+        m._init(rows, columns)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -46,11 +88,11 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return IntMatrix._adopt(n, [{j: 1} for j in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+        return IntMatrix._adopt(rows, [{} for _ in range(cols)])
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], *, rows: int | None = None) -> "IntMatrix":
@@ -58,68 +100,111 @@ class IntMatrix:
         if not columns:
             if rows is None:
                 raise ValueError("empty column list needs an explicit row count")
-            return IntMatrix([[] for _ in range(rows)], cols=0)
+            return IntMatrix.zero(rows, 0)
         height = len(columns[0])
         if any(len(c) != height for c in columns):
             raise ValueError("ragged columns")
-        return IntMatrix([[columns[j][i] for j in range(len(columns))] for i in range(height)],
-                         cols=len(columns))
+        return IntMatrix._adopt(height, [{i: int(x) for i, x in enumerate(c) if x}
+                                         for c in columns])
+
+    @staticmethod
+    def from_nonzeros(columns: Iterable[Entries], *, rows: int) -> "IntMatrix":
+        """Build a matrix from its columns given as ``(row, entry)`` pairs.
+
+        Each column names distinct rows in 0..rows-1, in any order; zero
+        entries are dropped.
+        """
+        out = []
+        for column in columns:
+            col = {i: int(x) for i, x in column if x}
+            if any(not 0 <= i < rows for i in col):
+                raise ValueError("row index out of range")
+            out.append(col)
+        return IntMatrix._adopt(rows, out)
 
     # -- access -------------------------------------------------------
 
+    def _row_entries(self) -> list[dict[int, int]]:
+        """One ``{column: entry}`` dict per row, built on first use."""
+        if self._by_row is None:
+            object.__setattr__(self, "_by_row", _transposed(self._cols, self.rows))
+        return self._by_row
+
     def __getitem__(self, idx: tuple[int, int]) -> int:
         i, j = idx
-        return self._rows[i][j]
+        if not -self.rows <= i < self.rows:
+            raise IndexError("row index out of range")
+        return self._cols[j].get(i % self.rows, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self._rows[i]
+        return _spread(self._row_entries()[i], self.cols)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._rows)
+        return _spread(self._cols[j], self.rows)
 
     def columns(self) -> list[tuple[int, ...]]:
-        """Every column, read in one transposing pass over the rows."""
-        if not self._rows:
-            return [()] * self.cols
-        return list(zip(*self._rows))
+        return [_spread(col, self.rows) for col in self._cols]
+
+    def nonzero_columns(self) -> tuple[Entries, ...]:
+        """Every column as a read-only view of its ``(row, entry)`` pairs,
+        zeros omitted, in no fixed order."""
+        return tuple(col.items() for col in self._cols)
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "IntMatrix":
+        """The entries in ``rows`` (distinct) and ``cols``, in the order given."""
+        position = {r: t for t, r in enumerate(rows)}
+        return IntMatrix._adopt(len(position), [
+            {position[i]: x for i, x in self._cols[j].items() if i in position}
+            for j in cols])
 
     def row_lists(self) -> list[list[int]]:
         """A mutable copy of the entries, row-major."""
-        return [list(r) for r in self._rows]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self._rows[i][i] for i in range(min(self.rows, self.cols)))
+        return tuple(self._cols[i].get(i, 0) for i in range(min(self.rows, self.cols)))
 
     # -- algebra ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.cols == other.cols
-                and self._rows == other._rows)
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self._cols == other._cols)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._rows))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.rows, tuple(frozenset(col.items()) for col in self._cols))))
+        return self._hash
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        cols = other.cols
+        left = self._cols
         out = []
-        for r in self._rows:
-            out.append([sum(r[k] * other._rows[k][j] for k in range(self.cols))
-                        for j in range(cols)])
-        return IntMatrix(out, cols=cols)
+        for col in other._cols:
+            acc: dict[int, int] = {}
+            for k, y in col.items():
+                for i, x in left[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append({i: x for i, x in acc.items() if x})
+        return IntMatrix._adopt(self.rows, out)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(r[k] * vector[k] for k in range(self.cols)) for r in self._rows)
+        out = [0] * self.rows
+        for col, v in zip(self._cols, vector):
+            if v:
+                for i, x in col.items():
+                    out[i] += x * v
+        return tuple(out)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.columns(), cols=self.rows)
+        return IntMatrix._adopt(self.cols, self._row_entries())
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._rows for x in row)
+        return not any(self._cols)
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -128,7 +213,7 @@ class IntMatrix:
         n = self.rows
         if n == 0:
             return 1
-        a = self.row_lists()
+        a = [list(self.row(i)) for i in range(n)]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -148,7 +233,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self._rows]!r})"
+        return f"IntMatrix({[list(self.row(i)) for i in range(self.rows)]!r})"
 
 
 @dataclass(frozen=True)
@@ -172,6 +257,13 @@ class SNFDecomposition:
 
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.D.diagonal_entries() if d != 0)
+
+    def kernel_basis(self) -> IntMatrix:
+        """The canonical kernel basis of the decomposed matrix (see the
+        function ``kernel_basis``), read from the last columns of V."""
+        n = self.V.rows
+        raw = [dict(col) for col in self.V._cols[self.rank:]]
+        return IntMatrix._adopt(n, [row for row in _hermite_rows(raw, n) if row])
 
 
 @dataclass(frozen=True)
@@ -230,17 +322,19 @@ def _add_scaled(target: dict[int, int], source: dict[int, int], c: int) -> None:
 class _Reduction:
     """Mutable state for the Smith reduction, stored row-sparse.
 
-    The working matrix is one ``{column: nonzero}`` dict per row; U is
-    kept as row dicts, its inverse and V as column dicts, so every
-    elementary operation costs only the nonzeros it touches.  No zero is
-    ever stored.  An accumulator that was not asked for is ``None`` and
-    never updated; the pivot sequence depends on the working matrix alone.
+    The working matrix is one ``{column: nonzero}`` dict per row, read
+    from the input's column storage; U is kept as row dicts, its inverse
+    and V as column dicts, so every elementary operation costs only the
+    nonzeros it touches.  No zero is ever stored, so the column dicts
+    become the storage of the returned matrices as they stand.  An
+    accumulator that was not asked for is ``None`` and never updated; the
+    pivot sequence depends on the working matrix alone.
     """
 
     def __init__(self, a: IntMatrix, left: bool, right: bool):
         self.m = a.rows
         self.n = a.cols
-        self.d = [{j: x for j, x in enumerate(a.row(i)) if x} for i in range(self.m)]
+        self.d = _transposed(a._cols, self.m)
         self.u = [{i: 1} for i in range(self.m)] if left else None
         self.ui = [{i: 1} for i in range(self.m)] if left else None
         self.v = [{j: 1} for j in range(self.n)] if right else None
@@ -332,24 +426,11 @@ class _Reduction:
         m, n = self.m, self.n
         u = ui = v = None
         if self.u is not None:
-            u = _dense(self.u, m, m)
-            ui = _dense(self.ui, m, m, columns=True)
+            u = IntMatrix._adopt(m, _transposed(self.u, m))
+            ui = IntMatrix._adopt(m, self.ui)
         if self.v is not None:
-            v = _dense(self.v, n, n, columns=True)
-        return u, _dense(self.d, m, n), v, ui
-
-
-def _dense(vectors: list[dict[int, int]], m: int, n: int, *, columns: bool = False) -> IntMatrix:
-    """The m x n matrix whose rows (or, with ``columns``, whose columns)
-    hold the entries of ``vectors``."""
-    out = [[0] * n for _ in range(m)]
-    for a, vector in enumerate(vectors):
-        for b, x in vector.items():
-            if columns:
-                out[b][a] = x
-            else:
-                out[a][b] = x
-    return IntMatrix(out, cols=n)
+            v = IntMatrix._adopt(n, self.v)
+        return u, IntMatrix._adopt(m, _transposed(self.d, n)), v, ui
 
 
 def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
@@ -362,9 +443,10 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     derived from them, like canonical homology bases) are reproducible.
 
     The working matrix and the transforms are stored row- or column-sparse
-    while the reduction runs, so a step costs the nonzeros it touches
-    rather than the size of the matrix; the pivot rule above fixes every
-    step, so the results are those of the plain dense elimination.
+    while the reduction runs and come back in the matrices' own column
+    storage, so a step costs the nonzeros it touches rather than the size
+    of the matrix; the pivot rule above fixes every step, so the results
+    are those of the plain dense elimination.
 
     ``left=False`` skips U and its inverse, ``right=False`` skips V; the
     skipped fields come back as ``None``.  Neither flag changes D or the
@@ -424,44 +506,47 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=a.rows - decomp.rank, torsion=torsion)
 
 
-def row_hermite(a: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form.
+def _hermite_rows(h: list[dict[int, int]], n: int) -> list[dict[int, int]]:
+    """Row-style Hermite normal form of sparse rows with n columns, in place.
 
     Unique canonical form: row echelon, positive pivots, entries above each
     pivot reduced into [0, pivot).  Zero rows are pushed to the bottom.
     """
-    m, n = a.rows, a.cols
-    h = a.row_lists()
+    m = len(h)
     r = 0
     for c in range(n):
         if r == m:
             break
         # Gcd-reduce the column below row r to a single entry.
         while True:
-            pivots = [i for i in range(r, m) if h[i][c] != 0]
+            pivots = [i for i in range(r, m) if c in h[i]]
             if not pivots:
                 break
             i0 = min(pivots, key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
+            h[r], h[i0] = h[i0], h[r]
             if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
+                h[r] = {j: -x for j, x in h[r].items()}
             done = True
             for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    if h[i][c] != 0:
+                if c in h[i]:
+                    _add_scaled(h[i], h[r], -(h[i][c] // h[r][c]))
+                    if c in h[i]:
                         done = False
             if done:
                 break
-        if r < m and h[r][c] != 0:
+        if c in h[r]:
             for i in range(r):
-                q = h[i][c] // h[r][c]
+                q = h[i].get(c, 0) // h[r][c]
                 if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    _add_scaled(h[i], h[r], -q)
             r += 1
-    return IntMatrix(h, cols=n)
+    return h
+
+
+def row_hermite(a: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form of ``a`` (see ``_hermite_rows``)."""
+    rows = _hermite_rows(_transposed(a._cols, a.rows), a.cols)
+    return IntMatrix._adopt(a.rows, _transposed(rows, a.cols))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -474,25 +559,17 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     Returns:
         An (a.cols x k) matrix whose columns form a basis of ker(a).
     """
-    decomp = snf(a, left=False)
-    rank = decomp.rank
-    raw = decomp.V.columns()[rank:]
-    if not raw:
-        return IntMatrix([[] for _ in range(a.cols)], cols=0)
-    reduced = row_hermite(IntMatrix(raw, cols=a.cols))
-    cols = [reduced.row(i) for i in range(reduced.rows)
-            if any(x != 0 for x in reduced.row(i))]
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return snf(a, left=False).kernel_basis()
 
 
 class EchelonBasis:
     """A lattice basis in column-echelon form, read once for exact solves.
 
     Each column is recorded as its pivot row (its first nonzero entry),
-    that pivot, and its nonzero ``(row, value)`` pairs.  Every solve then
-    walks the record and subtracts over nonzeros only, so a basis that is
-    solved against many times (a whole boundary matrix, or repeated
-    homology coordinates) is extracted from its matrix just once.
+    that pivot, and its nonzeros.  Every solve then keeps a sparse
+    residual and subtracts over nonzeros only, so a basis that is solved
+    against many times (a whole boundary matrix, or repeated homology
+    coordinates) is extracted from its matrix just once.
     """
 
     __slots__ = ("rows", "_columns")
@@ -508,11 +585,12 @@ class EchelonBasis:
             ValueError: if a column is zero.
         """
         columns = []
-        for j, col in enumerate(basis.columns()):
-            entries = tuple((i, x) for i, x in enumerate(col) if x != 0)
-            if not entries:
+        for j, col in enumerate(basis.nonzero_columns()):
+            if not col:
                 raise ValueError(f"basis column {j} is zero")
-            columns.append((entries[0][0], entries[0][1], entries))
+            pivot_row = min(i for i, _ in col)
+            entries = dict(col)
+            columns.append((pivot_row, entries[pivot_row], entries))
         self.rows = basis.rows
         self._columns = tuple(columns)
 
@@ -523,21 +601,31 @@ class EchelonBasis:
             ValueError: if ``target`` has the wrong length or is not an
                 integer combination of the columns.
         """
-        residual = [int(x) for x in target]
-        if len(residual) != self.rows:
+        if len(target) != self.rows:
             raise ValueError("vector length mismatch")
-        coeffs = []
-        for pivot_row, pivot, entries in self._columns:
-            q, rem = divmod(residual[pivot_row], pivot)
-            if rem != 0:
-                raise ValueError("target is not in the integer span")
-            coeffs.append(q)
-            if q:
-                for i, x in entries:
-                    residual[i] -= q * x
-        if any(x != 0 for x in residual):
+        coeffs = self.solve_nonzeros(enumerate(target))
+        return tuple(coeffs.get(j, 0) for j in range(len(self._columns)))
+
+    def solve_nonzeros(self, target: Entries) -> dict[int, int]:
+        """``solve`` for a target given as ``(row, entry)`` pairs; returns
+        the nonzero coefficients as ``{column: coefficient}``.
+
+        Raises:
+            ValueError: if ``target`` is not an integer combination of the
+                columns.
+        """
+        residual = {i: int(x) for i, x in target if x}
+        coeffs = {}
+        for j, (pivot_row, pivot, entries) in enumerate(self._columns):
+            if pivot_row in residual:
+                q, rem = divmod(residual[pivot_row], pivot)
+                if rem != 0:
+                    raise ValueError("target is not in the integer span")
+                coeffs[j] = q
+                _add_scaled(residual, entries, -q)
+        if residual:
             raise ValueError("target is not in the integer span")
-        return tuple(coeffs)
+        return coeffs
 
 
 def is_primitive(v: Sequence[int]) -> bool:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .chains import ChainComplex, homology_basis
 from .gluing import QuotientComplex, vertex_cycles
-from .intlinalg import AbelianGroup, IntMatrix, generates, kernel_basis, snf
+from .intlinalg import AbelianGroup, IntMatrix, generates, snf
 
 Vector = tuple[int, ...]
 AdaptedBasis = tuple[Vector, Vector, Vector]
@@ -86,10 +86,8 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     for ci, comp in enumerate(by_cycle):
         cells = tuple(map(tuple, comp))
         boundaries = [IntMatrix.zero(0, len(cells[0]))]
-        for k in range(1, bdim + 1):
-            rows = (q.chain.boundary[k].row(r) for r in cells[k - 1])
-            boundaries.append(IntMatrix([[row[a] for a in cells[k]] for row in rows],
-                                        cols=len(cells[k])))
+        boundaries += [q.chain.boundary[k].submatrix(cells[k - 1], cells[k])
+                       for k in range(1, bdim + 1)]
         labels = tuple(tuple(q.chain.cell_labels[k][a] for a in cells[k])
                        for k in range(bdim + 1))
         chain = ChainComplex(boundary=tuple(boundaries), cell_labels=labels)
@@ -150,12 +148,12 @@ def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
     """
     if matrix.cols != 3:
         raise PeripheralError(f"peripheral matrix must have 3 columns, has {matrix.cols}")
-    ker = kernel_basis(matrix)
+    decomp = snf(matrix, left=False)
+    ker = decomp.kernel_basis()
     if ker.cols != 2:
         raise PeripheralError(
             f"kernel rank {ker.cols} != 2: the surgery procedure needs a rank-1 "
             f"peripheral image")
-    decomp = snf(matrix, left=False)
     if decomp.D.diagonal_entries()[0] != 1:
         raise PeripheralError("peripheral image is not a direct summand of the "
                               "ambient H_1; no adapted basis exists")

@@ -16,6 +16,7 @@ the original polytope.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -138,6 +139,38 @@ def build_24cell() -> FaceLattice:
         faces=faces,
         facet_normal=tuple(normal_by_members[m] for m in facet_order),
     )
+
+
+def embedded_cusp_scale() -> Fraction:
+    """The largest cusp scale at which the 24 equal cusps are embedded
+    and pairwise disjoint, derived from integer Gram entries alone.
+
+    Scaled to norm 2, vertices v and w have the integer inner product
+    g(v, w) + 2 with g(v, w) = 2<v, w> - 2 in the unit coordinates here.
+    Their light-like lifts lambda * (v, sqrt 2) pair to lambda^2 g(v, w)
+    under x.y - x0 y0, so equal horoballs {-<x, u> <= 1} are disjoint
+    exactly when -lambda^2 g >= 2 for every pair: they first touch
+    across the pairs of largest g = p, at lambda^2 = -2 / p.  On one
+    horosphere the foot points toward two touching neighbours w1, w2 then
+    lie at squared distance g(w1, w2) / p.  The cusp scale is the edge of
+    the cross-section cube, the least of these distances; a larger scale
+    takes every cross-section on a larger horoball, so neighbours
+    overlap.  For the 24-cell p = -1 and the distances squared are 1, 2
+    and 3, a unit cube: the bound is 1, the default scale.
+    """
+    # Doubled vertices are integer vectors with even inner products 4<v, w>.
+    doubled = [tuple(int(2 * x) for x in v) for v in _vertex_coordinates()]
+    n = len(doubled)
+    gram = [[sum(a * b for a, b in zip(v, w)) // 2 - 2 for w in doubled] for v in doubled]
+    p = max(gram[i][j] for i in range(n) for j in range(n) if i != j)
+    # p < 0, so the least distance g / p comes from the largest g.
+    squared = Fraction(max(gram[a][b]
+                           for v in range(n)
+                           for a, b in itertools.combinations(
+                               [w for w in range(n) if w != v and gram[v][w] == p], 2)), p)
+    edge = Fraction(math.isqrt(squared.numerator), math.isqrt(squared.denominator))
+    assert edge * edge == squared
+    return edge
 
 
 @dataclass(frozen=True)

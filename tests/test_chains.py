@@ -298,7 +298,8 @@ def test_generator_path_reads_the_kernel_once(census_m, monkeypatch):
     kernel = intlinalg.kernel_basis(census_m.chain.boundary[1])
     z = kernel.cols
     product_widths, single_columns, all_columns = [], [], []
-    real_mul, real_column, real_columns = IntMatrix.__mul__, IntMatrix.column, IntMatrix.columns
+    real_mul, real_column = IntMatrix.__mul__, IntMatrix.column
+    real_columns, real_nonzero_columns = IntMatrix.columns, IntMatrix.nonzero_columns
 
     def recording_mul(self, other):
         product_widths.append(other.cols)
@@ -312,9 +313,14 @@ def test_generator_path_reads_the_kernel_once(census_m, monkeypatch):
         all_columns.append(self)
         return real_columns(self)
 
+    def recording_nonzero_columns(self):
+        all_columns.append(self)
+        return real_nonzero_columns(self)
+
     monkeypatch.setattr(IntMatrix, "__mul__", recording_mul)
     monkeypatch.setattr(IntMatrix, "column", recording_column)
     monkeypatch.setattr(IntMatrix, "columns", recording_columns)
+    monkeypatch.setattr(IntMatrix, "nonzero_columns", recording_nonzero_columns)
     homology_basis.cache_clear()
     basis = homology_basis(census_m.chain, 1)
     assert basis.group == AbelianGroup(5)

@@ -6,10 +6,12 @@ development, filling) runs exactly as a shell user would see it.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+import time
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -171,6 +173,12 @@ def test_enumerate_threads_do_not_change_output(capsys):
                  id="fill_3_3_jsonl"),
     pytest.param(["fill", "--balance-c", "1/100", "--",
                   "1,-2", "3,4", "5,6", "7,8", "9,10"], id="fill_balance"),
+    # Written by the code before scales were checked: a scale below the
+    # embedded bound prints what it printed then.
+    pytest.param(["fill", "--scale", "1/2", "3,3", "3,3", "3,3", "3,3", "3,3"],
+                 id="fill_scale_half"),
+    pytest.param(["enumerate", _BOX, "--scale", "1/2", "--format", "jsonl"],
+                 id="enumerate_box_scale_half_jsonl"),
     pytest.param(["enumerate", _BOX], id="enumerate_box"),
     pytest.param(["enumerate", _BOX, "--format", "jsonl"], id="enumerate_box_jsonl"),
     pytest.param(["enumerate", _BOX, "--format", "jsonl", "--balance-c", "1/100"],
@@ -301,6 +309,52 @@ def test_contract_failures_exit_1(capsys):
     code, _, err = run(capsys, "lattice", "--copies", "1")
     assert code == 1
     assert "not a torus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fill", "--scale", "100", "0,0", "0,0", "0,0", "0,0", "0,0"],
+    ["fill", "--scale", "1000001/1000000", "0,0", "0,0", "0,0", "0,0", "0,0"],
+    ["enumerate", "--scale", "3/2"],
+])
+def test_overlapping_cusp_scale_exits_1(capsys, argv):
+    """Above scale 1 the cusps overlap and the 2*pi theorem does not apply."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: scale {argv[2]} exceeds the largest embedded cusp scale 1")
+    assert err.count("\n") == 1
+
+
+def test_box_bound_refused_before_set_up(capsys, monkeypatch):
+    """5^10 tuples are refused from the ranges alone: no set-up, no record."""
+    def refuse(config):
+        raise AssertionError("set-up ran for a refused box")
+
+    monkeypatch.setattr(cli, "_filling_setup", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--box=-2:2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: box has 9,765,625 tuples; enumerate renders at most 1,000,000\n"
+    # The bound itself is allowed: 1,000,000 = 10^6 tuples pass the check.
+    config = cli._config_from_args(cli._build_parser().parse_args(
+        ["enumerate", "--box=" + ",".join(["0:9"] * 6 + ["0:0"] * 4)]))
+    assert math.prod(hi - lo + 1 for lo, hi in config.box) == cli._MAX_BOX
+
+
+def test_benchmark_probe_runs(tmp_path):
+    """The benchmark's probe mode, run as the benchmark runs it, still reads
+    every boundary matrix row by row and finds the cover's cells."""
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "probe.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "probe", "--out", str(out)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(out.read_text())
+    assert probe["cells"] == [48, 168, 192, 72, 2]
+    assert probe["boundary_nnz"] == 1664
 
 
 def test_argparse_arity_error(capsys):

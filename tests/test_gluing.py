@@ -222,6 +222,41 @@ def test_cell_model_matches_containment_scan(faces):
     assert got.cell_index == expected.cell_index
 
 
+def _polygon_faces(edges):
+    """A 2-cell on every vertex of ``edges`` whose boundary is those edges."""
+    vertices = sorted({v for e in edges for v in e})
+    return tuple((v,) for v in vertices), tuple(sorted(edges)), (tuple(vertices),)
+
+
+_RP2 = ((0, 1, 2), (0, 1, 5), (0, 2, 3), (0, 3, 4), (0, 4, 5),
+        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5))
+
+
+@pytest.mark.parametrize("faces, k", [
+    pytest.param(_polygon_faces([(0, 1), (1, 2)]), 2, id="ridge_in_one_face"),
+    pytest.param(_polygon_faces([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 2,
+                 id="ridge_in_three_faces"),
+    pytest.param(_polygon_faces([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), 2,
+                 id="face_never_reached"),
+    # The six-vertex projective plane: every edge in two triangles, but
+    # no consistent orientation, so the walk meets a face with both signs.
+    pytest.param((tuple((v,) for v in range(6)), tuple(itertools.combinations(range(6), 2)),
+                  _RP2, (tuple(range(6)),)), 3, id="signs_disagree"),
+])
+def test_cell_model_refuses_a_non_sphere_boundary(faces, k):
+    message = f"^boundary of a {k}-cell is not a sphere cycle$"
+    with pytest.raises(GluingError, match=message):
+        build_cell_model(faces)
+    with pytest.raises(GluingError, match=message):
+        containment_model(faces)
+
+
+def test_sphere_cycle_refuses_a_non_unit_coefficient():
+    # Two faces sharing their one ridge, once with coefficient 2.
+    with pytest.raises(GluingError, match="^degenerate fundamental cycle on a 2-cell$"):
+        gluing._sphere_cycle(2, [0, 1], [((0, 2),), ((0, 1),)])
+
+
 def test_validation_rejects_duplicate_facet():
     with pytest.raises(PairingError, match="more than one pairing"):
         validate_spec(square_spec(

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from dehn24 import chains, peripheral
+from dehn24 import chains, intlinalg, peripheral
 from dehn24.chains import homology
 from dehn24.gluing import quotient_complex
 from dehn24.intlinalg import IntMatrix, generates, is_primitive
@@ -169,6 +169,24 @@ def test_adapted_basis_deterministic():
     k1, k2, k3 = adapted_basis(matrix)
     assert is_primitive(matrix.apply(k1))
     assert matrix.apply(k2) == (0,) * 5 and matrix.apply(k3) == (0,) * 5
+
+
+def test_adapted_basis_runs_one_smith_form_per_cusp(census_system, monkeypatch):
+    """The kernel basis and kappa_1 come from one column-side decomposition,
+    and the bases are those the golden report pins."""
+    calls = []
+    real_snf = peripheral.snf
+
+    def recording_snf(a, **flags):
+        calls.append(flags)
+        return real_snf(a, **flags)
+
+    monkeypatch.setattr(peripheral, "snf", recording_snf)
+    monkeypatch.setattr(intlinalg, "snf", recording_snf)
+    for matrix, basis in zip(census_system.matrices, census_system.bases):
+        calls.clear()
+        assert adapted_basis(matrix) == basis
+        assert calls == [{"left": False}]
 
 
 def test_slope_identity_and_primitivity():

@@ -9,12 +9,13 @@ counts are checked against flag-counting identities computed from the
 base lattice alone.
 """
 
+import collections
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from dehn24.polytope import HALF, _inner, build_24cell, truncate
+from dehn24.polytope import HALF, _inner, build_24cell, embedded_cusp_scale, truncate
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +307,18 @@ def test_dump_matches_golden(lattice, trunc):
     here = pathlib.Path(__file__).parent
     assert lattice.dump() == (here / "data" / "ideal24_faces.txt").read_text()
     assert trunc.dump() == (here / "data" / "truncated24_faces.txt").read_text()
+
+
+def test_embedded_cusp_scale_is_the_unit_cube(lattice):
+    """Equal cusps first touch across the edges, where the cross section
+    is the unit cube that ``develop_lattice`` assumes at scale 1: on each
+    horosphere the foot points toward the eight neighbours lie at squared
+    distances 2 - 2<w1, w2> of 1, 2 and 3, twelve edges, twelve face
+    diagonals and four body diagonals."""
+    assert embedded_cusp_scale() == 1
+    for v in lattice.vertices:
+        near = [w for w in lattice.vertices if _inner(v, w) == HALF]
+        assert len(near) == 8
+        distances = collections.Counter(2 - 2 * _inner(a, b)
+                                        for a, b in itertools.combinations(near, 2))
+        assert distances == {1: 12, 2: 12, 3: 4}
