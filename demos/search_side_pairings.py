@@ -25,9 +25,9 @@ Usage:
     python3 demos/search_side_pairings.py [--free K]
 
 Each extra free class multiplies the raw slice by 192.  Measured on a
-shared 2-core machine with Python 3.11: K = 2 runs in about 0.8-1.1 s
-and K = 4 in about 17 s, 6-7 s of it the ridge-pruned search; K = 6 is
-the full unconstrained search, where the quotient builds behind the
+shared 2-core machine with Python 3.11: K = 2 runs in about 0.35-0.45 s
+and K = 4 in about 12-14 s, 5-6 s of it the ridge-pruned search; K = 6
+is the full unconstrained search, where the quotient builds behind the
 later filters dominate and the run stretches to hours.
 """
 

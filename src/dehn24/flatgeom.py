@@ -26,10 +26,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .chains import homology_basis
 from .gluing import QuotientComplex, _compose, _invert, geometry
-from .intlinalg import AbelianGroup, IntMatrix
+from .intlinalg import AbelianGroup
 from .peripheral import CuspSection
 
 Vec3 = tuple[int, int, int]
+Mat3 = tuple[Vec3, Vec3, Vec3]
 
 
 class FlatGeometryError(ValueError):
@@ -381,13 +382,25 @@ def _face_normal(chart: dict[int, Vec3], face: Iterable[int]) -> Vec3:
     raise FlatGeometryError("face does not lie in a chart coordinate plane")
 
 
+def _apply3(m: Mat3, v: Vec3) -> Vec3:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def _times_transpose(a: Mat3, b: Mat3) -> Mat3:
+    """a * b^T; for the signed permutations here b^T is b's inverse."""
+    return tuple(_apply3(b, row) for row in a)
+
+
 def _face_transition(chart_a: dict[int, Vec3], face_a: Sequence[int],
                      chart_b: dict[int, Vec3],
-                     psi: dict[int, int]) -> tuple[IntMatrix, Vec3]:
+                     psi: dict[int, int]) -> tuple[Mat3, Vec3]:
     """The isometry T with T(chart_a point) = chart_b point across a face.
 
     Determined by three face vertices plus the requirement that the
     outward normal on one side map to the inward normal on the other.
+    The linear part is a 3 x 3 signed permutation, kept as integer rows.
     """
     qs = [chart_a[g] for g in face_a]
     ps = [chart_b[psi[g]] for g in face_a]
@@ -401,11 +414,11 @@ def _face_transition(chart_a: dict[int, Vec3], face_a: Sequence[int],
     q_cols = [tuple(a - b for a, b in zip(qs[k], q0)) for k in edges] + [n_a]
     p_cols = [tuple(a - b for a, b in zip(ps[k], p0)) for k in edges] + \
         [tuple(-x for x in n_b)]
-    q_mat = IntMatrix.from_columns(q_cols, rows=3)
-    linear = IntMatrix.from_columns(p_cols, rows=3) * q_mat.transpose()
-    offset = tuple(a - b for a, b in zip(p0, linear.apply(q0)))
+    # P * Q^T, with P and Q the matrices of those columns.
+    linear = _times_transpose(tuple(zip(*p_cols)), tuple(zip(*q_cols)))
+    offset = tuple(a - b for a, b in zip(p0, _apply3(linear, q0)))
     for g in face_a:
-        got = tuple(a + b for a, b in zip(linear.apply(chart_a[g]), offset))
+        got = tuple(a + b for a, b in zip(_apply3(linear, chart_a[g]), offset))
         if got != chart_b[psi[g]]:
             raise FlatGeometryError("face identification is not an isometry "
                                     "of the chart cubes")
@@ -458,20 +471,20 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
                        _invert(q.maps_to_rep[2][(k2[0], s2)]))
         linear, offset = _face_transition(charts[k1], model.cells[2][s1],
                                           charts[k2], psi)
-        inv_linear = linear.transpose()
-        inv_offset = tuple(-x for x in inv_linear.apply(offset))
+        inv_linear = tuple(zip(*linear))
+        inv_offset = tuple(-x for x in _apply3(inv_linear, offset))
         adjacency[k1].append((k2, linear, offset))
         adjacency[k2].append((k1, inv_linear, inv_offset))
 
     base = min(cube_keys)
-    placements = {base: (IntMatrix.identity(3), (0, 0, 0))}
+    placements = {base: (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))}
     queue = deque([base])
     while queue:
         k1 = queue.popleft()
         r1, t1 = placements[k1]
         for k2, linear, offset in adjacency[k1]:
-            r2 = r1 * linear.transpose()
-            t2 = tuple(a - b for a, b in zip(t1, r2.apply(offset)))
+            r2 = _times_transpose(r1, linear)
+            t2 = tuple(a - b for a, b in zip(t1, _apply3(r2, offset)))
             if k2 not in placements:
                 placements[k2] = (r2, t2)
                 queue.append(k2)
@@ -486,7 +499,7 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
         rot, shift = placements[key]
         for g, coord in charts[key].items():
             positions[(key[0], g)] = tuple(
-                a + b for a, b in zip(rot.apply(coord), shift))
+                a + b for a, b in zip(_apply3(rot, coord), shift))
 
     references: dict[int, Vec3] = {}
     for vkey in sorted(positions):

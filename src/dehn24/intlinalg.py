@@ -263,7 +263,7 @@ class SNFDecomposition:
         function ``kernel_basis``), read from the last columns of V."""
         n = self.V.rows
         raw = [dict(col) for col in self.V._cols[self.rank:]]
-        return IntMatrix._adopt(n, [row for row in _hermite_rows(raw, n) if row])
+        return IntMatrix._adopt(n, [row for row in _hermite_rows(raw) if row])
 
 
 @dataclass(frozen=True)
@@ -506,46 +506,74 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=a.rows - decomp.rank, torsion=torsion)
 
 
-def _hermite_rows(h: list[dict[int, int]], n: int) -> list[dict[int, int]]:
-    """Row-style Hermite normal form of sparse rows with n columns, in place.
+def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Row-style Hermite normal form of sparse rows, in place.
 
     Unique canonical form: row echelon, positive pivots, entries above each
     pivot reduced into [0, pivot).  Zero rows are pushed to the bottom.
+
+    ``at[c]`` holds every row that has had a nonzero in column c, so a
+    column costs the rows that meet it, not all rows.  Only the columns
+    where some row starts with a nonzero are visited: a row update adds a
+    multiple of another row, so it never brings a new column into play.
     """
-    m = len(h)
-    r = 0
-    for c in range(n):
-        if r == m:
+    at: dict[int, set[int]] = {}
+    for i, row in enumerate(h):
+        for c in row:
+            at.setdefault(c, set()).add(i)
+
+    def add_scaled(i: int, p: int, q: int) -> None:
+        """h[i] += q * h[p] for q != 0, dropping entries that cancel."""
+        target = h[i]
+        for k, x in h[p].items():
+            y = target.get(k)
+            if y is None:
+                target[k] = q * x
+                at[k].add(i)
+                continue
+            y += q * x
+            if y:
+                target[k] = y
+            else:
+                del target[k]
+
+    placed: list[int] = []
+    done: set[int] = set()
+    for c in sorted(at):
+        if len(placed) == len(h):
             break
-        # Gcd-reduce the column below row r to a single entry.
+        meets = [i for i in at[c] if c in h[i]]
+        live = [i for i in meets if i not in done]
+        if not live:
+            continue
+        # Gcd-reduce the column over the live rows to a single entry.  The
+        # form is unique, so the pivot choice only steers the fill-in:
+        # among the least entries, the row with the fewest nonzeros.
         while True:
-            pivots = [i for i in range(r, m) if c in h[i]]
-            if not pivots:
+            p = min(live, key=lambda i: (abs(h[i][c]), len(h[i]), i))
+            if h[p][c] < 0:
+                h[p] = {k: -x for k, x in h[p].items()}
+            live = [i for i in live if i != p]
+            for i in live:
+                add_scaled(i, p, -(h[i][c] // h[p][c]))
+            live = [i for i in live if c in h[i]]
+            if not live:
                 break
-            i0 = min(pivots, key=lambda i: (abs(h[i][c]), i))
-            h[r], h[i0] = h[i0], h[r]
-            if h[r][c] < 0:
-                h[r] = {j: -x for j, x in h[r].items()}
-            done = True
-            for i in range(r + 1, m):
-                if c in h[i]:
-                    _add_scaled(h[i], h[r], -(h[i][c] // h[r][c]))
-                    if c in h[i]:
-                        done = False
-            if done:
-                break
-        if c in h[r]:
-            for i in range(r):
-                q = h[i].get(c, 0) // h[r][c]
+            live.append(p)
+        for i in meets:
+            if i in done:
+                q = h[i][c] // h[p][c]
                 if q:
-                    _add_scaled(h[i], h[r], -q)
-            r += 1
+                    add_scaled(i, p, -q)
+        placed.append(p)
+        done.add(p)
+    h[:] = [h[i] for i in placed] + [h[i] for i in range(len(h)) if i not in done]
     return h
 
 
 def row_hermite(a: IntMatrix) -> IntMatrix:
     """Row-style Hermite normal form of ``a`` (see ``_hermite_rows``)."""
-    rows = _hermite_rows(_transposed(a._cols, a.rows), a.cols)
+    rows = _hermite_rows(_transposed(a._cols, a.rows))
     return IntMatrix._adopt(a.rows, _transposed(rows, a.cols))
 
 

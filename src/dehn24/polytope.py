@@ -1,10 +1,13 @@
 """Exact combinatorics of the regular ideal 24-cell and its truncation.
 
 Vertices are the eight unit vectors ±e_i together with the sixteen
-half-integer vectors (±1/2, ±1/2, ±1/2, ±1/2).  All incidence comes from
-exact rational inner products: a vertex v lies on the facet with normal u
-iff <u, v> = 1, and two vertices span an edge iff <v, w> = 1/2.  No
-floating point is involved anywhere, so face indices are bit-stable.
+half-integer vectors (±1/2, ±1/2, ±1/2, ±1/2).  Doubled, they are the
+integer vectors ±2e_i and (±1, ±1, ±1, ±1), and all incidence comes from
+integer inner products of that one table: a vertex v lies on the facet
+with normal u iff <u, 2v> = 2, and two vertices span an edge iff
+<2v, 2w> = 2.  No floating point or rational arithmetic is involved, so
+face indices are bit-stable; the public coordinates are the halved
+table as exact fractions.
 
 Truncating chops every vertex, turning each octahedral facet into a
 truncated octahedron and adding one cubical facet per original vertex
@@ -22,34 +25,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 Coord = tuple[Fraction, Fraction, Fraction, Fraction]
+IntVec = tuple[int, int, int, int]
 
 HALF = Fraction(1, 2)
+
+# The vertices times two, in canonical (lexicographic) order: the order of
+# the unit coordinates too, since doubling keeps it.
+_DOUBLED: tuple[IntVec, ...] = tuple(sorted(
+    [tuple(2 * s if k == i else 0 for k in range(4)) for i in range(4) for s in (-1, 1)]
+    + list(itertools.product((-1, 1), repeat=4))))
+
+# Facet normals u = ±e_i ± e_j, in canonical order.
+_NORMALS: tuple[IntVec, ...] = tuple(sorted(
+    tuple(si if k == i else sj if k == j else 0 for k in range(4))
+    for i, j in itertools.combinations(range(4), 2)
+    for si, sj in itertools.product((-1, 1), repeat=2)))
+
+
+def _dot(a: IntVec, b: IntVec) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 def _inner(a: Coord, b: Coord) -> Fraction:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _vertex_coordinates() -> tuple[Coord, ...]:
-    points: list[Coord] = []
-    for i in range(4):
-        for s in (-1, 1):
-            v = [Fraction(0)] * 4
-            v[i] = Fraction(s)
-            points.append(tuple(v))
-    for signs in itertools.product((-HALF, HALF), repeat=4):
-        points.append(tuple(signs))
-    return tuple(sorted(points))
-
-
-def _facet_normals() -> tuple[Coord, ...]:
-    normals = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((-1, 1), repeat=2):
-            u = [Fraction(0)] * 4
-            u[i], u[j] = Fraction(si), Fraction(sj)
-            normals.append(tuple(u))
-    return tuple(sorted(normals))
 
 
 class _Faces:
@@ -96,48 +94,38 @@ class FaceLattice(_Faces):
 
 @lru_cache(maxsize=1)
 def build_24cell() -> FaceLattice:
-    """Construct the 24-cell's face lattice from exact inner products."""
-    vertices = _vertex_coordinates()
-    normals = _facet_normals()
-
+    """Construct the 24-cell's face lattice from integer inner products."""
+    n = len(_DOUBLED)
     facet_members = []
-    for u in normals:
-        members = tuple(sorted(i for i, v in enumerate(vertices) if _inner(u, v) == 1))
+    for u in _NORMALS:
+        members = tuple(i for i, v in enumerate(_DOUBLED) if _dot(u, v) == 2)
         assert len(members) == 6
         facet_members.append(members)
 
-    adjacency = {
-        (i, j)
-        for i, j in itertools.combinations(range(len(vertices)), 2)
-        if _inner(vertices[i], vertices[j]) == HALF
-    }
+    edges = {(i, j) for i, j in itertools.combinations(range(n), 2)
+             if _dot(_DOUBLED[i], _DOUBLED[j]) == 2}
 
-    edges: set[tuple[int, ...]] = set()
-    triangles: set[tuple[int, ...]] = set()
-    for members in facet_members:
-        local_edges = [(a, b) for a, b in itertools.combinations(members, 2)
-                       if (a, b) in adjacency]
-        edges.update(local_edges)
-        # Octahedron faces are exactly its vertex triples that are
-        # pairwise adjacent (antipodal pairs are the non-edges).
-        for trio in itertools.combinations(members, 3):
-            if all(pair in adjacency for pair in itertools.combinations(trio, 2)):
-                triangles.add(trio)
+    # Octahedron faces are exactly its vertex triples that are pairwise
+    # adjacent (antipodal pairs are the non-edges).
+    triangles = {trio for members in facet_members
+                 for trio in itertools.combinations(members, 3)
+                 if all(pair in edges for pair in itertools.combinations(trio, 2))}
 
     order = sorted  # canonical: lexicographic on sorted vertex tuples
     facet_order = order(facet_members)
-    normal_by_members = {m: u for m, u in zip(facet_members, normals)}
+    normal_by_members = {m: u for m, u in zip(facet_members, _NORMALS)}
     faces = (
-        tuple((i,) for i in range(len(vertices))),
+        tuple((i,) for i in range(n)),
         tuple(order(edges)),
         tuple(order(triangles)),
         tuple(facet_order),
-        (tuple(range(len(vertices))),),
+        (tuple(range(n)),),
     )
     return FaceLattice(
-        vertices=vertices,
+        vertices=tuple(tuple(Fraction(x, 2) for x in v) for v in _DOUBLED),
         faces=faces,
-        facet_normal=tuple(normal_by_members[m] for m in facet_order),
+        facet_normal=tuple(tuple(Fraction(x) for x in normal_by_members[m])
+                           for m in facet_order),
     )
 
 
@@ -158,10 +146,9 @@ def embedded_cusp_scale() -> Fraction:
     overlap.  For the 24-cell p = -1 and the distances squared are 1, 2
     and 3, a unit cube: the bound is 1, the default scale.
     """
-    # Doubled vertices are integer vectors with even inner products 4<v, w>.
-    doubled = [tuple(int(2 * x) for x in v) for v in _vertex_coordinates()]
-    n = len(doubled)
-    gram = [[sum(a * b for a, b in zip(v, w)) // 2 - 2 for w in doubled] for v in doubled]
+    # Doubled vertices have even inner products 4<v, w>.
+    n = len(_DOUBLED)
+    gram = [[_dot(v, w) // 2 - 2 for w in _DOUBLED] for v in _DOUBLED]
     p = max(gram[i][j] for i in range(n) for j in range(n) if i != j)
     # p < 0, so the least distance g / p comes from the largest g.
     squared = Fraction(max(gram[a][b]
@@ -224,11 +211,19 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
     triangles = base.faces[2]
     facets = base.faces[3]
 
+    edge_of = {pair: e for e, pair in enumerate(edges)}
     flags = tuple(sorted((v, e) for e, pair in enumerate(edges) for v in pair))
     flag_index = {f: i for i, f in enumerate(flags)}
+    flags_at: dict[int, list[int]] = {}
+    for i, (v, _) in enumerate(flags):
+        flags_at.setdefault(v, []).append(i)
 
     def corner(vertex: int, edge: int) -> int:
         return flag_index[(vertex, edge)]
+
+    def edges_within(members: tuple[int, ...]) -> list[int]:
+        return [edge_of[pair] for pair in itertools.combinations(members, 2)
+                if pair in edge_of]
 
     # dim 1: truncated middles of original edges, plus cube edges (one per
     # incident vertex-triangle flag); dim 2: hexagons from original
@@ -239,7 +234,7 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
     cube_edges = {}
     hexagons = {}
     for t, trio in enumerate(triangles):
-        tri_edges = [e for e, pair in enumerate(edges) if set(pair) <= set(trio)]
+        tri_edges = edges_within(trio)
         assert len(tri_edges) == 3
         for v in trio:
             ends = tuple(sorted(corner(v, e) for e in tri_edges if v in edges[e]))
@@ -255,7 +250,7 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
     squares = {}
     trocts = {}
     for o, members6 in enumerate(facets):
-        facet_edges = [e for e, pair in enumerate(edges) if set(pair) <= set(members6)]
+        facet_edges = edges_within(members6)
         for v in members6:
             ends = tuple(sorted(corner(v, e) for e in facet_edges if v in edges[e]))
             assert len(ends) == 4
@@ -265,7 +260,7 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
         trocts[members] = ("facet", o)
     cubes = {}
     for v in range(len(base.vertices)):
-        members = tuple(sorted(i for i, (w, _) in enumerate(flags) if w == v))
+        members = tuple(flags_at[v])
         assert len(members) == 8
         cubes[members] = ("vertex", v)
 

@@ -29,8 +29,9 @@ from dehn24.flatgeom import (
     two_pi_ok,
     weakly_balanced,
 )
-from dehn24.flatgeom import _exp_enclosure
+from dehn24.flatgeom import _edge_vectors, _exp_enclosure
 from dehn24.gluing import quotient_complex
+from dehn24.intlinalg import IntMatrix
 from dehn24.peripheral import cusp_sections
 
 from test_gluing import three_torus_spec
@@ -175,6 +176,20 @@ def test_cover_cusp_lattices_are_reproducible(m_lattices):
         [(0, 2, 0), (0, 0, 1), (2, 0, 0)]
     assert [m_lattices[4].column(j) for j in range(3)] == \
         [(0, 0, -4), (0, 4, 0), (-2, 0, 0)]
+
+
+def test_development_builds_no_integer_matrix(m_sections, monkeypatch):
+    """Cube charts are placed by 3 x 3 signed permutations kept as integer
+    rows: with every ``IntMatrix`` constructor refused, the cusp cubes
+    develop afresh to the same edge vectors."""
+    before = [_edge_vectors(s) for s in m_sections]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an IntMatrix was built while developing")
+
+    monkeypatch.setattr(IntMatrix, "_adopt", staticmethod(refuse))
+    monkeypatch.setattr(IntMatrix, "__init__", refuse)
+    assert [_edge_vectors.__wrapped__(s) for s in m_sections] == before
 
 
 def test_scaled_development(m_sections):

@@ -710,6 +710,81 @@ def test_row_hermite_canonical():
         assert row_hermite(b) == row_hermite(u * b)
 
 
+# -- a dense reference for the row Hermite form ----------------------------
+
+def dense_row_hermite(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Row Hermite form of dense rows by the textbook column sweep: every
+    column index in turn, gcd-reduced below the current row by the least
+    entry, then the rows above reduced into [0, pivot)."""
+    h = [list(r) for r in rows]
+    r = 0
+    for c in range(n):
+        while True:
+            below = [i for i in range(r, len(h)) if h[i][c]]
+            if not below:
+                break
+            i0 = min(below, key=lambda i: (abs(h[i][c]), i))
+            h[r], h[i0] = h[i0], h[r]
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+            for i in range(r + 1, len(h)):
+                q = h[i][c] // h[r][c]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+            if not any(h[i][c] for i in range(r + 1, len(h))):
+                break
+        if r < len(h) and h[r][c]:
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+            r += 1
+    return h
+
+
+def random_sparse(rng: random.Random, m: int, n: int, density: float) -> IntMatrix:
+    return IntMatrix([[rng.choice((-2, -1, 1, 1, 2)) if rng.random() < density else 0
+                       for _ in range(n)] for _ in range(m)], cols=n)
+
+
+def assert_row_hermite_matches_dense(a: IntMatrix) -> None:
+    want = dense_row_hermite([list(a.row(i)) for i in range(a.rows)], a.cols)
+    got = row_hermite(a)
+    assert [list(got.row(i)) for i in range(got.rows)] == want
+
+
+def test_row_hermite_matches_dense_oracle_on_sparse_matrices():
+    """Seeded sparse matrices up to the shape of the cover's degree-1
+    kernel (121 x 168), each also with dependent rows prepended.  Denser
+    inputs stay small: Hermite entries of dense random matrices run to
+    hundreds of bits, which times bignum arithmetic, not the sweep."""
+    rng = random.Random(61)
+    cases = [(1, 1, 1.0), (3, 7, 0.5), (7, 3, 0.5), (12, 20, 0.3), (30, 40, 0.1),
+             (60, 30, 0.1), (121, 168, 0.02), (121, 168, 0.03)]
+    for m, n, density in cases:
+        a = random_sparse(rng, m, n, density)
+        assert_row_hermite_matches_dense(a)
+        rows = [list(a.row(i)) for i in range(m)]
+        extra = [[x - 2 * y for x, y in zip(rows[rng.randrange(m)], rows[rng.randrange(m)])]
+                 for _ in range(3)]
+        assert_row_hermite_matches_dense(IntMatrix(extra + rows, cols=n))
+
+
+def test_kernel_bases_match_dense_hermite_on_census(census_n, census_m):
+    """Every census kernel basis is the dense Hermite form of the raw
+    kernel columns of V, and the cover's degree-1 kernel (121 x 168)
+    matches as a row Hermite input too."""
+    for q in (census_n, census_m):
+        for d in q.chain.boundary:
+            decomp = snf(d, left=False)
+            raw = [list(decomp.V.column(j)) for j in range(decomp.rank, decomp.V.cols)]
+            want = [r for r in dense_row_hermite(raw, decomp.V.rows) if any(r)]
+            got = decomp.kernel_basis()
+            assert [list(got.column(j)) for j in range(got.cols)] == want
+    kernel = kernel_basis(census_m.chain.boundary[1])
+    assert (kernel.rows, kernel.cols) == (168, 121)
+    assert_row_hermite_matches_dense(kernel.transpose())
+    assert_row_hermite_matches_dense(census_m.chain.boundary[2])
+
+
 def test_abelian_group_descriptions():
     assert AbelianGroup(5).describe() == "Z^5"
     assert AbelianGroup(0, (2, 2, 2, 2, 2, 2)).describe() == "Z_2^6"

@@ -3,10 +3,10 @@
 The face lattice is checked against a brute-force convex hull oracle
 that knows nothing about the inner-product incidence rules the module
 uses: it enumerates all supporting hyperplanes through quadruples of
-vertices with exact rational arithmetic, then recovers every face as an
-intersection of facets and classifies it by affine rank.  The truncated
-counts are checked against flag-counting identities computed from the
-base lattice alone.
+vertices with exact fraction-free integer arithmetic on doubled
+coordinates, then recovers every face as an intersection of facets and
+classifies it by affine rank.  The truncated counts are checked against
+flag-counting identities computed from the base lattice alone.
 """
 
 import collections
@@ -22,37 +22,58 @@ from dehn24.polytope import HALF, _inner, build_24cell, embedded_cusp_scale, tru
 # Hull oracle.  Valid because the origin is interior (the vertex set is
 # centrally symmetric), so every facet hyperplane can be scaled to
 # <a, x> = 1 and is determined by any 4 affinely independent points on it.
+# The oracle works on doubled coordinates, which are integers, and keeps
+# every comparison exact without rational arithmetic in the inner loop.
+
+
+def doubled(vertices):
+    """The points times two, as integer vectors; every coordinate here is
+    a multiple of 1/2."""
+    out = [tuple(int(2 * x) for x in v) for v in vertices]
+    assert all(2 * x == y for v, w in zip(vertices, out) for x, y in zip(v, w))
+    return out
 
 
 def solve_unit_hyperplane(points):
-    """Solve <a, p> = 1 for the given 4 points; None if they are degenerate."""
-    rows = [[Fraction(x) for x in p] + [Fraction(1)] for p in points]
-    n = 4
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    """Solve <a, p> = 1 for 4 points given doubled, as integer vectors 2p.
+
+    Fraction-free Gauss-Jordan on <a, 2p> = 2: each division is exact
+    (Bareiss), and the system ends as d * a = x with d the determinant.
+    Returns (x, d) with d > 0, or None if the points are degenerate.
+    """
+    rows = [list(p) + [2] for p in points]
+    previous = 1
+    for k in range(4):
+        pivot = next((r for r in range(k, 4) if rows[r][k] != 0), None)
         if pivot is None:
             return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[r][n] for r in range(n))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        pk = rows[k][k]
+        for r in range(4):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pk * x - f * y) // previous for x, y in zip(rows[r], rows[k])]
+        previous = pk
+    sign = 1 if previous > 0 else -1
+    x, d = tuple(sign * rows[r][4] for r in range(4)), sign * previous
+    assert all(sum(a * b for a, b in zip(x, p)) == 2 * d for p in points)
+    return x, d
 
 
 def oracle_facets(vertices):
     """All supporting hyperplanes <a, x> = 1 through at least 4 vertices."""
+    points = doubled(vertices)
     facets = {}
-    for quad in itertools.combinations(range(len(vertices)), 4):
-        a = solve_unit_hyperplane([vertices[i] for i in quad])
-        if a is None:
+    for quad in itertools.combinations(range(len(points)), 4):
+        solved = solve_unit_hyperplane([points[i] for i in quad])
+        if solved is None:
             continue
-        values = [_inner(a, v) for v in vertices]
-        if all(x <= 1 for x in values):
-            members = tuple(i for i, x in enumerate(values) if x == 1)
-            facets[members] = a
+        x, d = solved
+        # <a, v> = <x, 2v> / (2d), so <a, v> <= 1 iff <x, 2v> <= 2d.
+        values = [sum(a * b for a, b in zip(x, p)) for p in points]
+        if all(v <= 2 * d for v in values):
+            members = tuple(i for i, v in enumerate(values) if v == 2 * d)
+            facets[members] = tuple(Fraction(a, d) for a in x)
     return facets
 
 
