@@ -25,9 +25,9 @@ Usage:
     python3 demos/search_side_pairings.py [--free K]
 
 Each extra free class multiplies the raw slice by 192.  Measured on a
-shared 2-core machine with Python 3.11: K = 2 runs in about 0.35-0.45 s
-and K = 4 in about 12-14 s, 5-6 s of it the ridge-pruned search; K = 6
-is the full unconstrained search, where the quotient builds behind the
+shared 2-core machine with Python 3.11: K = 2 runs in about 0.25-0.4 s
+and K = 4 in about 8 s, 2 s of it the ridge-pruned search; K = 6 is
+the full unconstrained search, where the quotient builds behind the
 later filters dominate and the run stretches to hours.
 """
 
@@ -62,16 +62,18 @@ for i, v in enumerate(BASE.vertices):
     UNIT_AXIS[i] = support[0] if len(support) == 1 else None
 
 ADJACENT = {frozenset(e) for e in BASE.faces[1]}
+TRIANGLE_INDEX = {t: i for i, t in enumerate(TRIANGLES)}
 
 # Each triangle lies in exactly two octahedral sides; each side has eight.
+# Triangles are named by their index in TRIANGLES.
 CONTAINING = {}
 SIDE_TRIANGLES = {}
 for f, members in enumerate(FACETS):
     s = set(members)
-    for t in TRIANGLES:
+    for i, t in enumerate(TRIANGLES):
         if s.issuperset(t):
-            CONTAINING.setdefault(t, []).append(f)
-            SIDE_TRIANGLES.setdefault(f, []).append(t)
+            CONTAINING.setdefault(i, []).append(f)
+            SIDE_TRIANGLES.setdefault(f, []).append(i)
 assert all(len(pair) == 2 for pair in CONTAINING.values())
 
 
@@ -90,30 +92,57 @@ def support_classes():
     return dict(sorted(classes.items()))
 
 
+def equator(f):
+    """The four half vertices of side f in cyclic order around its square."""
+    first, *rest = (v for v in FACETS[f] if UNIT_AXIS[v] is None)
+    near = [v for v in rest if frozenset((first, v)) in ADJACENT]
+    far = [v for v in rest if v not in near]
+    assert len(near) == 2 and len(far) == 1, f
+    return first, near[0], far[0], near[1]
+
+
 def admissible_maps(a, b):
     """Octahedron isomorphisms facet a -> facet b fixing each unit axis.
 
     The two unit vertices' images are forced (same axis, whatever sign
-    facet b carries); the four half vertices permute by a symmetry of
-    the equatorial square, giving eight maps.
+    facet b carries); the four half vertices go to facet b's equatorial
+    square by one of its eight symmetries.  The maps come in the order
+    of their images of facet a's half vertices, least first.
     """
-    va, vb = FACETS[a], FACETS[b]
-    unit_b = {UNIT_AXIS[v]: v for v in vb if UNIT_AXIS[v] is not None}
-    forced = {v: unit_b[UNIT_AXIS[v]] for v in va if UNIT_AXIS[v] is not None}
-    half_a = [v for v in va if UNIT_AXIS[v] is None]
-    half_b = [v for v in vb if UNIT_AXIS[v] is None]
+    unit_b = {UNIT_AXIS[v]: v for v in FACETS[b] if UNIT_AXIS[v] is not None}
+    forced = {v: unit_b[UNIT_AXIS[v]] for v in FACETS[a] if UNIT_AXIS[v] is not None}
+    square_a, square_b = equator(a), equator(b)
     out = []
-    for perm in itertools.permutations(half_b):
-        cand = dict(forced)
-        cand.update(zip(half_a, perm))
-        ok = all(
-            (frozenset((cand[x], cand[y])) in ADJACENT)
-            == (frozenset((x, y)) in ADJACENT)
-            for x, y in itertools.combinations(va, 2))
-        if ok:
+    for shift in range(4):
+        for turn in (1, -1):
+            cand = dict(forced)
+            cand.update(sorted((v, square_b[(shift + turn * i) % 4])
+                               for i, v in enumerate(square_a)))
             out.append(cand)
-    assert len(out) == 8, (a, b, len(out))
-    return out
+    return sorted(out, key=lambda cand: [w for v, w in cand.items() if UNIT_AXIS[v] is None])
+
+
+def triangle_table(a, b, psi):
+    """Where ``psi`` (side a -> side b) sends each triangle of side a.
+
+    Per triangle index: the side across the image triangle from b, the
+    image triangle's index, and where each of the triangle's three
+    vertices lands among the image's (positions in sorted vertex order).
+    """
+    table = {}
+    for t in SIDE_TRIANGLES[a]:
+        image = [psi[v] for v in TRIANGLES[t]]
+        u = tuple(sorted(image))
+        table[t] = (companion(TRIANGLE_INDEX[u], b), TRIANGLE_INDEX[u],
+                    tuple(u.index(w) for w in image))
+    return table
+
+
+def glue(a, b, forward):
+    """The assignment entries of sides a and b when a is glued to b by ``forward``."""
+    backward = {w: v for v, w in forward.items()}
+    return ((b, forward, triangle_table(a, b, forward)),
+            (a, backward, triangle_table(b, a, backward)))
 
 
 def ridge_violation(assignment, sides):
@@ -121,24 +150,22 @@ def ridge_violation(assignment, sides):
 
     A walk alternates gluing with switching to the other side through
     the image triangle; a full cycle must return to its start in
-    exactly 4 steps with the identity vertex map.  Walks start only at
-    the sides just glued: any other cycle was already walked when its
+    exactly 4 steps with the identity vertex map, tracked as the current
+    positions of the start triangle's three vertices.  Walks start only
+    at the sides just glued: any other cycle was already walked when its
     last side was glued.  Walks that reach an unassigned side stay
     indeterminate and never prune.
     """
     for f0 in sides:
         for t0 in SIDE_TRIANGLES[f0]:
-            f, t = f0, t0
-            phi = {v: v for v in t0}
+            f, t, at = f0, t0, (0, 1, 2)
             for step in range(1, 5):
                 if f not in assignment:
                     break
-                target, psi = assignment[f]
-                phi = {v: psi[w] for v, w in phi.items()}
-                t = tuple(sorted(psi[v] for v in t))
-                f = companion(t, target)
-                if (f, t) == (f0, t0):
-                    if step < 4 or any(v != w for v, w in phi.items()):
+                f, t, moved = assignment[f][2][t]
+                at = (moved[at[0]], moved[at[1]], moved[at[2]])
+                if f == f0 and t == t0:
+                    if step < 4 or at != (0, 1, 2):
                         return True
                     break
             else:
@@ -163,7 +190,7 @@ def shipped_assignment():
 def to_spec(assignment):
     pairings = []
     for a in sorted(assignment):
-        b, forward = assignment[a]
+        b, forward = assignment[a][:2]
         if a < b:
             pairings.append(Pairing(facet_a=a, facet_b=b,
                                     vertex_map=tuple(sorted(forward.items()))))
@@ -185,17 +212,21 @@ class Search:
                       + [k for i, k in enumerate(keys) if i in free_classes])
         self.free = {k for i, k in enumerate(keys) if i in free_classes}
         self.classes = classes
-        self.shipped = shipped_assignment()
+        # Assignment entries, side -> (target, vertex map, triangle table),
+        # for the pinned pairings and for every admissible map of a free pair.
+        self.pinned = {}
+        for a, (b, forward) in shipped_assignment().items():
+            if a < b:
+                self.pinned[a, b] = glue(a, b, forward)
         self.maps = {}
-        for four in classes.values():
-            for a, b in itertools.permutations(four, 2):
-                self.maps[a, b] = admissible_maps(a, b)
+        for key in self.free:
+            for a, b in itertools.combinations(classes[key], 2):
+                self.maps[a, b] = [glue(a, b, m) for m in admissible_maps(a, b)]
         self.nodes = 0
         self.leaves = []
 
-    def install(self, assignment, a, b, forward):
-        assignment[a] = (b, forward)
-        assignment[b] = (a, {w: v for v, w in forward.items()})
+    def install(self, assignment, a, b, entries):
+        assignment[a], assignment[b] = entries
 
     def remove(self, assignment, a, b):
         del assignment[a], assignment[b]
@@ -211,17 +242,14 @@ class Search:
         key = self.order[depth]
         four = self.classes[key]
         if key not in self.free:
-            for a in four:
-                b, forward = self.shipped[a]
-                if a < b:
-                    self.install(assignment, a, b, forward)
+            pinned = [(a, b) for a, b in self.pinned if a in four]
+            for a, b in pinned:
+                self.install(assignment, a, b, self.pinned[a, b])
             self.nodes += 1
             if not ridge_violation(assignment, four):
                 self.descend(depth + 1, assignment)
-            for a in four:
-                b, _ = self.shipped[a]
-                if a < b:
-                    self.remove(assignment, a, b)
+            for a, b in pinned:
+                self.remove(assignment, a, b)
             return
         for (a1, b1), (a2, b2) in matchings(four):
             for m1 in self.maps[a1, b1]:

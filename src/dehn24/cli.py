@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,10 @@ _MAX_BOX = 1_000_000
 # ``enumerate --threads`` is kept for compatibility and has no effect;
 # values outside 1.._MAX_THREADS are refused as input errors.
 _MAX_THREADS = 64
+# The most digits in a numerator or denominator of --scale or --balance-c;
+# a covolume (a scale cubed) then stays within Python's 4,300-digit limit.
+_MAX_DIGITS = 1000
+_RATIONAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?(?:/(\d+))?\s*", re.I)
 
 
 class _InputError(ValueError):
@@ -75,6 +80,15 @@ class RunConfig:
 
 
 def _parse_fraction(text: str, name: str) -> Fraction:
+    """``text`` as a Fraction, refused from the text alone if Fraction would
+    build a numerator or denominator of more than ``_MAX_DIGITS`` digits."""
+    if match := _RATIONAL.fullmatch(text.replace("_", "")):
+        whole, decimals, power, below = (g or "" for g in match.groups())
+        shift = int(power or 0) if len(power.lstrip("+-0")) <= 4 else 2 * _MAX_DIGITS
+        if max(len(whole + decimals) + shift,
+               len(below) or 1 + len(decimals) - shift) > _MAX_DIGITS:
+            raise _InputError(f"{name} has a numerator or denominator of more "
+                              f"than {_MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -239,7 +253,16 @@ def cmd_peripheral(config: RunConfig) -> int:
     return _emit(lines)
 
 
+def _overlap(scale: Fraction) -> str:
+    """Why the cusps are not embedded at ``scale``; empty up to the bound."""
+    bound = embedded_cusp_scale()
+    return (f"scale {scale} exceeds the largest embedded cusp scale {bound}: "
+            f"the cusps overlap") if scale > bound else ""
+
+
 def cmd_lattice(config: RunConfig) -> int:
+    if overlap := _overlap(config.scale):
+        print(f"note: {overlap}", file=sys.stderr)
     spec = _load_spec(config)
     q = quotient_complex(spec, copies=config.copies)
     lines = []
@@ -269,11 +292,8 @@ def _filling_setup(config: RunConfig):
     The 2*pi verdict assumes embedded, disjoint cusps, so a scale above
     the largest embedded one is refused first.
     """
-    bound = embedded_cusp_scale()
-    if config.scale > bound:
-        raise FlatGeometryError(
-            f"scale {config.scale} exceeds the largest embedded cusp scale {bound}: "
-            f"the cusps overlap, so the 2pi test does not apply")
+    if overlap := _overlap(config.scale):
+        raise FlatGeometryError(f"{overlap}, so the 2pi test does not apply")
     spec = _load_spec(config)
     q = quotient_complex(spec, copies=config.copies)
     system = peripheral_system(q)

@@ -25,7 +25,7 @@ from math import floor, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .chains import homology_basis
-from .gluing import QuotientComplex, _compose, _invert, geometry
+from .gluing import QuotientComplex, geometry
 from .intlinalg import AbelianGroup
 from .peripheral import CuspSection
 
@@ -467,8 +467,8 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
                 f"boundary square glued {len(pair)} time(s); the section is "
                 f"not a closed 3-manifold")
         (k1, s1), (k2, s2) = pair
-        psi = _compose(q.maps_to_rep[2][(k1[0], s1)],
-                       _invert(q.maps_to_rep[2][(k2[0], s2)]))
+        back = {w: v for v, w in q.maps_to_rep[2][(k2[0], s2)].items()}
+        psi = {v: back[w] for v, w in q.maps_to_rep[2][(k1[0], s1)].items()}
         linear, offset = _face_transition(charts[k1], model.cells[2][s1],
                                           charts[k2], psi)
         inv_linear = tuple(zip(*linear))

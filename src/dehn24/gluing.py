@@ -17,8 +17,9 @@ identical machinery can be exercised on torus and Klein-bottle gluings.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .chains import ChainComplex
@@ -213,6 +214,15 @@ class Geometry:
     def facet_count(self) -> int:
         return len(self.facet_vertices)
 
+    @cached_property
+    def ridge_facets(self) -> dict[int, tuple[int, int]]:
+        """Each model ridge shared by two spec facets, with those facets in order."""
+        incident: dict[int, list[int]] = {}
+        for f in sorted(self.model_facet):
+            for r, _ in self.model.boundary_entries[self.model.dim - 1][f]:
+                incident.setdefault(r, []).append(f)
+        return {r: tuple(fs) for r, fs in incident.items() if len(fs) == 2}
+
 
 @lru_cache(maxsize=None)
 def geometry(name: str) -> Geometry:
@@ -241,6 +251,9 @@ def _ideal24_geometry() -> Geometry:
     mask = tuple(tuple(lab[0] in boundary_kinds for lab in labels[k]) for k in range(5))
 
     edge_index = {frozenset(e): i for i, e in enumerate(edges)}
+    flags_at: dict[int, list[tuple[int, int, int]]] = {}
+    for flag, (v, e) in enumerate(trunc.flags):
+        flags_at.setdefault(v, []).append((flag, v, e))
 
     def extend(pairing: Pairing) -> dict[int, int]:
         # Flags run in (vertex, edge) order, so the first refused edge is
@@ -248,8 +261,8 @@ def _ideal24_geometry() -> Geometry:
         phi = pairing.forward()
         mapping = {}
         source = set(base.faces[3][pairing.facet_a])
-        for flag, (v, e) in enumerate(trunc.flags):
-            if v in source and set(edges[e]) <= source:
+        for flag, v, e in (f for v in base.faces[3][pairing.facet_a] for f in flags_at[v]):
+            if set(edges[e]) <= source:
                 image = frozenset(phi[w] for w in edges[e])
                 if image not in edge_index:
                     raise PairingError(
@@ -494,12 +507,15 @@ def _map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
 @lru_cache(maxsize=1024)
 def _pairing_action(name: str, facet_a: int, facet_b: int,
                     vertex_map: tuple[tuple[int, int], ...]):
-    """One side-pairing's vertex map extended to the model, and its cell table.
+    """One side-pairing's vertex map on the model: ``(table, ridges, links)``.
 
-    The table sends every model cell ``(dim, index)`` of ``facet_a`` to its
-    image cell and orientation sign.  Copy indices play no part, so both
-    copies of a double cover share one cache entry.  A map sending a face
-    to a non-face raises PairingError.
+    ``table`` sends every model cell ``(dim, index)`` of ``facet_a`` to its
+    image cell and orientation sign; ``ridges`` is its ridge map and that
+    map's inverse; ``links[dim]`` lists ``(cell, image, sign, forward,
+    backward)``, where ``forward[j]`` is the position in the cell of the
+    vertex sent to position j of the image and ``backward`` its inverse.
+    Copy indices play no part, so both copies of a double cover share one
+    cache entry.  A map sending a face to a non-face raises PairingError.
     """
     geo = geometry(name)
     model = geo.model
@@ -510,7 +526,17 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
     except GluingError as error:
         raise PairingError(f"bijection sends facet {facet_a} to a non-face of "
                            f"facet {facet_b}: {error}") from None
-    return MappingProxyType(mapping), MappingProxyType(table)
+    links: tuple[list, ...] = tuple([] for _ in range(model.dim + 1))
+    for (dim, idx), (target, sign) in table.items():
+        image = model.cells[dim][target]
+        backward = tuple([image.index(mapping[v]) for v in model.cells[dim][idx]])
+        # A permutation of one or two positions is its own inverse.
+        forward = backward if len(backward) < 3 else tuple(
+            sorted(range(len(backward)), key=backward.__getitem__))
+        links[dim].append((idx, target, sign, forward, backward))
+    ridges = {idx: target for idx, target, *_ in links[model.dim - 2]}
+    ridges = tuple(map(MappingProxyType, (ridges, {t: r for r, t in ridges.items()})))
+    return MappingProxyType(table), ridges, tuple(map(tuple, links))
 
 
 @dataclass(frozen=True)
@@ -540,7 +566,7 @@ def _facet_gluing_signs(spec: SidePairingSpec) -> list[int]:
     omega = model.body_facet_coefficients()
     signs = []
     for p in spec.pairings:
-        _, table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
+        table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[0]
         fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
         target, sign = table[(model.dim - 1, fa)]
         assert target == fb
@@ -596,13 +622,24 @@ def double_cover(spec: SidePairingSpec) -> SidePairingSpec:
 # The quotient complex.
 
 
-def _compose(first: dict, second: dict) -> dict:
-    """Apply ``first`` then ``second``."""
-    return {v: second[w] for v, w in first.items()}
+class _VertexMaps(Mapping):
+    """One dimension's vertex maps onto orbit representatives, keyed like
+    ``orbit_index``; each dict is built when read, from the walk's positions."""
 
+    def __init__(self, cells, orbit_index, representatives, reached):
+        self._args = cells, orbit_index, representatives, reached
 
-def _invert(mapping: dict) -> dict:
-    return {w: v for v, w in mapping.items()}
+    def __getitem__(self, key):
+        cells, orbit_index, representatives, reached = self._args
+        rep = cells[representatives[orbit_index[key][0]][1]]
+        at = reached[key[0] * len(cells) + key[1]][2]
+        return {v: rep[j] for v, j in zip(cells[key[1]], at)}
+
+    def __iter__(self):
+        return iter(self._args[1])
+
+    def __len__(self):
+        return len(self._args[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,7 +664,7 @@ class QuotientComplex:
     representatives: tuple[tuple[tuple[int, int], ...], ...]
     orbit_index: tuple[dict[tuple[int, int], tuple[int, int]], ...]
     boundary_flags: tuple[tuple[bool, ...], ...]
-    maps_to_rep: tuple[dict[tuple[int, int], dict[int, int]], ...] = field(repr=False)
+    maps_to_rep: tuple[Mapping[tuple[int, int], dict[int, int]], ...] = field(repr=False)
 
     @property
     def top_dim(self) -> int:
@@ -657,58 +694,54 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     geo = geometry(spec.geometry)
     model = geo.model
     top = model.dim
+    actions = [(p.copy_a, p.copy_b,
+                _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[2])
+               for p in spec.pairings]
 
-    # Per dimension: key -> [(neighbor key, sign, vertex map carrying the
-    # key's cell onto the neighbor's)]; the map is the pairing's whole
-    # facet map or its inverse, shared by every cell of the facet.
-    links: list[dict] = [{} for _ in range(top + 1)]
-    for p in spec.pairings:
-        mapping, table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
-        inverse = _invert(mapping)
-        for (dim, idx), (target, sign) in table.items():
-            a, b = (p.copy_a, idx), (p.copy_b, target)
-            links[dim].setdefault(a, []).append((b, sign, mapping))
-            links[dim].setdefault(b, []).append((a, sign, inverse))
-
+    # Per dimension, on keys copy * n + cell, with links built when it is
+    # reached: each orbit is walked from its least key, and every key records
+    # its orbit, sign and vertex positions in that representative's cell.
+    reached: list[dict[int, tuple[int, int, tuple[int, ...]]]] = []
     representatives = []
-    orbit_index = []
-    maps_to_rep = []
     for k in range(top + 1):
-        # Walk each orbit from its least key, which becomes the representative;
-        # every key reached records its sign and vertex map to that key.
+        n = len(cells := model.cells[k])
+        links: dict[int, list] = {}
+        for copy_a, copy_b, per_dim in actions:
+            for a, b, sign, forward, backward in per_dim[k]:
+                a, b = copy_a * n + a, copy_b * n + b
+                links.setdefault(a, []).append((b, sign, forward))
+                links.setdefault(b, []).append((a, sign, backward))
+        level: dict[int, tuple[int, int, tuple[int, ...]]] = {}
         reps: list[tuple[int, int]] = []
-        table: dict = {}
-        rep_maps: dict = {}
-        for rep in [(c, i) for c in range(spec.copies) for i in range(len(model.cells[k]))]:
-            if rep in table:
+        for rep in range(spec.copies * n):
+            if rep in level:
                 continue
-            table[rep] = (len(reps), 1)
-            rep_maps[rep] = {v: v for v in model.cells[k][rep[1]]}
-            reps.append(rep)
+            orbit = len(reps)
+            level[rep] = (orbit, 1, tuple(range(len(cells[rep % n]))))
+            reps.append(divmod(rep, n))
             stack = [rep]
             while stack:
-                key = stack.pop()
-                for other, sign, to_other in links[k].get(key, ()):
-                    other_map = {to_other[v]: w for v, w in rep_maps[key].items()}
-                    if other not in table:
-                        table[other] = (len(reps) - 1, sign * table[key][1])
-                        rep_maps[other] = other_map
+                _, sign, at = level[key := stack.pop()]
+                for other, other_sign, pull in links.get(key, ()):
+                    moved = tuple([at[j] for j in pull])
+                    if other not in level:
+                        level[other] = (orbit, sign * other_sign, moved)
                         stack.append(other)
-                    elif rep_maps[other] != other_map:
+                    elif level[other][2] != moved:
                         raise GluingError(
                             "side-pairing identifies a cell with itself by a "
                             "nontrivial symmetry; the quotient is not a CW complex")
+        reached.append(level)
         representatives.append(tuple(reps))
-        orbit_index.append(table)
-        maps_to_rep.append(rep_maps)
 
     boundary_matrices = [IntMatrix.zero(0, len(representatives[0]))]
     for k in range(1, top + 1):
+        below, n = reached[k - 1], len(model.cells[k - 1])
         columns = []
         for copy, idx in representatives[k]:
             column: dict[int, int] = {}
             for sub, coeff in model.boundary_entries[k][idx]:
-                q, sign = orbit_index[k - 1][(copy, sub)]
+                q, sign, _ = below[copy * n + sub]
                 column[q] = column.get(q, 0) + coeff * sign
             columns.append(column.items())
         boundary_matrices.append(
@@ -720,6 +753,9 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     flags = tuple(
         tuple(geo.boundary_mask[k][idx] for _, idx in representatives[k])
         for k in range(top + 1))
+    orbit_index = tuple({divmod(key, len(model.cells[k])): (orbit, sign)
+                         for key, (orbit, sign, _) in reached[k].items()}
+                        for k in range(top + 1))
 
     return QuotientComplex(
         spec=spec,
@@ -727,9 +763,10 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
         copies=spec.copies,
         chain=ChainComplex(boundary=tuple(boundary_matrices), cell_labels=labels),
         representatives=tuple(representatives),
-        orbit_index=tuple(orbit_index),
+        orbit_index=orbit_index,
         boundary_flags=flags,
-        maps_to_rep=tuple(maps_to_rep),
+        maps_to_rep=tuple(_VertexMaps(model.cells[k], orbit_index[k], representatives[k],
+                                      reached[k]) for k in range(top + 1)),
     )
 
 
@@ -777,41 +814,24 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     inversion and base-point conventions.
     """
     geo = geometry(spec.geometry)
-    model = geo.model
-    top = model.dim
-
-    slot_of_facet: dict[tuple[int, int], tuple[int, int]] = {}
+    ridge_facets = geo.ridge_facets
+    # Per (copy, model facet) slot: the letter of its crossing, where the
+    # crossing arrives, and where it sends each ridge.
+    crossing = {}
     for i, p in enumerate(spec.pairings):
-        slot_of_facet[(p.copy_a, geo.model_facet[p.facet_a])] = (i, 1)
+        forward, backward = _pairing_action(spec.geometry, p.facet_a, p.facet_b,
+                                            p.vertex_map)[1]
+        fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
+        crossing[p.copy_a, fa] = (i + 1, p.copy_b, fb, forward)
         if not p.is_self_pairing():
-            slot_of_facet[(p.copy_b, geo.model_facet[p.facet_b])] = (i, -1)
-
-    # Ridges shared by two paired facets (validation pairs every spec facet).
-    incident: dict[int, list[int]] = {}
-    for f in sorted(geo.model_facet):
-        for r, _ in model.boundary_entries[top - 1][f]:
-            incident.setdefault(r, []).append(f)
-    ridge_facets = {r: tuple(fs) for r, fs in incident.items() if len(fs) == 2}
-
-    # Per slot (generator, direction): where the pairing sends each ridge.
-    ridge_maps = {}
-    for i, p in enumerate(spec.pairings):
-        _, table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
-        ridge_maps[i, 1] = {r: t for (d, r), (t, _) in table.items() if d == top - 2}
-        ridge_maps[i, -1] = _invert(ridge_maps[i, 1])
+            crossing[p.copy_b, fb] = (-(i + 1), p.copy_a, fa, backward)
 
     def step(state):
-        copy, ridge, facet = state
-        gen, direction = slot_of_facet[(copy, facet)]
-        p = spec.pairings[gen]
-        new_copy = p.copy_b if direction == 1 else p.copy_a
-        arrival = geo.model_facet[p.facet_b if direction == 1 else p.facet_a]
-        new_ridge = ridge_maps[gen, direction][ridge]
-        a, b = ridge_facets[new_ridge]
-        next_facet = b if a == arrival else a
+        letter, copy, arrival, ridge_map = crossing[state[0], state[2]]
+        ridge = ridge_map[state[1]]
+        a, b = ridge_facets[ridge]
         assert arrival in (a, b)
-        letter = gen + 1 if direction == 1 else -(gen + 1)
-        return (new_copy, new_ridge, next_facet), letter
+        return (copy, ridge, b if a == arrival else a), letter
 
     visited: set = set()
     relators: list[tuple[int, ...]] = []

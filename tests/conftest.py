@@ -1,6 +1,9 @@
-"""Shared fixtures: the bundled census pairing and its two quotients."""
+"""Shared fixtures: the bundled census pairing, its two quotients and the
+side-pairing search demo."""
 
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,16 @@ def census_m(census_spec):
 def census_system(census_m):
     """Peripheral structure of the double cover, all five cusps."""
     return peripheral_system(census_m)
+
+
+@pytest.fixture(scope="session")
+def search_demo():
+    """``demos/search_side_pairings.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "demos" / "search_side_pairings.py"
+    loader = importlib.util.spec_from_file_location("search_side_pairings", path)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,6 +8,7 @@ development, filling) runs exactly as a shell user would see it.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -22,6 +23,7 @@ from dehn24 import cli
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
+from dehn24.gluing import census_pairing, orientation_character
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 _BOX = "--box=-1:1,-1:1,0:0,0:1,0:0,0:0,0:0,0:0,-2:0,0:0"
@@ -322,6 +324,98 @@ def test_overlapping_cusp_scale_exits_1(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: scale {argv[2]} exceeds the largest embedded cusp scale 1")
     assert err.count("\n") == 1
+
+
+def test_lattice_notes_an_overlapping_scale(capsys):
+    """Above scale 1 ``lattice`` still develops the cusps, and says on
+    stderr that they overlap."""
+    code, out, err = run(capsys, "lattice", "--scale", "2", "--format", "jsonl")
+    assert code == 0
+    assert err == ("note: scale 2 exceeds the largest embedded cusp scale 1: "
+                   "the cusps overlap\n")
+    assert [json.loads(line)["covolume"] for line in out.splitlines()] == [
+        "32", "32", "32", "32", "256"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fill", "--scale", "1e10000000"],
+    ["fill", "--scale", "1e5000"],
+    ["fill", "--scale", "1e-5000"],
+    ["fill", "--scale", "1e-1000"],
+    ["fill", "--balance-c", "1" * 1001],
+    ["lattice", "--scale", "1/1" + "0" * 1000],
+    ["enumerate", "--scale", "1_0e9_999"],
+])
+def test_long_rationals_refused_before_set_up(capsys, monkeypatch, argv):
+    """A numerator or denominator over 1,000 digits is refused from the text
+    alone: no set-up, and no 10^(10^7) built first."""
+    def refuse(*args):
+        raise AssertionError("set-up ran for a refused rational")
+
+    monkeypatch.setattr(cli, "_load_spec", refuse)
+    name = "balance constant" if argv[1] == "--balance-c" else "scale"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, *(["1,1"] * 5 if argv[0] == "fill" else []))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} has a numerator or denominator of more than 1000 digits\n"
+
+
+def test_rationals_at_the_digit_bound_render(capsys):
+    """1000 digits pass: the cusps develop at 10^999 and fill runs at 10^-999."""
+    code, out, err = run(capsys, "lattice", "--scale", "1e999", "--format", "jsonl")
+    assert code == 0
+    assert err.startswith("note: scale 1" + "0" * 999 + " exceeds")
+    assert json.loads(out.splitlines()[0])["covolume"] == "4" + "0" * 2997
+    code, out, err = run(capsys, "fill", "--scale", "1e-999", "--balance-c",
+                         "9" * 1000, "3,3", "3,3", "3,3", "3,3", "3,3")
+    assert (code, err) == (0, "")
+    assert "all slopes >= 2pi: no" in out.splitlines()
+
+
+def _shuffled_pairing_file(tmp_path):
+    """The bundled pairing with its records in a seeded order, every other
+    one written from its far side; returns the path and the records' order."""
+    spec = census_pairing()
+    pairings = list(spec.pairings)
+    random.Random(1011).shuffle(pairings)
+    lines = [f"{key}: {value}" for key, value in spec.metadata]
+    for i, p in enumerate(pairings):
+        a, b, assignments = ((p.facet_b, p.facet_a, sorted(p.backward().items())) if i % 2
+                             else (p.facet_a, p.facet_b, p.vertex_map))
+        lines.append(f"{a} {b} ; " + " ".join(f"{v}->{w}" for v, w in assignments))
+    path = tmp_path / "shuffled.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path, [spec.pairings.index(p) for p in pairings]
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("build_copies2", ["build", "--copies", "2"]),
+    ("cusps", ["cusps"]),
+    ("cusps_copies2", ["cusps", "--copies", "2"]),
+    ("peripheral_jsonl", ["peripheral", "--format", "jsonl"]),
+    ("lattice", ["lattice"]),
+    ("fill_3_3", ["fill", "3,3", "3,3", "3,3", "3,3", "3,3"]),
+])
+def test_shuffled_pairing_file_matches_goldens(capsys, tmp_path, golden, argv):
+    """Record order and the side a record is written from change nothing."""
+    path, _ = _shuffled_pairing_file(tmp_path)
+    code, out, err = run(capsys, *argv, "--pairing", str(path))
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{golden}.out").read_bytes()
+
+
+def test_shuffled_pairing_file_build_lists_signs_in_record_order(capsys, tmp_path):
+    path, order = _shuffled_pairing_file(tmp_path)
+    code, out, err = run(capsys, "build", "--pairing", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    expected = (GOLDEN / "build.out").read_text().splitlines()
+    at = next(i for i, line in enumerate(expected) if line.startswith("character: "))
+    assert lines[:at] + lines[at + 1:] == expected[:at] + expected[at + 1:]
+    signs = orientation_character(census_pairing()).signs
+    assert lines[at] == "character: " + " ".join("+" if signs[i] == 1 else "-" for i in order)
+    assert lines[at] != expected[at]
 
 
 def test_box_bound_refused_before_set_up(capsys, monkeypatch):

@@ -34,7 +34,7 @@ from dehn24.gluing import (
     vertex_cycles,
     write_pairing,
 )
-from dehn24.intlinalg import IntMatrix, kernel_basis
+from dehn24.intlinalg import AbelianGroup, IntMatrix, kernel_basis
 from dehn24.peripheral import peripheral_system, report
 from dehn24.polytope import truncate
 
@@ -557,6 +557,125 @@ def test_pairing_order_does_not_matter(census_spec, census_n, census_m, census_s
         assert q.chain.boundary == expected.chain.boundary
         assert q.chain.cell_labels == expected.chain.cell_labels
     assert report(peripheral_system(q)) == report(census_system)
+
+
+def oracle_quotient(spec: SidePairingSpec, copies: int = 1) -> dict:
+    """The orbit walk as first written, the oracle for ``quotient_complex``.
+
+    Links for every dimension are built up front on (copy, cell) keys, and
+    each key's vertex map onto its representative is a dict, composed with
+    the pairing's whole vertex map along every link.
+    """
+    if spec.copies == 1 and copies == 2:
+        spec = double_cover(spec)
+    geo = geometry(spec.geometry)
+    model = geo.model
+    top = model.dim
+    links: list[dict] = [{} for _ in range(top + 1)]
+    for p in spec.pairings:
+        mapping = geo.extend_map(Pairing(p.facet_a, p.facet_b, p.vertex_map))
+        inverse = {w: v for v, w in mapping.items()}
+        table = gluing._pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[0]
+        for (dim, idx), (target, sign) in table.items():
+            a, b = (p.copy_a, idx), (p.copy_b, target)
+            links[dim].setdefault(a, []).append((b, sign, mapping))
+            links[dim].setdefault(b, []).append((a, sign, inverse))
+
+    representatives, orbit_index, maps_to_rep = [], [], []
+    for k in range(top + 1):
+        reps: list = []
+        table: dict = {}
+        rep_maps: dict = {}
+        for rep in [(c, i) for c in range(spec.copies) for i in range(len(model.cells[k]))]:
+            if rep in table:
+                continue
+            table[rep] = (len(reps), 1)
+            rep_maps[rep] = {v: v for v in model.cells[k][rep[1]]}
+            reps.append(rep)
+            stack = [rep]
+            while stack:
+                key = stack.pop()
+                for other, sign, to_other in links[k].get(key, ()):
+                    other_map = {to_other[v]: w for v, w in rep_maps[key].items()}
+                    if other not in table:
+                        table[other] = (len(reps) - 1, sign * table[key][1])
+                        rep_maps[other] = other_map
+                        stack.append(other)
+                    elif rep_maps[other] != other_map:
+                        raise GluingError(
+                            "side-pairing identifies a cell with itself by a "
+                            "nontrivial symmetry; the quotient is not a CW complex")
+        representatives.append(tuple(reps))
+        orbit_index.append(table)
+        maps_to_rep.append(rep_maps)
+
+    boundary = [IntMatrix.zero(0, len(representatives[0]))]
+    for k in range(1, top + 1):
+        columns = []
+        for copy, idx in representatives[k]:
+            column: dict[int, int] = {}
+            for sub, coeff in model.boundary_entries[k][idx]:
+                q, sign = orbit_index[k - 1][(copy, sub)]
+                column[q] = column.get(q, 0) + coeff * sign
+            columns.append(column.items())
+        boundary.append(IntMatrix.from_nonzeros(columns, rows=len(representatives[k - 1])))
+    labels = tuple(
+        tuple((copy,) + tuple(geo.labels[k][idx]) for copy, idx in representatives[k])
+        for k in range(top + 1))
+    return {"representatives": tuple(representatives), "orbit_index": tuple(orbit_index),
+            "maps_to_rep": tuple(maps_to_rep), "boundary": tuple(boundary), "labels": labels}
+
+
+def agrees_with_oracle(spec: SidePairingSpec, copies: int = 1) -> bool:
+    """True if both walks build the complex and agree field by field;
+    False if both refuse it with the same GluingError."""
+    try:
+        want = oracle_quotient(spec, copies)
+    except GluingError as error:
+        with pytest.raises(GluingError) as refused:
+            quotient_complex(spec, copies)
+        assert str(refused.value) == str(error)
+        return False
+    q = quotient_complex(spec, copies)
+    assert q.representatives == want["representatives"]
+    assert q.orbit_index == want["orbit_index"]
+    assert [dict(maps) for maps in q.maps_to_rep] == list(want["maps_to_rep"])
+    assert q.chain.boundary == want["boundary"]
+    assert q.chain.cell_labels == want["labels"]
+    return True
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_orbit_walk_matches_oracle_on_census(census_spec, copies):
+    assert agrees_with_oracle(census_spec, copies)
+    assert agrees_with_oracle(_shuffled_and_flipped(census_spec), copies)
+
+
+def test_orbit_walk_matches_oracle_on_small_gluings():
+    for spec, copies in [(torus_spec(), 1), (klein_spec(), 1), (klein_spec(), 2),
+                         (projective_plane_spec(), 2), (sphere_spec(), 1),
+                         (three_torus_spec(), 1)]:
+        assert agrees_with_oracle(spec, copies)
+    fold = square_spec(
+        Pairing(0, 0, ((0, 1), (1, 0))),
+        Pairing(1, 2, ((0, 1), (3, 2))),
+        Pairing(3, 3, ((2, 3), (3, 2))),
+    )
+    assert not agrees_with_oracle(fold)
+
+
+# Per slice: the nonorientable leaves and how many of them build, as
+# ``perfbench/search_stages.json`` records.
+@pytest.mark.parametrize("key, nonorientable, built", [("0,1", 12, 3), ("0,3", 16, 5)])
+def test_orbit_walk_matches_oracle_on_search_leaves(search_demo, key, nonorientable, built):
+    leaves = search_demo.Search({int(x) for x in key.split(",")}).run()
+    specs = [spec for spec in leaves
+             if sorted(len(c) for c in vertex_cycles(spec)) == [2, 2, 2, 2, 16]
+             and presentation(spec).abelianization() == AbelianGroup(0, (2,) * 6)
+             and not orientation_character(spec).orientable]
+    agreed = [spec for spec in specs if agrees_with_oracle(spec)]
+    assert (len(specs), len(agreed)) == (nonorientable, built)
+    assert all(agrees_with_oracle(spec, 2) for spec in agreed)
 
 
 def test_parse_errors():
