@@ -40,6 +40,7 @@ from .flatgeom import (
 from .gluing import (
     GluingError,
     PairingError,
+    _excerpt,
     census_pairing,
     geometry,
     orientation_character,
@@ -56,8 +57,8 @@ _MAX_BOX = 1_000_000
 # ``enumerate --threads`` is kept for compatibility and has no effect;
 # values outside 1.._MAX_THREADS are refused as input errors.
 _MAX_THREADS = 64
-# The most digits in a numerator or denominator of --scale or --balance-c;
-# a covolume (a scale cubed) then stays within Python's 4,300-digit limit.
+# The most digits in a coefficient, a box bound, or a numerator or denominator of
+# --scale or --balance-c; cubed or squared, each stays within Python's 4,300 digits.
 _MAX_DIGITS = 1000
 _RATIONAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?(?:/(\d+))?\s*", re.I)
 
@@ -92,7 +93,17 @@ def _parse_fraction(text: str, name: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _InputError(f"{name} must be a rational number, got {text!r}")
+        raise _InputError(f"{name} must be a rational number, got {_excerpt(text)}")
+
+
+def _parse_int(text: str, what: str) -> int:
+    """``text`` as an int, refused from the text alone past ``_MAX_DIGITS`` digits."""
+    if sum(c.isdigit() for c in text) > _MAX_DIGITS:
+        raise _InputError(f"{what} has an integer of more than {_MAX_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise _InputError(f"{what} is not a pair of integers") from None
 
 
 def _parse_box(text: str) -> tuple[tuple[int, int], ...]:
@@ -106,13 +117,10 @@ def _parse_box(text: str) -> tuple[tuple[int, int], ...]:
     for part in parts:
         pieces = part.split(":")
         if len(pieces) != 2:
-            raise _InputError(f"box range {part!r} is not 'lo:hi'")
-        try:
-            lo, hi = int(pieces[0]), int(pieces[1])
-        except ValueError:
-            raise _InputError(f"box range {part!r} is not a pair of integers")
+            raise _InputError(f"box range {_excerpt(part)} is not 'lo:hi'")
+        lo, hi = (_parse_int(piece, f"box range {_excerpt(part)}") for piece in pieces)
         if lo > hi:
-            raise _InputError(f"box range {part!r} is empty")
+            raise _InputError(f"box range {_excerpt(part)} is empty")
         out.append((lo, hi))
     return tuple(out)
 
@@ -122,11 +130,9 @@ def _parse_pairs(texts: Sequence[str]) -> tuple[tuple[int, int], ...]:
     for text in texts:
         pieces = text.split(",")
         if len(pieces) != 2:
-            raise _InputError(f"coefficient {text!r} is not 'b,c'")
-        try:
-            out.append((int(pieces[0]), int(pieces[1])))
-        except ValueError:
-            raise _InputError(f"coefficient {text!r} is not a pair of integers")
+            raise _InputError(f"coefficient {_excerpt(text)} is not 'b,c'")
+        out.append(tuple(_parse_int(piece, f"coefficient {_excerpt(text)}")
+                         for piece in pieces))
     return tuple(out)
 
 
@@ -474,7 +480,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     box = _parse_box(getattr(args, "box", "0:0"))
     size = math.prod(hi - lo + 1 for lo, hi in box)
     if size > _MAX_BOX:
-        raise _InputError(f"box has {size:,} tuples; enumerate renders at most {_MAX_BOX:,}")
+        count = f"{size:,}" if size < 10 ** 40 else "more than 10^40"
+        raise _InputError(f"box has {count} tuples; enumerate renders at most {_MAX_BOX:,}")
     return RunConfig(
         pairing=args.pairing,
         copies=args.copies,

@@ -17,10 +17,9 @@ raises :class:`PrecisionError` instead of guessing.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import floor, isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -394,131 +393,114 @@ def _times_transpose(a: Mat3, b: Mat3) -> Mat3:
 
 
 def _face_transition(chart_a: dict[int, Vec3], face_a: Sequence[int],
-                     chart_b: dict[int, Vec3],
-                     psi: dict[int, int]) -> tuple[Mat3, Vec3]:
-    """The isometry T with T(chart_a point) = chart_b point across a face.
+                     chart_b: dict[int, Vec3], psi: dict[int, int]) -> Mat3:
+    """The rotation part of the isometry taking chart_a onto chart_b across a face.
 
-    Determined by three face vertices plus the requirement that the
-    outward normal on one side map to the inward normal on the other.
-    The linear part is a 3 x 3 signed permutation, kept as integer rows.
+    Determined by two face edges plus the requirement that the outward
+    normal on one side map to the inward normal on the other.  It is a
+    3 x 3 signed permutation, kept as integer rows.
     """
     qs = [chart_a[g] for g in face_a]
     ps = [chart_b[psi[g]] for g in face_a]
-    q0, p0 = qs[0], ps[0]
-    edges = [k for k in range(1, 4)
-             if sum((a - b) ** 2 for a, b in zip(qs[k], q0)) == 1]
+    q_diffs = [tuple(a - b for a, b in zip(q, qs[0])) for q in qs]
+    p_diffs = [tuple(a - b for a, b in zip(p, ps[0])) for p in ps]
+    edges = [k for k in range(1, 4) if sum(x * x for x in q_diffs[k]) == 1]
     if len(edges) != 2:
         raise FlatGeometryError("face is not a chart unit square")
     n_a = _face_normal(chart_a, face_a)
     n_b = _face_normal(chart_b, [psi[g] for g in face_a])
-    q_cols = [tuple(a - b for a, b in zip(qs[k], q0)) for k in edges] + [n_a]
-    p_cols = [tuple(a - b for a, b in zip(ps[k], p0)) for k in edges] + \
-        [tuple(-x for x in n_b)]
+    q_cols = [q_diffs[k] for k in edges] + [n_a]
+    p_cols = [p_diffs[k] for k in edges] + [tuple(-x for x in n_b)]
     # P * Q^T, with P and Q the matrices of those columns.
     linear = _times_transpose(tuple(zip(*p_cols)), tuple(zip(*q_cols)))
-    offset = tuple(a - b for a, b in zip(p0, _apply3(linear, q0)))
-    for g in face_a:
-        got = tuple(a + b for a, b in zip(_apply3(linear, chart_a[g]), offset))
-        if got != chart_b[psi[g]]:
-            raise FlatGeometryError("face identification is not an isometry "
-                                    "of the chart cubes")
-    return linear, offset
+    if any(_apply3(linear, q) != p for q, p in zip(q_diffs, p_diffs)):
+        raise FlatGeometryError("face identification is not an isometry "
+                                "of the chart cubes")
+    return linear
 
 
-@lru_cache(maxsize=32)
 def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
-    """Developed displacement of each section 1-cell, holonomy-corrected.
+    """Developed displacement of each section 1-cell.
 
-    Develops the section's cubes in R^3 by breadth-first chart
-    propagation, then records for every quotient edge the displacement
-    of its representative, measured relative to fixed reference
-    positions of the quotient vertices.  Summing these over a 1-cycle
-    gives the cycle's translational holonomy.
+    Develops the section's cubes by breadth-first propagation of chart
+    rotations across glued squares, then turns each quotient edge's
+    representative, a chart edge of its own cube, by that cube's
+    rotation.  Summing these over a 1-cycle gives the cycle's
+    translational holonomy; where a cube is placed plays no part.
 
     Raises:
         FlatGeometryError: rotational holonomy (the section is not a
             torus), or a structural defect in the cube assembly.
     """
     q = section.ambient
-    model = geometry(q.geometry_name).model
+    model = geometry(q.spec.geometry).model
 
-    owners: dict[int, int] = {}
-    for key, (pos, _) in q.orbit_index[3].items():
-        owners[pos] = owners.get(pos, 0) + 1
-    for pos in section.cells[3]:
-        if owners[pos] != 1:
+    owners = Counter(orbit for orbit, _, _ in q.orbit_index[3].values())
+    for orbit in section.cells[3]:
+        if owners[orbit] != 1:
             raise FlatGeometryError("3-cells of the section must be unidentified cubes")
 
-    cube_keys = [q.representatives[3][pos] for pos in section.cells[3]]
+    cube_keys = [q.representatives[3][orbit] for orbit in section.cells[3]]
     charts = {key: _cube_chart(model, key[1]) for key in cube_keys}
 
     members: dict[int, list[tuple[tuple[int, int], int]]] = {}
     for key in cube_keys:
         copy, idx = key
         for sq, _ in model.boundary_entries[3][idx]:
-            pos, _sign = q.orbit_index[2][(copy, sq)]
-            members.setdefault(pos, []).append((key, sq))
+            members.setdefault(q.orbit_index[2][(copy, sq)][0], []).append((key, sq))
 
     adjacency: dict[tuple[int, int], list] = {key: [] for key in cube_keys}
-    for pos in sorted(members):
-        pair = sorted(members[pos])
+    for orbit in sorted(members):
+        pair = sorted(members[orbit])
         if len(pair) != 2:
             raise FlatGeometryError(
                 f"boundary square glued {len(pair)} time(s); the section is "
                 f"not a closed 3-manifold")
         (k1, s1), (k2, s2) = pair
-        back = {w: v for v, w in q.maps_to_rep[2][(k2[0], s2)].items()}
-        psi = {v: back[w] for v, w in q.maps_to_rep[2][(k1[0], s1)].items()}
-        linear, offset = _face_transition(charts[k1], model.cells[2][s1],
-                                          charts[k2], psi)
-        inv_linear = tuple(zip(*linear))
-        inv_offset = tuple(-x for x in _apply3(inv_linear, offset))
-        adjacency[k1].append((k2, linear, offset))
-        adjacency[k2].append((k1, inv_linear, inv_offset))
+        at_2 = dict(zip(q.orbit_index[2][(k2[0], s2)][2], model.cells[2][s2]))
+        psi = {v: at_2[j] for v, j in zip(model.cells[2][s1],
+                                            q.orbit_index[2][(k1[0], s1)][2])}
+        linear = _face_transition(charts[k1], model.cells[2][s1], charts[k2], psi)
+        adjacency[k1].append((k2, linear))
+        adjacency[k2].append((k1, tuple(zip(*linear))))
 
     base = min(cube_keys)
-    placements = {base: (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0))}
+    rotations = {base: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
     queue = deque([base])
     while queue:
         k1 = queue.popleft()
-        r1, t1 = placements[k1]
-        for k2, linear, offset in adjacency[k1]:
-            r2 = _times_transpose(r1, linear)
-            t2 = tuple(a - b for a, b in zip(t1, _apply3(r2, offset)))
-            if k2 not in placements:
-                placements[k2] = (r2, t2)
+        for k2, linear in adjacency[k1]:
+            r2 = _times_transpose(rotations[k1], linear)
+            if k2 not in rotations:
+                rotations[k2] = r2
                 queue.append(k2)
-            elif placements[k2][0] != r2:
+            elif rotations[k2] != r2:
                 raise FlatGeometryError(
                     "cross section has rotational holonomy; not a torus")
-    if len(placements) != len(cube_keys):
+    if len(rotations) != len(cube_keys):
         raise FlatGeometryError("cross section is not connected")
 
-    positions: dict[tuple[int, int], Vec3] = {}
-    for key in cube_keys:
-        rot, shift = placements[key]
-        for g, coord in charts[key].items():
-            positions[(key[0], g)] = tuple(
-                a + b for a, b in zip(_apply3(rot, coord), shift))
-
-    references: dict[int, Vec3] = {}
-    for vkey in sorted(positions):
-        pos, _ = q.orbit_index[0][vkey]
-        references.setdefault(pos, positions[vkey])
-
+    cube_of = {(key[0], g): key for key in cube_keys for g in charts[key]}
     vectors = []
     for orbit in section.cells[1]:
         copy, eidx = q.representatives[1][orbit]
-        total = (0, 0, 0)
-        for mv, coeff in model.boundary_entries[1][eidx]:
-            vkey = (copy, mv)
-            if vkey not in positions:
-                raise FlatGeometryError("edge representative leaves the section cubes")
-            rel = tuple(a - b for a, b in zip(
-                positions[vkey], references[q.orbit_index[0][vkey][0]]))
-            total = tuple(a + coeff * b for a, b in zip(total, rel))
-        vectors.append(total)
+        ends = model.boundary_entries[1][eidx]
+        keys = {cube_of.get((copy, mv)) for mv, _ in ends}
+        if len(keys) != 1 or None in keys:
+            raise FlatGeometryError("edge representative leaves the section cubes")
+        key = keys.pop()
+        chart = charts[key]
+        step = tuple(sum(coeff * chart[mv][i] for mv, coeff in ends) for i in range(3))
+        vectors.append(_apply3(rotations[key], step))
     return tuple(vectors)
+
+
+def _holonomy(vectors: Sequence[Vec3], chain: Sequence[int]) -> Vec3:
+    total = (0, 0, 0)
+    for a, vec in zip(chain, vectors):
+        if a:
+            total = tuple(t + a * x for t, x in zip(total, vec))
+    return total
 
 
 def section_holonomy(section: CuspSection, chain: Sequence[int]) -> Vec3:
@@ -534,11 +516,7 @@ def section_holonomy(section: CuspSection, chain: Sequence[int]) -> Vec3:
                                 f"{len(vectors)} section edges")
     if any(section.chain.boundary[1].apply(chain)):
         raise FlatGeometryError("chain is not a cycle")
-    total = (0, 0, 0)
-    for a, vec in zip(chain, vectors):
-        if a:
-            total = tuple(t + a * x for t, x in zip(total, vec))
-    return total
+    return _holonomy(vectors, chain)
 
 
 def develop_lattice(section: CuspSection,
@@ -553,12 +531,12 @@ def develop_lattice(section: CuspSection,
         FlatGeometryError: rotational holonomy ("not a torus"), H_1 not
             Z^3, or structural defects in the cube assembly.
     """
-    _edge_vectors(section)
+    vectors = _edge_vectors(section)
     basis = homology_basis(section.chain, 1)
     if basis.group != AbelianGroup(3):
         raise FlatGeometryError(f"section has H_1 = {basis.group}; developing "
                                 f"a lattice needs a 3-torus")
-    columns = [section_holonomy(section, basis.cycles.column(j)) for j in range(3)]
+    columns = [_holonomy(vectors, basis.cycles.column(j)) for j in range(3)]
     lattice = FlatLattice.from_columns(columns, scale=scale)
     if abs(lattice.det()) != section.cube_count:
         raise FlatGeometryError(

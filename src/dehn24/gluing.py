@@ -17,8 +17,7 @@ identical machinery can be exercised on torus and Klein-bottle gluings.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -356,8 +355,8 @@ def _validate_bijection(geo: Geometry, p: Pairing) -> None:
     """Refuse a vertex map that is not a facet isomorphism.
 
     Past the identity, domain and image checks, the pairing's resolution
-    on the model refuses a face sent to a non-face; its cached cell table
-    is what the signs, the quotient and the ridge walk read later.
+    on the model refuses a face sent to a non-face; its cached links are
+    what the signs, the quotient and the ridge walk read later.
     """
     forward = p.forward()
     source = geo.facet_vertices[p.facet_a]
@@ -381,6 +380,11 @@ def census_pairing() -> SidePairingSpec:
 
     text = resources.files("dehn24").joinpath("data/pairing_1011.txt").read_text("utf-8")
     return parse_pairing(text)
+
+
+def _excerpt(text: str) -> str:
+    """``text`` quoted for an error line, cut after its first 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
 
 
 def parse_pairing(text: str) -> SidePairingSpec:
@@ -408,7 +412,8 @@ def parse_pairing(text: str) -> SidePairingSpec:
                 v_str, _, w_str = token.partition("->")
                 assignments.append((int(v_str), int(w_str)))
         except ValueError:
-            raise PairingError(f"line {lineno}: cannot parse pairing record {line!r}") from None
+            raise PairingError(f"line {lineno}: cannot parse pairing record "
+                               f"{_excerpt(line)}") from None
         if len(assignments) != 6:
             raise PairingError(f"line {lineno}: expected 6 vertex assignments, "
                                f"got {len(assignments)}")
@@ -482,7 +487,8 @@ def _map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
     the pushed-forward boundary chain with the target cell's own chain;
     both are fundamental cycles, so they agree up to a global sign.
     ``memo`` receives every cell of the source's closure; run on a paired
-    facet it is that pairing's cell table (see ``_pairing_action``).
+    facet it holds every cell that pairing's links list (see
+    ``_pairing_action``).
     """
     key = (dim, source)
     if key in memo:
@@ -507,14 +513,14 @@ def _map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
 @lru_cache(maxsize=1024)
 def _pairing_action(name: str, facet_a: int, facet_b: int,
                     vertex_map: tuple[tuple[int, int], ...]):
-    """One side-pairing's vertex map on the model: ``(table, ridges, links)``.
+    """One side-pairing's vertex map on the model: ``(ridges, links)``.
 
-    ``table`` sends every model cell ``(dim, index)`` of ``facet_a`` to its
-    image cell and orientation sign; ``ridges`` is its ridge map and that
-    map's inverse; ``links[dim]`` lists ``(cell, image, sign, forward,
-    backward)``, where ``forward[j]`` is the position in the cell of the
-    vertex sent to position j of the image and ``backward`` its inverse.
-    Copy indices play no part, so both copies of a double cover share one
+    ``links[dim]`` lists ``(cell, image, sign, forward, backward)`` for
+    every model cell of ``facet_a`` in that dimension: its image cell and
+    orientation sign, where ``forward[j]`` is the position in the cell of
+    the vertex sent to position j of the image and ``backward`` its
+    inverse.  ``ridges`` is the ridge map and that map's inverse.  Copy
+    indices play no part, so both copies of a double cover share one
     cache entry.  A map sending a face to a non-face raises PairingError.
     """
     geo = geometry(name)
@@ -536,7 +542,7 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
         links[dim].append((idx, target, sign, forward, backward))
     ridges = {idx: target for idx, target, *_ in links[model.dim - 2]}
     ridges = tuple(map(MappingProxyType, (ridges, {t: r for r, t in ridges.items()})))
-    return MappingProxyType(table), ridges, tuple(map(tuple, links))
+    return ridges, tuple(map(tuple, links))
 
 
 @dataclass(frozen=True)
@@ -566,10 +572,10 @@ def _facet_gluing_signs(spec: SidePairingSpec) -> list[int]:
     omega = model.body_facet_coefficients()
     signs = []
     for p in spec.pairings:
-        table = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[0]
+        links = _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[1]
         fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
-        target, sign = table[(model.dim - 1, fa)]
-        assert target == fb
+        [(source, target, sign, _, _)] = links[model.dim - 1]
+        assert (source, target) == (fa, fb)
         signs.append(-omega[fa] * omega[fb] * sign)
     return signs
 
@@ -622,26 +628,6 @@ def double_cover(spec: SidePairingSpec) -> SidePairingSpec:
 # The quotient complex.
 
 
-class _VertexMaps(Mapping):
-    """One dimension's vertex maps onto orbit representatives, keyed like
-    ``orbit_index``; each dict is built when read, from the walk's positions."""
-
-    def __init__(self, cells, orbit_index, representatives, reached):
-        self._args = cells, orbit_index, representatives, reached
-
-    def __getitem__(self, key):
-        cells, orbit_index, representatives, reached = self._args
-        rep = cells[representatives[orbit_index[key][0]][1]]
-        at = reached[key[0] * len(cells) + key[1]][2]
-        return {v: rep[j] for v, j in zip(cells[key[1]], at)}
-
-    def __iter__(self):
-        return iter(self._args[1])
-
-    def __len__(self):
-        return len(self._args[1])
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientComplex:
     """The quotient CW complex of a side-pairing.
@@ -652,19 +638,15 @@ class QuotientComplex:
     boundary (the cubical cells of the truncated polytope).
     ``representatives[k]`` lists each orbit's least (copy, cell) key;
     ``orbit_index[k][key]`` is (orbit, sign of key relative to the
-    representative) and ``maps_to_rep[k][key]`` the vertex map from the
-    key's cell onto the representative's, a dict even for the
-    representative itself.
+    representative, positions), where ``positions[j]`` is the place, in
+    the representative's cell, of the key cell's j-th vertex.
     """
 
     spec: SidePairingSpec
-    geometry_name: str
-    copies: int
     chain: ChainComplex
     representatives: tuple[tuple[tuple[int, int], ...], ...]
-    orbit_index: tuple[dict[tuple[int, int], tuple[int, int]], ...]
+    orbit_index: tuple[dict[tuple[int, int], tuple[int, int, tuple[int, ...]]], ...]
     boundary_flags: tuple[tuple[bool, ...], ...]
-    maps_to_rep: tuple[Mapping[tuple[int, int], dict[int, int]], ...] = field(repr=False)
 
     @property
     def top_dim(self) -> int:
@@ -695,13 +677,13 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     model = geo.model
     top = model.dim
     actions = [(p.copy_a, p.copy_b,
-                _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[2])
+                _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[1])
                for p in spec.pairings]
 
     # Per dimension, on keys copy * n + cell, with links built when it is
     # reached: each orbit is walked from its least key, and every key records
     # its orbit, sign and vertex positions in that representative's cell.
-    reached: list[dict[int, tuple[int, int, tuple[int, ...]]]] = []
+    orbit_index = []
     representatives = []
     for k in range(top + 1):
         n = len(cells := model.cells[k])
@@ -731,17 +713,16 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
                         raise GluingError(
                             "side-pairing identifies a cell with itself by a "
                             "nontrivial symmetry; the quotient is not a CW complex")
-        reached.append(level)
+        orbit_index.append({divmod(key, n): entry for key, entry in level.items()})
         representatives.append(tuple(reps))
 
     boundary_matrices = [IntMatrix.zero(0, len(representatives[0]))]
     for k in range(1, top + 1):
-        below, n = reached[k - 1], len(model.cells[k - 1])
         columns = []
         for copy, idx in representatives[k]:
             column: dict[int, int] = {}
             for sub, coeff in model.boundary_entries[k][idx]:
-                q, sign, _ = below[copy * n + sub]
+                q, sign, _ = orbit_index[k - 1][copy, sub]
                 column[q] = column.get(q, 0) + coeff * sign
             columns.append(column.items())
         boundary_matrices.append(
@@ -753,20 +734,12 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     flags = tuple(
         tuple(geo.boundary_mask[k][idx] for _, idx in representatives[k])
         for k in range(top + 1))
-    orbit_index = tuple({divmod(key, len(model.cells[k])): (orbit, sign)
-                         for key, (orbit, sign, _) in reached[k].items()}
-                        for k in range(top + 1))
-
     return QuotientComplex(
         spec=spec,
-        geometry_name=spec.geometry,
-        copies=spec.copies,
         chain=ChainComplex(boundary=tuple(boundary_matrices), cell_labels=labels),
         representatives=tuple(representatives),
-        orbit_index=orbit_index,
+        orbit_index=tuple(orbit_index),
         boundary_flags=flags,
-        maps_to_rep=tuple(_VertexMaps(model.cells[k], orbit_index[k], representatives[k],
-                                      reached[k]) for k in range(top + 1)),
     )
 
 
@@ -820,7 +793,7 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     crossing = {}
     for i, p in enumerate(spec.pairings):
         forward, backward = _pairing_action(spec.geometry, p.facet_a, p.facet_b,
-                                            p.vertex_map)[1]
+                                            p.vertex_map)[0]
         fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
         crossing[p.copy_a, fa] = (i + 1, p.copy_b, fb, forward)
         if not p.is_self_pairing():

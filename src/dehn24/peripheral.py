@@ -75,7 +75,7 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
         for i, flagged in enumerate(q.boundary_flags[k]):
             if flagged:
                 copy, _, v = q.cell_label(k, i)[:3]
-                by_cycle[cusp_of[v if q.copies == 1 else (copy, v)]][k].append(i)
+                by_cycle[cusp_of[v if q.spec.copies == 1 else (copy, v)]][k].append(i)
     covered = sum(1 for comp in by_cycle if comp[bdim])
     if covered != len(cycles):
         raise PeripheralError(

@@ -170,7 +170,6 @@ class TruncatedLattice(_Faces):
     cube, the original facet index for a truncated octahedron.
     """
 
-    base: FaceLattice
     flags: tuple[tuple[int, int], ...]
     faces: tuple[tuple[tuple[int, ...], ...], ...]
     facet_kind: tuple[str, ...]
@@ -289,7 +288,6 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
     facet_kind = tuple("cube" if p[0] == "vertex" else "troct" for p in dim3_prov)
     facet_origin = tuple(p[1] for p in dim3_prov)
     return TruncatedLattice(
-        base=base,
         flags=flags,
         faces=faces,
         facet_kind=facet_kind,

@@ -362,15 +362,23 @@ def test_public_names_resolve():
     assert all(hasattr(dehn24, name) for name in dehn24.__all__)
 
 
-def _identifiers(tree: ast.AST) -> collections.Counter:
-    """Names the code uses: ``Name`` ids read, ``Attribute`` attrs, import aliases,
-    and string constants spelled as identifiers (as ``getattr`` or a
-    monkeypatch names them), docstrings aside.  Comments never count."""
+def _named_in_strings(tree: ast.AST) -> collections.Counter:
+    """String constants spelled as identifiers (as ``getattr`` or a
+    monkeypatch names them), docstrings aside."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                        ast.AsyncFunctionDef))
                   and node.body and isinstance(node.body[0], ast.Expr)}
-    used = collections.Counter()
+    return collections.Counter(
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier() and id(node) not in docstrings)
+
+
+def _identifiers(tree: ast.AST) -> collections.Counter:
+    """Names the code uses: ``Name`` ids read, ``Attribute`` attrs, import aliases,
+    and identifiers named in strings.  Comments never count."""
+    used = _named_in_strings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used[node.id] += 1
@@ -378,9 +386,6 @@ def _identifiers(tree: ast.AST) -> collections.Counter:
             used[node.attr] += 1
         elif isinstance(node, ast.alias):
             used[node.name.rpartition(".")[2]] += 1
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier() and id(node) not in docstrings):
-            used[node.value] += 1
     return used
 
 
@@ -440,6 +445,48 @@ def test_guard_reads_module_assignments():
     assert [name for _, name in _defined_names(tree)] == ["f", "A", "B", "C", "D"]
     used = _identifiers(tree)
     assert (used["A"], used["B"], used["C"], used["D"], used["E"]) == (1, 1, 0, 1, 0)
+
+
+def _class_fields(tree: ast.AST):
+    """(line, name) of each annotated field in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield stmt.lineno, stmt.target.id
+
+
+def _attribute_reads(tree: ast.AST) -> collections.Counter:
+    """Attributes read (not assigned) and identifiers named in strings."""
+    reads = _named_in_strings(tree)
+    reads.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return reads
+
+
+def test_every_class_field_is_read():
+    """Each annotated field of a package class is read as an attribute, or
+    named in a string, by code in the package, demos, benchmark or tests;
+    a constructor keyword or an assignment does not count."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    reads = collections.Counter()
+    for top in ("src", "demos", "perfbench", "tests"):
+        for path in sorted((root / top).rglob("*.py")):
+            reads += _attribute_reads(ast.parse(path.read_text("utf-8")))
+    unread = [f"{path.name}:{lineno} {name}"
+              for path in sorted((root / "src" / "dehn24").glob("*.py"))
+              for lineno, name in _class_fields(ast.parse(path.read_text("utf-8")))
+              if not reads[name]]
+    assert unread == []
+
+
+def test_field_guard_counts_reads_not_keywords():
+    tree = ast.parse("class P:\n    a: int\n    b: int = 0\n    c: int\n    d: int\n"
+                     "    def f(self):\n        return self.a\n"
+                     "p = P(b=1, c=2)\np.c = 3\ngetattr(p, 'd')\n")
+    assert [name for _, name in _class_fields(tree)] == ["a", "b", "c", "d"]
+    reads = _attribute_reads(tree)
+    assert (reads["a"], reads["b"], reads["c"], reads["d"]) == (1, 0, 0, 1)
 
 
 def _write_only_locals(tree: ast.AST) -> list[str]:

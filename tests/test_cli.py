@@ -373,6 +373,66 @@ def test_rationals_at_the_digit_bound_render(capsys):
     assert "all slopes >= 2pi: no" in out.splitlines()
 
 
+_TEN_TO_1000 = "1" + "0" * 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["fill", _TEN_TO_1000 + ",1"],
+    ["fill", "1" * 2200 + ",1"],
+    ["fill", "1,-" + "7" * 5000],
+    ["enumerate", "--box=" + _TEN_TO_1000 + ":" + _TEN_TO_1000],
+    ["enumerate", "--format", "jsonl", "--box=" + "1" * 2500 + ":" + "1" * 2500],
+])
+def test_long_integers_refused_before_set_up(capsys, monkeypatch, argv):
+    """A surgery coefficient or box bound over 1,000 digits is refused from
+    the text alone, on one short line."""
+    def refuse(*args):
+        raise AssertionError("set-up ran for a refused integer")
+
+    monkeypatch.setattr(cli, "_load_spec", refuse)
+    code, out, err = run(capsys, *argv, *(["1,1"] * 4 if argv[0] == "fill" else []))
+    assert (code, out) == (2, "")
+    assert err.endswith(" has an integer of more than 1000 digits\n")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
+def test_integers_at_the_digit_bound_render(capsys):
+    """1000-digit coefficients and box bounds pass, and so does a box too
+    large to write its tuple count in full."""
+    nines = "9" * 1000
+    code, out, err = run(capsys, "fill", f"{nines},-{nines}", "1,1", "1,1", "1,1", "1,1")
+    assert (code, err) == (0, "")
+    assert nines in out.splitlines()[0]
+    code, out, err = run(capsys, "enumerate", "--format", "jsonl",
+                         f"--box=-{nines}:-{nines}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tuple"] == [-int(nines)] * 10
+    code, out, err = run(capsys, "enumerate", f"--box=-{nines}:{nines}")
+    assert (code, out) == (2, "")
+    assert err == ("error: box has more than 10^40 tuples; enumerate renders at "
+                   "most 1,000,000\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fill", "--scale", "x" * 100_000] + ["1,1"] * 5, "scale must be a rational number"),
+    (["enumerate", "--box", "x" * 50_000], "box range 'xxx"),
+    (["enumerate", "--box", "0:" + "x" * 50_000], "is not a pair of integers"),
+    (["fill", "x" * 100_000] + ["1,1"] * 4, "is not 'b,c'"),
+    (["fill", "1," + "x" * 100_000] + ["1,1"] * 4, "is not a pair of integers"),
+    (["build", "--pairing"], "cannot parse pairing record 'xxx"),
+])
+def test_refused_text_is_cut_short(capsys, tmp_path, argv, message):
+    """Refused input is quoted by its first 40 characters only."""
+    if argv[-1] == "--pairing":
+        path = tmp_path / "long.txt"
+        path.write_text("x" * 100_000 + "\n")
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err and "x'..." in err and "x" * 41 not in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 def _shuffled_pairing_file(tmp_path):
     """The bundled pairing with its records in a seeded order, every other
     one written from its far side; returns the path and the records' order."""

@@ -189,7 +189,17 @@ def test_development_builds_no_integer_matrix(m_sections, monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "_adopt", staticmethod(refuse))
     monkeypatch.setattr(IntMatrix, "__init__", refuse)
-    assert [_edge_vectors.__wrapped__(s) for s in m_sections] == before
+    assert [_edge_vectors(s) for s in m_sections] == before
+
+
+def test_edge_vectors_are_signed_unit_vectors(m_sections):
+    """Each section edge develops to one rotated chart edge of its cube."""
+    units = {tuple(sign * (i == axis) for i in range(3))
+             for axis in range(3) for sign in (1, -1)}
+    for section in m_sections:
+        vectors = _edge_vectors(section)
+        assert len(vectors) == section.chain.cell_count(1)
+        assert set(vectors) <= units
 
 
 def test_scaled_development(m_sections):

@@ -406,7 +406,7 @@ def test_census_n_homology(census_n):
 
 def test_census_cover_cells(census_m):
     q = census_m
-    assert q.copies == 2
+    assert q.spec.copies == 2
     assert [len(r) for r in q.representatives] == [48, 168, 192, 72, 2]
     assert validate(q.chain)
     assert euler_characteristic(q.chain) == 2
@@ -502,17 +502,16 @@ def test_presentation_refuses_two_copies_without_crossing():
 
 
 @pytest.mark.parametrize("name", ["census_n", "census_m"])
-def test_maps_to_rep_carry_each_cell_onto_its_representative(name, request):
+def test_positions_place_each_cell_in_its_representative(name, request):
     q = request.getfixturevalue(name)
-    model = geometry(q.geometry_name).model
+    model = geometry(q.spec.geometry).model
     for k in range(q.top_dim + 1):
-        for (copy, idx), mapping in q.maps_to_rep[k].items():
-            orbit, _ = q.orbit_index[k][(copy, idx)]
+        for (copy, idx), (orbit, _, positions) in q.orbit_index[k].items():
             rep = q.representatives[k][orbit]
-            assert tuple(sorted(mapping)) == model.cells[k][idx]
-            assert tuple(sorted(mapping.values())) == model.cells[k][rep[1]]
+            assert len(positions) == len(model.cells[k][idx])
+            assert sorted(positions) == list(range(len(model.cells[k][rep[1]])))
             if (copy, idx) == rep:
-                assert all(v == w for v, w in mapping.items())
+                assert positions == tuple(range(len(positions)))
 
 
 def test_census_boundary_flags(census_n):
@@ -552,7 +551,7 @@ def test_pairing_order_does_not_matter(census_spec, census_n, census_m, census_s
     flipped = _shuffled_and_flipped(census_spec)
     assert sum(p not in census_spec.pairings for p in flipped.pairings) == 6
     for expected in (census_n, census_m):
-        q = quotient_complex(flipped, expected.copies)
+        q = quotient_complex(flipped, expected.spec.copies)
         assert q.representatives == expected.representatives
         assert q.chain.boundary == expected.chain.boundary
         assert q.chain.cell_labels == expected.chain.cell_labels
@@ -575,7 +574,8 @@ def oracle_quotient(spec: SidePairingSpec, copies: int = 1) -> dict:
     for p in spec.pairings:
         mapping = geo.extend_map(Pairing(p.facet_a, p.facet_b, p.vertex_map))
         inverse = {w: v for v, w in mapping.items()}
-        table = gluing._pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[0]
+        table: dict = {}
+        gluing._map_sign(model, top - 1, geo.model_facet[p.facet_a], mapping, table)
         for (dim, idx), (target, sign) in table.items():
             a, b = (p.copy_a, idx), (p.copy_b, target)
             links[dim].setdefault(a, []).append((b, sign, mapping))
@@ -637,9 +637,16 @@ def agrees_with_oracle(spec: SidePairingSpec, copies: int = 1) -> bool:
         assert str(refused.value) == str(error)
         return False
     q = quotient_complex(spec, copies)
+    model = geometry(spec.geometry).model
     assert q.representatives == want["representatives"]
-    assert q.orbit_index == want["orbit_index"]
-    assert [dict(maps) for maps in q.maps_to_rep] == list(want["maps_to_rep"])
+    assert [{key: entry[:2] for key, entry in level.items()} for level in q.orbit_index] \
+        == list(want["orbit_index"])
+    maps_to_rep = [
+        {(copy, idx): {v: model.cells[k][q.representatives[k][orbit][1]][j]
+                       for v, j in zip(model.cells[k][idx], positions)}
+         for (copy, idx), (orbit, _, positions) in q.orbit_index[k].items()}
+        for k in range(q.top_dim + 1)]
+    assert maps_to_rep == list(want["maps_to_rep"])
     assert q.chain.boundary == want["boundary"]
     assert q.chain.cell_labels == want["labels"]
     return True
