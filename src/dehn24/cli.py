@@ -61,10 +61,18 @@ _MAX_THREADS = 64
 # --scale or --balance-c; cubed or squared, each stays within Python's 4,300 digits.
 _MAX_DIGITS = 1000
 _RATIONAL = re.compile(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:e([-+]?\d+))?(?:/(\d+))?\s*", re.I)
+_LONG_VALUE = re.compile(r"""'((?:[^'\\]|\\.){41,})'|"((?:[^"\\]|\\.){41,})"|(\S{41,})""")
 
 
 class _InputError(ValueError):
     """Bad command-line input (maps to exit status 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals quote long values by ``_excerpt``."""
+
+    def error(self, message):
+        super().error(_LONG_VALUE.sub(lambda m: _excerpt(m[m.lastindex]), message))
 
 
 @dataclass(frozen=True)
@@ -404,7 +412,7 @@ def cmd_enumerate(config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dehn24",
         description="Glue 24-cell side-pairings, inspect cusps, and survey "
                     "Dehn fillings.")

@@ -206,7 +206,6 @@ class Geometry:
     facet_vertices: tuple[tuple[int, ...], ...]
     model_facet: tuple[int, ...]
     labels: tuple[tuple[tuple[object, ...], ...], ...]
-    boundary_mask: tuple[tuple[bool, ...], ...]
     extend_map: "callable"
 
     @property
@@ -244,11 +243,6 @@ def _ideal24_geometry() -> Geometry:
     edges = base.faces[1]
     model_facet = tuple(trunc.troct_facet(o) for o in range(24))
 
-    labels = tuple(tuple(trunc.provenance[k][i] for i in range(len(trunc.faces[k])))
-                   for k in range(5))
-    boundary_kinds = {"flag", "corner_edge", "vertex_facet", "vertex"}
-    mask = tuple(tuple(lab[0] in boundary_kinds for lab in labels[k]) for k in range(5))
-
     edge_index = {frozenset(e): i for i, e in enumerate(edges)}
     flags_at: dict[int, list[tuple[int, int, int]]] = {}
     for flag, (v, e) in enumerate(trunc.flags):
@@ -276,8 +270,7 @@ def _ideal24_geometry() -> Geometry:
         spec_vertex_count=24,
         facet_vertices=base.faces[3],
         model_facet=model_facet,
-        labels=labels,
-        boundary_mask=mask,
+        labels=trunc.provenance,
         extend_map=extend,
     )
 
@@ -298,7 +291,6 @@ def _closed_geometry(name: str, faces) -> Geometry:
         model_facet=tuple(range(len(facets))),
         labels=tuple(tuple(("cell", k, i) for i in range(len(faces[k])))
                      for k in range(top + 1)),
-        boundary_mask=tuple(tuple(False for _ in faces[k]) for k in range(top + 1)),
         extend_map=Pairing.forward,
     )
 
@@ -406,7 +398,7 @@ def parse_pairing(text: str) -> SidePairingSpec:
             continue
         try:
             head, _, tail = line.partition(";")
-            fa_str, fb_str = head.split()
+            facet_a, facet_b = map(int, head.split())
             assignments = []
             for token in tail.split():
                 v_str, _, w_str = token.partition("->")
@@ -417,7 +409,7 @@ def parse_pairing(text: str) -> SidePairingSpec:
         if len(assignments) != 6:
             raise PairingError(f"line {lineno}: expected 6 vertex assignments, "
                                f"got {len(assignments)}")
-        pairings.append(Pairing(facet_a=int(fa_str), facet_b=int(fb_str),
+        pairings.append(Pairing(facet_a=facet_a, facet_b=facet_b,
                                 vertex_map=tuple(sorted(assignments))))
     return SidePairingSpec(pairings=tuple(pairings), geometry="ideal24",
                            metadata=tuple(metadata))
@@ -634,8 +626,6 @@ class QuotientComplex:
 
     ``chain`` is the underlying chain complex; its cell labels carry the
     provenance (copy, original face data) of each orbit representative.
-    ``boundary_flags[k][i]`` marks quotient cells lying in the manifold
-    boundary (the cubical cells of the truncated polytope).
     ``representatives[k]`` lists each orbit's least (copy, cell) key;
     ``orbit_index[k][key]`` is (orbit, sign of key relative to the
     representative, positions), where ``positions[j]`` is the place, in
@@ -646,14 +636,10 @@ class QuotientComplex:
     chain: ChainComplex
     representatives: tuple[tuple[tuple[int, int], ...], ...]
     orbit_index: tuple[dict[tuple[int, int], tuple[int, int, tuple[int, ...]]], ...]
-    boundary_flags: tuple[tuple[bool, ...], ...]
 
     @property
     def top_dim(self) -> int:
         return self.chain.top_dim
-
-    def cell_label(self, dim: int, index: int):
-        return self.chain.cell_labels[dim][index]
 
 
 def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
@@ -731,15 +717,11 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
     labels = tuple(
         tuple((copy,) + tuple(geo.labels[k][idx]) for copy, idx in representatives[k])
         for k in range(top + 1))
-    flags = tuple(
-        tuple(geo.boundary_mask[k][idx] for _, idx in representatives[k])
-        for k in range(top + 1))
     return QuotientComplex(
         spec=spec,
         chain=ChainComplex(boundary=tuple(boundary_matrices), cell_labels=labels),
         representatives=tuple(representatives),
         orbit_index=tuple(orbit_index),
-        boundary_flags=flags,
     )
 
 

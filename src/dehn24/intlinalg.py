@@ -1,7 +1,8 @@
 """Exact integer matrices and their unimodular normal forms.
 
-Everything downstream (cellular homology, peripheral maps, filling
-cokernels) reduces to Smith or Hermite normal form computations over Z.
+Everything downstream reduces to normal forms over Z: Smith forms give
+invariant factors and homology generators, and one Hermite reduction of
+[a^T | I] (``hermite_graph``) gives kernels and adapted bases.
 Matrices are immutable, arbitrary precision, and all operations are pure,
 so values can be shared freely between threads.  Boundary matrices are a
 few percent nonzero, so a matrix stores only its nonzeros, column by
@@ -258,13 +259,6 @@ class SNFDecomposition:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.D.diagonal_entries() if d != 0)
 
-    def kernel_basis(self) -> IntMatrix:
-        """The canonical kernel basis of the decomposed matrix (see the
-        function ``kernel_basis``), read from the last columns of V."""
-        n = self.V.rows
-        raw = [dict(col) for col in self.V._cols[self.rank:]]
-        return IntMatrix._adopt(n, [row for row in _hermite_rows(raw) if row])
-
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -451,7 +445,8 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     ``left=False`` skips U and its inverse, ``right=False`` skips V; the
     skipped fields come back as ``None``.  Neither flag changes D or the
     transforms that are built, so callers that need only the invariant
-    factors pay for the working matrix alone.
+    factors pay for the working matrix alone.  The package itself never
+    asks for V: its kernels come from ``hermite_graph``.
     """
     r = _Reduction(a, left, right)
     d = r.d
@@ -577,17 +572,30 @@ def row_hermite(a: IntMatrix) -> IntMatrix:
     return IntMatrix._adopt(a.rows, _transposed(rows, a.cols))
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """A canonical basis of the integer kernel of ``a``.
+def hermite_graph(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """One Hermite reduction of [a^T | I]: ``(image, preimage, kernel)``.
 
-    The raw kernel columns come out of the Smith decomposition; Hermite
-    reduction then makes the basis independent of the reduction path, so
-    two runs (or two equivalent inputs) always agree.
-
-    Returns:
-        An (a.cols x k) matrix whose columns form a basis of ker(a).
+    Each Hermite row of [a^T | I] is a pair (a x, x).  Those with a x != 0
+    come first: the a x are the Hermite basis of the column lattice of
+    ``a`` (columns of ``image``), the x reduced at the kernel's pivots
+    (columns of ``preimage``).  The rest are the Hermite form of ker(a),
+    unique like every Hermite form (Cohen, GTM 138, section 2.4).
     """
-    return snf(a, left=False).kernel_basis()
+    m = a.rows
+    # Image keys -m..-1 sort first, and kernel rows need no re-keying.
+    rows = _hermite_rows([{i - m: x for i, x in col.items()} | {j: 1}
+                          for j, col in enumerate(a._cols)])
+    rank = next((t for t, row in enumerate(rows) if min(row) >= 0), len(rows))
+    image = [{k + m: x for k, x in row.items() if k < 0} for row in rows[:rank]]
+    preimage = [{k: x for k, x in row.items() if k >= 0} for row in rows[:rank]]
+    return (IntMatrix._adopt(m, image), IntMatrix._adopt(a.cols, preimage),
+            IntMatrix._adopt(a.cols, rows[rank:]))
+
+
+def kernel_basis(a: IntMatrix) -> IntMatrix:
+    """The canonical basis of ker(a), as the columns of an (a.cols x k)
+    matrix: its Hermite form, from ``hermite_graph``."""
+    return hermite_graph(a)[2]
 
 
 class EchelonBasis:

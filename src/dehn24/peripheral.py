@@ -17,7 +17,8 @@ from functools import lru_cache
 
 from .chains import ChainComplex, homology_basis
 from .gluing import QuotientComplex, vertex_cycles
-from .intlinalg import AbelianGroup, IntMatrix, generates, snf
+from .intlinalg import AbelianGroup, IntMatrix, generates, hermite_graph, is_primitive
+from .polytope import cusp_vertex
 
 Vector = tuple[int, ...]
 AdaptedBasis = tuple[Vector, Vector, Vector]
@@ -34,7 +35,7 @@ class CuspSection:
     ``cells[k]`` lists the ambient quotient cell indices forming the
     section in dimension k and is the inclusion: section k-cell j is
     ambient k-cell ``cells[k][j]``.  ``chain`` is the section's own
-    complex, the ambient boundaries restricted to these cells.
+    complex, the ambient boundaries restricted to these cells, unlabelled.
     ``cube_count`` is the number of top-dimensional (cubical) cells,
     which equals the section's covolume in units of a cross-section
     cube.  ``ambient`` keeps the quotient complex the section was carved
@@ -53,14 +54,14 @@ class CuspSection:
 def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     """The boundary subcomplex split by ideal vertex cycle, in cusp order.
 
-    Every boundary cell label (copy, kind, v, ...) names the ideal vertex
-    v the cell truncates, and pairings keep it inside v's vertex cycle,
-    so each flagged cell goes to the cycle holding v (or (copy, v) on
-    two copies).  Sections come in the cycles' canonical order (cycles
-    sorted by size then smallest member), so the short unit-vector
-    cycles come first and the large half-integer cycle last.  A face of
-    a cell truncating v truncates v too, so each section is closed under
-    faces and its boundaries are plain restrictions of the ambient ones.
+    A cell labelled (copy, *origin) lies over the cusp of the ideal vertex
+    v = ``cusp_vertex(origin)``, if any, and pairings keep v in its vertex
+    cycle, so the cell goes to the cycle holding v (or (copy, v) on two
+    copies).  Sections come in the cycles' canonical order (cycles sorted
+    by size then smallest member), so the short unit-vector cycles come
+    first and the large half-integer cycle last.  A face of a cell
+    truncating v truncates v too, so each section is closed under faces
+    and its boundaries are plain restrictions of the ambient ones.
 
     Raises:
         PeripheralError: if some vertex cycle gets no boundary cube,
@@ -72,9 +73,9 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     cusp_of = {v: ci for ci, cycle in enumerate(cycles) for v in cycle}
     by_cycle: list[list[list[int]]] = [[[] for _ in range(bdim + 1)] for _ in cycles]
     for k in range(bdim + 1):
-        for i, flagged in enumerate(q.boundary_flags[k]):
-            if flagged:
-                copy, _, v = q.cell_label(k, i)[:3]
+        for i, (copy, *origin) in enumerate(q.chain.cell_labels[k]):
+            v = cusp_vertex(origin)
+            if v is not None:
                 by_cycle[cusp_of[v if q.spec.copies == 1 else (copy, v)]][k].append(i)
     covered = sum(1 for comp in by_cycle if comp[bdim])
     if covered != len(cycles):
@@ -88,13 +89,10 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
         boundaries = [IntMatrix.zero(0, len(cells[0]))]
         boundaries += [q.chain.boundary[k].submatrix(cells[k - 1], cells[k])
                        for k in range(1, bdim + 1)]
-        labels = tuple(tuple(q.chain.cell_labels[k][a] for a in cells[k])
-                       for k in range(bdim + 1))
-        chain = ChainComplex(boundary=tuple(boundaries), cell_labels=labels)
         sections.append(CuspSection(
             index=ci,
             cells=cells,
-            chain=chain,
+            chain=ChainComplex(boundary=tuple(boundaries)),
             cube_count=len(cells[bdim]),
             ambient=q,
         ))
@@ -137,10 +135,10 @@ def peripheral_matrix(q: QuotientComplex, i: int) -> IntMatrix:
 def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
     """A basis (kappa_1, kappa_2, kappa_3) of Z^3 adapted to the map.
 
-    kappa_2 and kappa_3 are the canonical kernel basis; kappa_1 completes
-    them to a unimodular basis and maps to a primitive class.  kappa_1 is
-    pinned down by reducing against the kernel's Hermite rows and fixing
-    the image's leading sign, so equal matrices give equal bases.
+    All three come from one ``hermite_graph``: kappa_2 and kappa_3 are
+    the canonical kernel basis, and kappa_1 is the canonical preimage of
+    the image's generator epsilon (leading entry positive), so equal
+    matrices give equal bases and kappa_1 completes the kernel.
 
     Raises:
         PeripheralError: if the kernel rank is not 2 or the image is not
@@ -148,27 +146,15 @@ def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
     """
     if matrix.cols != 3:
         raise PeripheralError(f"peripheral matrix must have 3 columns, has {matrix.cols}")
-    decomp = snf(matrix, left=False)
-    ker = decomp.kernel_basis()
+    image, preimage, ker = hermite_graph(matrix)
     if ker.cols != 2:
         raise PeripheralError(
             f"kernel rank {ker.cols} != 2: the surgery procedure needs a rank-1 "
             f"peripheral image")
-    if decomp.D.diagonal_entries()[0] != 1:
+    if not is_primitive(image.column(0)):
         raise PeripheralError("peripheral image is not a direct summand of the "
                               "ambient H_1; no adapted basis exists")
-    kappa1 = list(decomp.V.column(0))
-    image = matrix.apply(kappa1)
-    if next(x for x in image if x != 0) < 0:
-        kappa1 = [-x for x in kappa1]
-    for j in range(ker.cols):
-        row = list(ker.column(j))
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if row[p] < 0:
-            row = [-x for x in row]
-        shift = kappa1[p] // row[p]
-        kappa1 = [x - shift * y for x, y in zip(kappa1, row)]
-    basis = (tuple(kappa1), ker.column(0), ker.column(1))
+    basis = (preimage.column(0), ker.column(0), ker.column(1))
     assert IntMatrix.from_columns(basis, rows=3).det() in (1, -1)
     return basis
 

@@ -165,15 +165,13 @@ class TruncatedLattice(_Faces):
     """The truncated 24-cell, with provenance back to the ideal lattice.
 
     Vertices are flags (original vertex, incident original edge); every
-    face is a sorted tuple of flag indices.  ``facet_kind[i]`` is "cube"
-    or "troct"; ``facet_origin[i]`` is the original vertex index for a
-    cube, the original facet index for a truncated octahedron.
+    face is a sorted tuple of flag indices.  ``provenance[k][i]`` is the
+    kind and origin of k-face i, such as ``("vertex", v)`` for the cube
+    truncating v or ``("facet", o)`` for a truncated octahedron.
     """
 
     flags: tuple[tuple[int, int], ...]
     faces: tuple[tuple[tuple[int, ...], ...], ...]
-    facet_kind: tuple[str, ...]
-    facet_origin: tuple[int, ...]
     provenance: tuple[tuple[tuple[object, ...], ...], ...]
     _flag_index: dict[tuple[int, int], int] = field(repr=False, hash=False, compare=False)
 
@@ -182,18 +180,11 @@ class TruncatedLattice(_Faces):
 
     def cube_facet(self, vertex: int) -> int:
         """Facet index of the cubical facet truncating ``vertex``."""
-        return self._facet_by(("cube", vertex))
+        return self.provenance[3].index(("vertex", vertex))
 
     def troct_facet(self, facet: int) -> int:
         """Facet index of the truncated octahedron from original facet."""
-        return self._facet_by(("troct", facet))
-
-    def _facet_by(self, key: tuple[str, int]) -> int:
-        kind, origin = key
-        for i, (k, o) in enumerate(zip(self.facet_kind, self.facet_origin)):
-            if k == kind and o == origin:
-                return i
-        raise KeyError(key)
+        return self.provenance[3].index(("facet", facet))
 
 
 @lru_cache(maxsize=1)
@@ -285,13 +276,15 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
         tuple(dim3_prov),
         (("body",),),
     )
-    facet_kind = tuple("cube" if p[0] == "vertex" else "troct" for p in dim3_prov)
-    facet_origin = tuple(p[1] for p in dim3_prov)
     return TruncatedLattice(
         flags=flags,
         faces=faces,
-        facet_kind=facet_kind,
-        facet_origin=facet_origin,
         provenance=provenance,
         _flag_index=flag_index,
     )
+
+
+def cusp_vertex(origin: tuple | list) -> int | None:
+    """The ideal vertex whose cusp holds the face of provenance ``origin``
+    (a face of the cube truncating it), or ``None`` for any other face."""
+    return origin[1] if origin[0] in ("flag", "corner_edge", "vertex_facet", "vertex") else None

@@ -199,7 +199,7 @@ def test_group_only_homology_builds_no_transforms(census_m, monkeypatch):
 
 
 def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):
-    """kernel_basis reads only V; homology_basis reads only U and U^-1."""
+    """kernel_basis runs no Smith form; homology_basis reads only U and U^-1."""
     flags = []
     real_snf = intlinalg.snf
 
@@ -211,10 +211,9 @@ def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):
         monkeypatch.setattr(module, "snf", recording_snf)
     c = klein_bottle()
     intlinalg.kernel_basis(c.boundary[1])
-    assert flags == [(False, True)]
-    flags.clear()
+    assert flags == []
     assert homology_basis.__wrapped__(c, 1).group == AbelianGroup(1, (2,))
-    assert flags == [(False, True), (True, False)]
+    assert flags == [(True, False)]
 
 
 def _dense_generators(c: ChainComplex, k: int):
@@ -445,6 +444,37 @@ def test_guard_reads_module_assignments():
     assert [name for _, name in _defined_names(tree)] == ["f", "A", "B", "C", "D"]
     used = _identifiers(tree)
     assert (used["A"], used["B"], used["C"], used["D"], used["E"]) == (1, 1, 0, 1, 0)
+
+
+# The kinds ``polytope.truncate`` writes into a face's provenance.
+PROVENANCE_KINDS = {"flag", "edge", "corner_edge", "triangle", "vertex_facet", "vertex",
+                    "facet", "body"}
+
+
+def _provenance_kinds_named(tree: ast.AST) -> collections.Counter:
+    """Provenance kinds spelled as string constants, docstrings aside."""
+    return collections.Counter({word: n for word, n in _named_in_strings(tree).items()
+                                if word in PROVENANCE_KINDS})
+
+
+def test_only_polytope_names_provenance_kinds():
+    """Cusp membership and facet lookups read provenance through
+    ``polytope`` alone, so no other module of the package spells a kind."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehn24"
+    named = {path.name: _provenance_kinds_named(ast.parse(path.read_text("utf-8")))
+             for path in sorted(package.glob("*.py"))}
+    assert set(named.pop("polytope.py")) == PROVENANCE_KINDS
+    assert {name: sorted(kinds) for name, kinds in named.items() if kinds} == {}
+
+
+def test_provenance_guard_ignores_prose():
+    code = ('"""The vertex and facet kinds."""\n'
+            "def f(label):\n"
+            '    """f docstring: vertex."""\n'
+            '    # "corner_edge" in a comment\n'
+            '    print("a vertex of the facet")\n'
+            '    return label[0] == "vertex_facet", {"flag", "cell"}\n')
+    assert _provenance_kinds_named(ast.parse(code)) == {"vertex_facet": 1, "flag": 1}
 
 
 def _class_fields(tree: ast.AST):

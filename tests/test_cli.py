@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dehn24 import cli
+from dehn24 import chains, cli, intlinalg, peripheral
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
@@ -515,6 +515,62 @@ def test_argparse_arity_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["fill", "1,2", "3,4"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--threads", "x" * 3000],
+    ["build", "--copies", "x" * 3000],
+    ["build", "--format", "x" * 3000],
+    ["x" * 3000],
+])
+def test_argparse_refusal_quotes_a_long_value_short(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.startswith("usage: dehn24")
+    assert "x'..." in err and "x" * 41 not in err and len(err.encode()) < 400
+
+
+def test_argparse_refusal_keeps_a_short_value(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["build", "--copies", "3"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --copies: invalid choice: 3 (choose from 1, 2)\n")
+
+
+@pytest.mark.parametrize("facet", ["a", "9" * 5000], ids=["letter", "5000-digits"])
+def test_unreadable_facet_index_is_an_input_error(capsys, tmp_path, facet):
+    text = resources.files("dehn24").joinpath("data/pairing_1011.txt").read_text("utf-8")
+    assert "\n0 5 ;" in text
+    path = tmp_path / "facet.txt"
+    path.write_text(text.replace("\n0 5 ;", f"\n{facet} 5 ;", 1))
+    code, out, err = run(capsys, "build", "--pairing", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line ") and err.count("\n") == 1
+    assert f"cannot parse pairing record '{(facet + ' 5 ;')[:5]}" in err
+    assert len(err.encode()) < 200
+
+
+def test_cold_fill_builds_no_smith_column_transform(capsys, monkeypatch):
+    """Kernels and adapted bases come from Hermite reductions: a cold
+    fill asks no Smith form for its column transform V."""
+    real_snf = intlinalg.snf
+    sides = []
+
+    def recording_snf(a, *, left=True, right=True):
+        sides.append(right)
+        return real_snf(a, left=left, right=right)
+
+    for module in (chains, intlinalg):
+        monkeypatch.setattr(module, "snf", recording_snf)
+    for cached in (chains.homology_basis, chains._invariant_factors, peripheral.cusp_sections):
+        cached.cache_clear()
+    code, out, err = run(capsys, "fill", "3,3", "3,3", "3,3", "3,3", "3,3")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "fill_3_3.out").read_bytes()
+    assert sides and not any(sides)
 
 
 def test_console_entry_point_runs():

@@ -36,7 +36,7 @@ from dehn24.gluing import (
 )
 from dehn24.intlinalg import AbelianGroup, IntMatrix, kernel_basis
 from dehn24.peripheral import peripheral_system, report
-from dehn24.polytope import truncate
+from dehn24.polytope import cusp_vertex, truncate
 
 # Square facets in canonical order: 0=(0,1), 1=(0,3), 2=(1,2), 3=(2,3).
 # Cube squares: 0 is z=0, 1 is y=0, 2 is x=0, 3 is x=1, 4 is y=1, 5 is z=1.
@@ -516,13 +516,14 @@ def test_positions_place_each_cell_in_its_representative(name, request):
 
 def test_census_boundary_flags(census_n):
     q = census_n
+    on_cusp = [[cusp_vertex(label[1:]) is not None for label in q.chain.cell_labels[k]]
+               for k in range(5)]
     # One cubical 3-cell survives per ideal vertex orbit representative:
     # the 24 vertex cubes are never identified with each other.
-    assert sum(q.boundary_flags[3]) == 24
+    assert sum(on_cusp[3]) == 24
     # The body cell and the glued octahedral cells are interior.
-    assert not q.boundary_flags[4][0]
-    labels = [q.cell_label(3, i) for i, flag in enumerate(q.boundary_flags[3])
-              if not flag]
+    assert not on_cusp[4][0]
+    labels = [label for label, cusp in zip(q.chain.cell_labels[3], on_cusp[3]) if not cusp]
     assert all(lab[1] == "facet" for lab in labels)
 
 

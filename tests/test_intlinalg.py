@@ -26,6 +26,7 @@ from dehn24.intlinalg import (
     cokernel,
     complete_to_basis,
     generates,
+    hermite_graph,
     is_primitive,
     kernel_basis,
     row_hermite,
@@ -777,12 +778,66 @@ def test_kernel_bases_match_dense_hermite_on_census(census_n, census_m):
             decomp = snf(d, left=False)
             raw = [list(decomp.V.column(j)) for j in range(decomp.rank, decomp.V.cols)]
             want = [r for r in dense_row_hermite(raw, decomp.V.rows) if any(r)]
-            got = decomp.kernel_basis()
+            got = kernel_basis(d)
             assert [list(got.column(j)) for j in range(got.cols)] == want
     kernel = kernel_basis(census_m.chain.boundary[1])
     assert (kernel.rows, kernel.cols) == (168, 121)
     assert_row_hermite_matches_dense(kernel.transpose())
     assert_row_hermite_matches_dense(census_m.chain.boundary[2])
+
+
+def smith_kernel_basis(a: IntMatrix) -> IntMatrix:
+    """The kernel route before ``hermite_graph``, kept as an oracle: the
+    last columns of the Smith column transform V, in Hermite form."""
+    decomp = snf(a, left=False)
+    raw = [decomp.V.column(j) for j in range(decomp.rank, a.cols)]
+    if not raw:
+        return IntMatrix.zero(a.cols, 0)
+    return row_hermite(IntMatrix(raw, cols=a.cols)).transpose()
+
+
+def test_kernel_basis_matches_smith_route_on_census_sections(census_n, census_m):
+    """Every boundary of every cusp section, on 1 and 2 copies (the
+    complexes' own boundaries are checked against the dense oracle)."""
+    for q in (census_n, census_m):
+        for d in (d for s in cusp_sections(q) for d in s.chain.boundary):
+            assert kernel_basis(d) == smith_kernel_basis(d)
+
+
+def test_kernel_basis_matches_smith_route_on_random_matrices():
+    rng = random.Random(67)
+    for _ in range(400):
+        m, n = rng.randint(0, 6), rng.randint(0, 7)
+        a = random_matrix(rng, m, n, bound=rng.choice((1, 3, 9)))
+        if m and rng.random() < 0.3:
+            # Dependent rows: a rank below min(m, n) more often.
+            rows = [list(a.row(i)) for i in range(m)]
+            a = IntMatrix(rows + [[x + 2 * y for x, y in zip(rows[0], rows[-1])]], cols=n)
+        assert kernel_basis(a) == smith_kernel_basis(a)
+    for m, n, density in [(12, 20, 0.3), (30, 40, 0.1), (60, 30, 0.1)]:
+        a = random_sparse(rng, m, n, density)
+        assert kernel_basis(a) == smith_kernel_basis(a)
+
+
+def test_hermite_graph_splits_image_and_kernel():
+    """image is the Hermite basis of the column lattice, a * preimage =
+    image, each preimage is reduced at the kernel pivots, and preimage
+    and kernel together are a basis of Z^n."""
+    rng = random.Random(71)
+    for _ in range(200):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, m, n, bound=rng.choice((1, 4)))
+        image, preimage, kernel = hermite_graph(a)
+        want = row_hermite(a.transpose())
+        assert image.columns() == [want.row(i) for i in range(image.cols)]
+        assert not any(any(want.row(i)) for i in range(image.cols, want.rows))
+        assert a * preimage == image
+        assert kernel == smith_kernel_basis(a)
+        for j in range(kernel.cols):
+            pivot = next(i for i, x in enumerate(kernel.column(j)) if x)
+            assert all(0 <= preimage[pivot, t] < kernel[pivot, j] for t in range(preimage.cols))
+        both = preimage.columns() + kernel.columns()
+        assert IntMatrix.from_columns(both, rows=n).det() in (1, -1)
 
 
 def test_abelian_group_descriptions():

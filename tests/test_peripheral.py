@@ -6,7 +6,9 @@ the adapted-basis algebra is additionally exercised on hand-written
 matrices where every answer is checkable by eye.
 """
 
+import dataclasses
 import pathlib
+import random
 
 import pytest
 
@@ -23,7 +25,9 @@ from dehn24.peripheral import (
     report,
     slope,
 )
+from dehn24.polytope import cusp_vertex
 from test_gluing import three_torus_spec
+from test_intlinalg import smith_kernel_basis
 
 
 def rank1_matrix(rows, row, col, value=1):
@@ -61,7 +65,8 @@ def test_sections_partition_boundary(census_m):
     q = census_m
     sections = cusp_sections(q)
     for k in range(4):
-        flagged = {i for i, f in enumerate(q.boundary_flags[k]) if f}
+        flagged = {i for i, (_, *origin) in enumerate(q.chain.cell_labels[k])
+                   if cusp_vertex(origin) is not None}
         pieces = [set(s.cells[k]) for s in sections]
         assert set().union(*pieces) == flagged
         assert sum(len(p) for p in pieces) == len(flagged)
@@ -90,7 +95,7 @@ def test_section_ordering_follows_vertex_cycles(census_n):
     sections = cusp_sections(census_n)
     vertex_pairs = []
     for s in sections[:4]:
-        labels = [s.chain.cell_labels[3][j] for j in range(s.cube_count)]
+        labels = [census_n.chain.cell_labels[3][a] for a in s.cells[3]]
         vertex_pairs.append(tuple(sorted(lab[2] for lab in labels)))
     assert vertex_pairs == [(0, 23), (9, 14), (10, 13), (11, 12)]
 
@@ -171,22 +176,95 @@ def test_adapted_basis_deterministic():
     assert matrix.apply(k2) == (0,) * 5 and matrix.apply(k3) == (0,) * 5
 
 
-def test_adapted_basis_runs_one_smith_form_per_cusp(census_system, monkeypatch):
-    """The kernel basis and kappa_1 come from one column-side decomposition,
-    and the bases are those the golden report pins."""
-    calls = []
-    real_snf = peripheral.snf
+def test_adapted_basis_runs_no_smith_form(census_system, monkeypatch):
+    """The kernel basis and kappa_1 come from one Hermite reduction, with
+    no Smith form, and give the bases the golden report pins."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adapted_basis ran a Smith form")
 
-    def recording_snf(a, **flags):
-        calls.append(flags)
-        return real_snf(a, **flags)
+    monkeypatch.setattr(intlinalg, "snf", forbidden)
+    assert not hasattr(peripheral, "snf")
+    bases = tuple(adapted_basis(matrix) for matrix in census_system.matrices)
+    epsilons = tuple(matrix.apply(basis[0])
+                     for matrix, basis in zip(census_system.matrices, bases))
+    golden = pathlib.Path(__file__).parent / "data" / "peripheral_1011.txt"
+    system = dataclasses.replace(census_system, bases=bases, epsilons=epsilons)
+    assert report(system) == golden.read_text()
 
-    monkeypatch.setattr(peripheral, "snf", recording_snf)
-    monkeypatch.setattr(intlinalg, "snf", recording_snf)
-    for matrix, basis in zip(census_system.matrices, census_system.bases):
-        calls.clear()
-        assert adapted_basis(matrix) == basis
-        assert calls == [{"left": False}]
+
+def smith_adapted_basis(matrix: IntMatrix):
+    """The adapted-basis route before ``hermite_graph``, kept as an oracle:
+    kappa_1 is the first column of the Smith transform V, its sign set so
+    the image leads positive, then reduced against the kernel's Hermite
+    rows one pivot at a time."""
+    if matrix.cols != 3:
+        raise PeripheralError(f"peripheral matrix must have 3 columns, has {matrix.cols}")
+    decomp = intlinalg.snf(matrix, left=False)
+    ker = smith_kernel_basis(matrix)
+    if ker.cols != 2:
+        raise PeripheralError(
+            f"kernel rank {ker.cols} != 2: the surgery procedure needs a rank-1 "
+            f"peripheral image")
+    if decomp.D.diagonal_entries()[0] != 1:
+        raise PeripheralError("peripheral image is not a direct summand of the "
+                              "ambient H_1; no adapted basis exists")
+    kappa1 = list(decomp.V.column(0))
+    image = matrix.apply(kappa1)
+    if next(x for x in image if x != 0) < 0:
+        kappa1 = [-x for x in kappa1]
+    for j in range(ker.cols):
+        row = list(ker.column(j))
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if row[p] < 0:
+            row = [-x for x in row]
+        shift = kappa1[p] // row[p]
+        kappa1 = [x - shift * y for x, y in zip(kappa1, row)]
+    return (tuple(kappa1), ker.column(0), ker.column(1))
+
+
+def _outcome(route, matrix):
+    """A route's basis, or the message it refuses the matrix with."""
+    try:
+        return route(matrix)
+    except PeripheralError as error:
+        return str(error)
+
+
+def test_adapted_basis_matches_smith_route_on_census(census_system):
+    for matrix in census_system.matrices:
+        assert adapted_basis(matrix) == smith_adapted_basis(matrix)
+
+
+def test_adapted_basis_matches_smith_route_on_random_maps():
+    """Seeded maps of rank 0, 1 and 2, rank-1 maps whose image is not a
+    summand, and a map of the wrong width: equal bases, or equal
+    refusals word for word."""
+    rng = random.Random(73)
+
+    def vector(n):
+        return [rng.randint(-4, 4) for _ in range(n)]
+
+    def outer(rows, scale=1):
+        u, v = vector(rows), vector(3)
+        return [[scale * x * y for y in v] for x in u]
+
+    seen = set()
+    for t in range(1500):
+        rows, rank = rng.randint(1, 6), t % 4
+        if rank == 0:
+            data = [[0] * 3 for _ in range(rows)]
+        elif rank == 3:
+            data = outer(rows, scale=rng.choice((2, 3)))
+        else:
+            parts = [outer(rows) for _ in range(rank)]
+            data = [[sum(p[i][j] for p in parts) for j in range(3)] for i in range(rows)]
+        matrix = IntMatrix(data, cols=3)
+        got = _outcome(adapted_basis, matrix)
+        assert got == _outcome(smith_adapted_basis, matrix)
+        seen.add(" ".join(got.split()[:3]) if isinstance(got, str) else "basis")
+    assert seen == {"kernel rank 3", "kernel rank 1", "peripheral image is", "basis"}
+    wide = IntMatrix([[1, 0, 0, 0]])
+    assert _outcome(adapted_basis, wide) == _outcome(smith_adapted_basis, wide)
 
 
 def test_slope_identity_and_primitivity():

@@ -252,16 +252,16 @@ def test_flags_cover_edge_ends(lattice, trunc):
 
 def test_truncated_cells(trunc):
     kinds = {}
-    for i, kind in enumerate(trunc.facet_kind):
+    for i, (kind, _) in enumerate(trunc.provenance[3]):
         kinds.setdefault(kind, []).append(i)
-    assert len(kinds["cube"]) == 24 and len(kinds["troct"]) == 24
+    assert len(kinds["vertex"]) == 24 and len(kinds["facet"]) == 24
     edges = trunc.faces[1]
     polys = trunc.faces[2]
     for i, members in enumerate(trunc.faces[3]):
         s = set(members)
         n_e = sum(1 for e in edges if set(e) <= s)
         n_p = sum(1 for p in polys if set(p) <= s)
-        if trunc.facet_kind[i] == "cube":
+        if trunc.provenance[3][i][0] == "vertex":
             assert (len(members), n_e, n_p) == (8, 12, 6)
         else:
             assert (len(members), n_e, n_p) == (24, 36, 14)
@@ -296,12 +296,12 @@ def test_provenance_tags(trunc):
 def test_cube_and_troct_lookup(lattice, trunc):
     for v in range(24):
         i = trunc.cube_facet(v)
-        assert trunc.facet_kind[i] == "cube" and trunc.facet_origin[i] == v
+        assert trunc.provenance[3][i] == ("vertex", v)
         assert set(trunc.faces[3][i]) == {f for f, (w, _) in enumerate(trunc.flags)
                                           if w == v}
     for o in range(24):
         i = trunc.troct_facet(o)
-        assert trunc.facet_kind[i] == "troct" and trunc.facet_origin[i] == o
+        assert trunc.provenance[3][i] == ("facet", o)
         # The truncated octahedron keeps exactly the flags of its facet.
         facet_vertices = set(lattice.faces[3][o])
         expected = {f for f, (v, e) in enumerate(trunc.flags)
@@ -310,8 +310,8 @@ def test_cube_and_troct_lookup(lattice, trunc):
 
 
 def test_squares_join_cube_to_troct(trunc):
-    cubes = [set(trunc.faces[3][i]) for i in range(48) if trunc.facet_kind[i] == "cube"]
-    trocts = [set(trunc.faces[3][i]) for i in range(48) if trunc.facet_kind[i] == "troct"]
+    cubes = [set(f) for f, tag in zip(trunc.faces[3], trunc.provenance[3]) if tag[0] == "vertex"]
+    trocts = [set(f) for f, tag in zip(trunc.faces[3], trunc.provenance[3]) if tag[0] == "facet"]
     for p, tag in zip(trunc.faces[2], trunc.provenance[2]):
         s = set(p)
         in_cubes = sum(1 for c in cubes if s <= c)
