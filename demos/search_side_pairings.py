@@ -25,7 +25,7 @@ Usage:
     python3 demos/search_side_pairings.py [--free K]
 
 Each extra free class multiplies the raw slice by 192.  Measured on a
-shared 2-core machine with Python 3.11: K = 2 runs in about 0.25-0.4 s
+shared 2-core machine with Python 3.11: K = 2 runs in about 0.2-0.3 s
 and K = 4 in about 8 s, 2 s of it the ridge-pruned search; K = 6 is
 the full unconstrained search, where the quotient builds behind the
 later filters dominate and the run stretches to hours.

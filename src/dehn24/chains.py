@@ -11,7 +11,6 @@ across runs and machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -22,10 +21,10 @@ from .intlinalg import (
     kernel_basis,
     snf,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """A bounded chain complex of finitely generated free abelian groups.
 
     ``boundary[k]`` maps k-chains to (k-1)-chains; ``boundary[0]`` is the
@@ -93,8 +92,7 @@ def euler_characteristic(c: ChainComplex) -> int:
     return sum((-1) ** k * c.cell_count(k) for k in range(c.top_dim + 1))
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
+class HomologyBasis(Record):
     """Canonical generating cycles for one homology group.
 
     Generators are ordered free part first, then torsion in increasing
@@ -108,12 +106,13 @@ class HomologyBasis:
     group: AbelianGroup
     dim: int
     cycles: IntMatrix
-    # A function of ``_boundary``, so equality need not compare it.
-    _kernel: EchelonBasis = field(repr=False, compare=False)
+    _kernel: EchelonBasis
     # Rows of U for the generators, and each generator's order (0 if free).
-    _to_adapted: IntMatrix = field(repr=False)
-    _orders: tuple[int, ...] = field(repr=False)
-    _boundary: IntMatrix = field(repr=False)
+    _to_adapted: IntMatrix
+    _orders: tuple[int, ...]
+    _boundary: IntMatrix
+    # ``_kernel`` is a function of ``_boundary``, so equality need not compare it.
+    _derived = ("_kernel",)
 
     def coordinates(self, chain: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Coordinates of a cycle's homology class in this basis.

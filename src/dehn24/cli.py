@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
@@ -50,6 +49,7 @@ from .gluing import (
 )
 from .peripheral import PeripheralError, cusp_sections, peripheral_system, report
 from .polytope import embedded_cusp_scale
+from .record import Record
 
 _CHUNK = 1024
 # The most tuples ``enumerate`` renders; a larger box is refused as input.
@@ -57,6 +57,8 @@ _MAX_BOX = 1_000_000
 # ``enumerate --threads`` is kept for compatibility and has no effect;
 # values outside 1.._MAX_THREADS are refused as input errors.
 _MAX_THREADS = 64
+# The most bytes read from a --pairing file; the bundled pairing has 1,356.
+_MAX_PAIRING_BYTES = 1 << 20
 # The most digits in a coefficient, a box bound, or a numerator or denominator of
 # --scale or --balance-c; cubed or squared, each stays within Python's 4,300 digits.
 _MAX_DIGITS = 1000
@@ -75,8 +77,7 @@ class _Parser(argparse.ArgumentParser):
         super().error(_LONG_VALUE.sub(lambda m: _excerpt(m[m.lastindex]), message))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything one subcommand invocation needs, already validated."""
 
     pairing: str | None = None
@@ -148,10 +149,15 @@ def _load_spec(config: RunConfig):
     if config.pairing is None:
         return census_pairing()
     path = Path(config.pairing)
+    with path.open("rb") as handle:
+        data = handle.read(_MAX_PAIRING_BYTES + 1)
+    if len(data) > _MAX_PAIRING_BYTES:
+        raise _InputError(f"{path}: longer than {_MAX_PAIRING_BYTES:,} bytes")
     try:
-        return parse_pairing(path.read_text())
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not a text file ({exc.reason})") from exc
+    return parse_pairing(text)
 
 
 def _exact_decimal(x: Fraction) -> str:

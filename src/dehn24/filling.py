@@ -13,29 +13,30 @@ cross-check on the ambient homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, is_primitive
 from .peripheral import PeripheralSystem, Vector, slope
+from .record import Record
 
 
 class FillingError(ValueError):
     """A filling request violates a hypothesis of the surgery argument."""
 
 
-@dataclass(frozen=True)
-class FillingSlopes:
+class FillingSlopes(Record):
     """One primitive slope class per cusp, in the section H_1 bases."""
 
     classes: tuple[Vector, ...]
 
-    def __post_init__(self):
-        for i, v in enumerate(self.classes):
+    def __init__(self, classes: tuple[Vector, ...]):
+        # One is built per enumerated record, so the field is bound here.
+        for i, v in enumerate(classes):
             if not any(v):
                 raise FillingError(f"slope {i + 1} is zero")
             if not is_primitive(v):
                 raise FillingError(f"slope {i + 1} = {v} is not primitive")
+        self.__dict__["classes"] = classes
 
 
 def adapted_slopes(system: PeripheralSystem,
@@ -67,8 +68,7 @@ def h1_filled(system: PeripheralSystem, slopes: FillingSlopes) -> AbelianGroup:
                                            rows=system.ambient_h1.free_rank))
 
 
-@dataclass(frozen=True)
-class FillingResult:
+class FillingResult(Record):
     """Outcome of one filling, with the derivation spelled out.
 
     ``notes`` records which steps of the argument fired, in order, so a
@@ -80,9 +80,12 @@ class FillingResult:
     is_homology_sphere: bool
     notes: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.is_homology_sphere and not (self.h1.is_trivial() and self.chi == 2):
+    def __init__(self, h1: AbelianGroup, chi: int, is_homology_sphere: bool,
+                 notes: tuple[str, ...]):
+        if is_homology_sphere and not (h1.is_trivial() and chi == 2):
             raise ValueError("sphere flag contradicts the recorded invariants")
+        self.__dict__.update(h1=h1, chi=chi, is_homology_sphere=is_homology_sphere,
+                             notes=notes)
 
 
 def is_homology_sphere(system: PeripheralSystem, slopes: FillingSlopes,

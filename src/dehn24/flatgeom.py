@@ -18,7 +18,6 @@ raises :class:`PrecisionError` instead of guessing.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
 from typing import Iterable, Iterator, Sequence
@@ -27,6 +26,7 @@ from .chains import homology_basis
 from .gluing import QuotientComplex, geometry
 from .intlinalg import AbelianGroup
 from .peripheral import CuspSection
+from .record import Record
 
 Vec3 = tuple[int, int, int]
 Mat3 = tuple[Vec3, Vec3, Vec3]
@@ -91,8 +91,7 @@ def _det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-@dataclass(frozen=True)
-class FlatLattice:
+class FlatLattice(Record):
     """A marked translation lattice in R^3.
 
     Column j of ``basis`` is the developed translation of the j-th
@@ -149,8 +148,7 @@ class FlatLattice:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SlopeLength:
+class SlopeLength(Record):
     """One measured slope: the class, its exact squared length, and a
     certified rational enclosure of the length itself."""
 
@@ -159,15 +157,16 @@ class SlopeLength:
     lower: Fraction
     upper: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", tuple(int(x) for x in self.slope))
-        object.__setattr__(self, "squared", Fraction(self.squared))
-        object.__setattr__(self, "lower", Fraction(self.lower))
-        object.__setattr__(self, "upper", Fraction(self.upper))
-        if not 0 <= self.lower <= self.upper:
+    def __init__(self, slope: Sequence[int], squared: Fraction, lower: Fraction,
+                 upper: Fraction):
+        # Five are built per enumerated record, so the fields are bound here.
+        lower, upper, squared = Fraction(lower), Fraction(upper), Fraction(squared)
+        if not 0 <= lower <= upper:
             raise FlatGeometryError("enclosure bounds out of order")
-        if not self.lower ** 2 <= self.squared <= self.upper ** 2:
+        if not lower ** 2 <= squared <= upper ** 2:
             raise FlatGeometryError("enclosure does not bracket the squared length")
+        self.__dict__.update(slope=tuple(map(int, slope)), squared=squared, lower=lower,
+                             upper=upper)
 
 
 SlopeLengths = tuple[SlopeLength, ...]

@@ -17,12 +17,12 @@ identical machinery can be exercised on torus and Klein-bottle gluings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .chains import ChainComplex
 from .intlinalg import AbelianGroup, IntMatrix, cokernel
+from .record import Record
 
 class GluingError(ValueError):
     """A side-pairing cannot be interpreted as requested."""
@@ -32,8 +32,7 @@ class PairingError(GluingError):
     """A pairing file or spec fails validation."""
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Record):
     """One glued facet pair with its vertex bijection.
 
     ``vertex_map`` sends vertices of ``facet_a`` to vertices of
@@ -58,8 +57,7 @@ class Pairing:
         return (self.copy_a, self.facet_a) == (self.copy_b, self.facet_b)
 
 
-@dataclass(frozen=True)
-class SidePairingSpec:
+class SidePairingSpec(Record):
     """A full side-pairing: a perfect matching of all facet slots.
 
     ``copies`` is 1 for a plain quotient, 2 for a double-cover spec whose
@@ -83,8 +81,7 @@ class SidePairingSpec:
 # Solid polytopes as regular CW complexes with exact boundary chains.
 
 
-@dataclass(frozen=True, eq=False)
-class CellModel:
+class CellModel(Record, eq=False):
     """A solid convex polytope with boundary chains for every cell.
 
     ``cells[k]`` lists k-cells as sorted vertex tuples; the last dimension
@@ -196,8 +193,7 @@ def _sphere_cycle(k: int, subs: list[int], previous) -> tuple[tuple[int, int], .
 # bijections act on the model cells.
 
 
-@dataclass(frozen=True, eq=False)
-class Geometry:
+class Geometry(Record, eq=False):
     """Binding between spec-level facets and a concrete cell model."""
 
     name: str
@@ -327,9 +323,9 @@ def validate_spec(spec: SidePairingSpec) -> None:
     for p in spec.pairings:
         for copy, facet in ((p.copy_a, p.facet_a), (p.copy_b, p.facet_b)):
             if not 0 <= facet < geo.facet_count:
-                raise PairingError(f"facet index {facet} out of range")
+                raise PairingError(f"facet index {_excerpt(facet)} out of range")
             if not 0 <= copy < spec.copies:
-                raise PairingError(f"copy index {copy} out of range")
+                raise PairingError(f"copy index {_excerpt(copy)} out of range")
         slots = {(p.copy_a, p.facet_a), (p.copy_b, p.facet_b)}
         if slots & seen:
             raise PairingError(
@@ -359,7 +355,8 @@ def _validate_bijection(geo: Geometry, p: Pairing) -> None:
         raise PairingError(f"facet {p.facet_a} glued to itself pointwise")
     if sorted(forward) != sorted(source):
         raise PairingError(
-            f"bijection domain {sorted(forward)} is not facet {p.facet_a}'s vertex set")
+            f"bijection domain {_excerpt(sorted(forward))} is not facet {p.facet_a}'s "
+            f"vertex set")
     if sorted(forward.values()) != sorted(target):
         raise PairingError(
             f"bijection image is not facet {p.facet_b}'s vertex set")
@@ -374,9 +371,13 @@ def census_pairing() -> SidePairingSpec:
     return parse_pairing(text)
 
 
-def _excerpt(text: str) -> str:
-    """``text`` quoted for an error line, cut after its first 40 characters."""
-    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+def _excerpt(value: object) -> str:
+    """``value`` for an error line, cut after its first 40 characters: text
+    quoted, anything else (such as an index or a list) written out bare."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else repr(value[:40]) + "..."
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def parse_pairing(text: str) -> SidePairingSpec:
@@ -537,8 +538,7 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
     return ridges, tuple(map(tuple, links))
 
 
-@dataclass(frozen=True)
-class OrientationCharacter:
+class OrientationCharacter(Record):
     """Orientation behavior of each side-pairing generator.
 
     ``signs[i]`` is +1 iff pairing i extends to an orientation-preserving
@@ -620,8 +620,7 @@ def double_cover(spec: SidePairingSpec) -> SidePairingSpec:
 # The quotient complex.
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientComplex:
+class QuotientComplex(Record, eq=False):
     """The quotient CW complex of a side-pairing.
 
     ``chain`` is the underlying chain complex; its cell labels carry the
@@ -729,8 +728,7 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
 # Poincare polyhedron presentation.
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Group presentation with one generator per pairing.
 
     Relators are words of signed 1-based generator indices (negative for

@@ -13,8 +13,9 @@ touches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .record import Record
 
 Entries = Iterable[tuple[int, int]]
 
@@ -237,8 +238,7 @@ class IntMatrix:
         return f"IntMatrix({[list(self.row(i)) for i in range(self.rows)]!r})"
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+class SNFDecomposition(Record):
     """Smith normal form ``U * A * V = D`` with unimodular U and V.
 
     ``u_inv`` is the exact inverse of U, accumulated during the reduction
@@ -260,8 +260,7 @@ class SNFDecomposition:
         return tuple(d for d in self.D.diagonal_entries() if d != 0)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """A finitely generated abelian group in invariant-factor form.
 
     ``torsion`` lists the invariant factors d_1 | d_2 | ... with every
@@ -269,14 +268,15 @@ class AbelianGroup:
     """
 
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(d < 2 for d in self.torsion):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must divide successively")
+        self.__dict__.update(free_rank=free_rank, torsion=torsion)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

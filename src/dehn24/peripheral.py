@@ -12,13 +12,13 @@ filling homology then reduces to a small cokernel (see filling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chains import ChainComplex, homology_basis
 from .gluing import QuotientComplex, vertex_cycles
 from .intlinalg import AbelianGroup, IntMatrix, generates, hermite_graph, is_primitive
 from .polytope import cusp_vertex
+from .record import Record
 
 Vector = tuple[int, ...]
 AdaptedBasis = tuple[Vector, Vector, Vector]
@@ -28,8 +28,7 @@ class PeripheralError(ValueError):
     """A quotient complex fails a hypothesis of the peripheral setup."""
 
 
-@dataclass(frozen=True, eq=False)
-class CuspSection:
+class CuspSection(Record, eq=False):
     """One boundary component of a quotient complex.
 
     ``cells[k]`` lists the ambient quotient cell indices forming the
@@ -169,8 +168,7 @@ def slope(basis: AdaptedBasis, b: int, c: int) -> Vector:
     return tuple(x + b * y + c * z for x, y, z in zip(k1, k2, k3))
 
 
-@dataclass(frozen=True)
-class PeripheralSystem:
+class PeripheralSystem(Record):
     """The full peripheral package of a quotient with torus cusps.
 
     ``matrices[i]`` is the inclusion-induced map of cusp i in canonical

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+from .record import Record
 
 Coord = tuple[Fraction, Fraction, Fraction, Fraction]
 IntVec = tuple[int, int, int, int]
@@ -65,8 +66,7 @@ class _Faces:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FaceLattice(_Faces):
+class FaceLattice(_Faces, Record):
     """The face lattice of the 24-cell.
 
     ``faces[k]`` lists the k-faces as sorted tuples of vertex indices, in
@@ -160,8 +160,7 @@ def embedded_cusp_scale() -> Fraction:
     return edge
 
 
-@dataclass(frozen=True)
-class TruncatedLattice(_Faces):
+class TruncatedLattice(_Faces, Record):
     """The truncated 24-cell, with provenance back to the ideal lattice.
 
     Vertices are flags (original vertex, incident original edge); every
@@ -173,7 +172,8 @@ class TruncatedLattice(_Faces):
     flags: tuple[tuple[int, int], ...]
     faces: tuple[tuple[tuple[int, ...], ...], ...]
     provenance: tuple[tuple[tuple[object, ...], ...], ...]
-    _flag_index: dict[tuple[int, int], int] = field(repr=False, hash=False, compare=False)
+    _flag_index: dict[tuple[int, int], int]
+    _derived = ("_flag_index",)
 
     def flag_index(self, vertex: int, edge: int) -> int:
         return self._flag_index[(vertex, edge)]

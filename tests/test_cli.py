@@ -295,6 +295,12 @@ _RECORD_0_5 = "0 5 ; 0->0 1->5 2->6 3->7 4->8 9->14\n"
                  id="domain"),
     pytest.param("4->8 9->14", "4->8 9->13",
                  "error: bijection image is not facet 5's vertex set\n", id="image"),
+    # A 4,000-digit index parses, and its refusal quotes 40 characters of it.
+    pytest.param("18 23 ;", "18 " + "9" * 4000 + " ;",
+                 "error: facet index " + "9" * 40 + "... out of range\n", id="long_facet"),
+    pytest.param("4->8 9->14", "4->8 " + "9" * 4000 + "->14",
+                 "error: bijection domain [0, 1, 2, 3, 4, " + "9" * 24
+                 + "... is not facet 0's vertex set\n", id="long_vertex"),
 ])
 def test_invalid_pairing_file_refusals(capsys, tmp_path, old, new, err):
     """One edit of the bundled file per validation rule, refused with exit 2."""
@@ -551,6 +557,40 @@ def test_unreadable_facet_index_is_an_input_error(capsys, tmp_path, facet):
     assert err.startswith("error: line ") and err.count("\n") == 1
     assert f"cannot parse pairing record '{(facet + ' 5 ;')[:5]}" in err
     assert len(err.encode()) < 200
+
+
+def test_long_pairing_file_is_refused_from_the_read(capsys, tmp_path):
+    """A pairing file is read up to 1 MiB and 1 byte; anything longer is
+    refused before it is parsed."""
+    path = tmp_path / "long.txt"
+    path.write_bytes(b"#" * ((1 << 20) + 1))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", "--pairing", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: longer than 1,048,576 bytes\n"
+
+
+def test_endless_pairing_file_is_refused(tmp_path):
+    """``--pairing /dev/zero`` is refused from a bounded read.  The child
+    caps its address space, so a reader without the bound fails with an
+    error instead of taking the machine's memory."""
+    if not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+    code = ("import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+            "from dehn24.cli import main\n"
+            "start = time.perf_counter()\n"
+            "status = main(['build', '--pairing', '/dev/zero'])\n"
+            "print(time.perf_counter() - start)\n"
+            "sys.exit(status)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr == "error: /dev/zero: longer than 1,048,576 bytes\n"
+    assert float(done.stdout) < 1
 
 
 def test_cold_fill_builds_no_smith_column_transform(capsys, monkeypatch):

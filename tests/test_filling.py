@@ -7,7 +7,6 @@ of the double cover is cross-checked against the closed formula for
 complements of five disjoint tori in the 4-sphere.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -25,6 +24,7 @@ from dehn24.filling import (
     is_homology_sphere,
 )
 from dehn24.intlinalg import AbelianGroup
+from dehn24.peripheral import PeripheralSystem
 
 from test_intlinalg import random_unimodular
 
@@ -94,8 +94,10 @@ def test_filled_h1_ignores_ambient_basis_choice(census_system):
     slopes = adapted_slopes(census_system, [(3, -1), (0, 7), (-2, -2), (1, 0), (4, 9)])
     for _ in range(10):
         u = random_unimodular(rng, 5)
-        moved = dataclasses.replace(
-            census_system, matrices=tuple(u * m for m in census_system.matrices))
+        moved = PeripheralSystem(
+            census_system.ambient_h1, tuple(u * m for m in census_system.matrices),
+            census_system.bases, census_system.epsilons, census_system.cube_counts,
+            census_system.section_h1)
         assert h1_filled(moved, slopes) == h1_filled(census_system, slopes)
 
 
