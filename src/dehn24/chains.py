@@ -1,8 +1,10 @@
 """Finite chain complexes over Z and their homology.
 
 A complex stores one boundary matrix per dimension.  Homology groups are
-read off the invariant factors of the boundaries alone (``homology``):
-no Smith transform, kernel basis or lattice solve is built for them.
+read off the ranks and torsion of the boundaries alone (``homology``),
+from one unit-pivot reduction of the whole complex plus transform-free
+Smith forms of what it leaves: no Smith transform, kernel basis or
+lattice solve is built for them.
 Generators come only from ``homology_basis``, whose cycles follow a
 fixed convention (Smith form of the next boundary expressed in the
 canonical kernel basis), so matrices of induced maps are reproducible
@@ -18,6 +20,7 @@ from .intlinalg import (
     AbelianGroup,
     EchelonBasis,
     IntMatrix,
+    chain_invariants,
     kernel_basis,
     snf,
 )
@@ -183,31 +186,33 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
 
 
 @lru_cache(maxsize=8)
-def _invariant_factors(d: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors of one boundary matrix.
+def _boundary_invariants(boundary: tuple[IntMatrix, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Rank and torsion of d_0..d_{n+1}, from one reduction of d_1..d_n.
 
-    Cached by value, so the degrees of one complex share the Smith form
-    of each boundary; eight entries hold every boundary of a
-    4-dimensional complex plus the zero map past its top.
+    Keyed on the boundary tuple, whose matrices cache their own hash, so
+    every degree of one complex shares the reduction and no cell label
+    is ever hashed.  d_0 and the zero map past the top have rank 0.
     """
-    return snf(d, left=False, right=False).invariant_factors()
+    return ((0, ()),) + chain_invariants(boundary[1:]) + ((0, ()),)
 
 
 def homology(c: ChainComplex, k: int) -> AbelianGroup:
-    """H_k(c; Z) in invariant-factor form, from invariant factors alone.
+    """H_k(c; Z) in invariant-factor form, from ranks and torsion alone.
 
     H_k is Z^(n_k - rank d_k - rank d_{k+1}) plus the torsion of
-    d_{k+1}, so only the transform-free Smith forms of the two
-    boundaries are needed.  For generator cycles use ``homology_basis``.
+    d_{k+1}.  Both come from one unit-pivot reduction of the whole
+    complex plus transform-free Smith forms of what it leaves
+    (``chain_invariants``), shared by every degree.  For generator
+    cycles use ``homology_basis``.
 
     Raises:
         ValueError: if k is outside 0..top_dim.
     """
     if not 0 <= k <= c.top_dim:
         raise ValueError(f"dimension {k} out of range for a complex of top dimension {c.top_dim}")
-    rank_k = len(_invariant_factors(c.boundary[k]))
-    factors = _invariant_factors(c.boundary_or_zero(k + 1))
+    invariants = _boundary_invariants(c.boundary)
+    rank_next, torsion = invariants[k + 1]
     return AbelianGroup(
-        free_rank=c.cell_count(k) - rank_k - len(factors),
-        torsion=tuple(d for d in factors if d >= 2),
+        free_rank=c.cell_count(k) - invariants[k][0] - rank_next,
+        torsion=torsion,
     )

@@ -1,8 +1,11 @@
 """Exact integer matrices and their unimodular normal forms.
 
-Everything downstream reduces to normal forms over Z: Smith forms give
-invariant factors and homology generators, and one Hermite reduction of
-[a^T | I] (``hermite_graph``) gives kernels and adapted bases.
+Everything downstream reduces to normal forms over Z: one unit-pivot
+reduction of a chain complex, with Smith forms of what it leaves, gives
+ranks and torsion (``chain_invariants``, and ``cokernel`` as its one-map
+case); Smith forms with transforms give homology generators; and one
+Hermite reduction of [a^T | I] (``hermite_graph``) gives kernels and
+adapted bases.
 Matrices are immutable, arbitrary precision, and all operations are pure,
 so values can be shared freely between threads.  Boundary matrices are a
 few percent nonzero, so a matrix stores only its nonzeros, column by
@@ -313,6 +316,26 @@ def _add_scaled(target: dict[int, int], source: dict[int, int], c: int) -> None:
             del target[k]
 
 
+def _add_indexed(rows: list[dict[int, int]], at: dict[int, set[int]], i: int, p: int,
+                 q: int) -> None:
+    """rows[i] += q * rows[p] for q != 0 on sparse rows, dropping entries
+    that cancel, and ``at[k]``, the set of rows with a nonzero in column
+    k, kept up to date."""
+    target = rows[i]
+    for k, x in rows[p].items():
+        y = target.get(k)
+        if y is None:
+            target[k] = q * x
+            at[k].add(i)
+            continue
+        y += q * x
+        if y:
+            target[k] = y
+        else:
+            del target[k]
+            at[k].discard(i)
+
+
 class _Reduction:
     """Mutable state for the Smith reduction, stored row-sparse.
 
@@ -445,7 +468,8 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     ``left=False`` skips U and its inverse, ``right=False`` skips V; the
     skipped fields come back as ``None``.  Neither flag changes D or the
     transforms that are built, so callers that need only the invariant
-    factors pay for the working matrix alone.  The package itself never
+    factors pay for the working matrix alone; in the package those are
+    the residues of ``chain_invariants``.  The package itself never
     asks for V: its kernels come from ``hermite_graph``.
     """
     r = _Reduction(a, left, right)
@@ -494,11 +518,107 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     return SNFDecomposition(U=u, D=dm, V=v, u_inv=ui)
 
 
+class _SparseMap:
+    """One map of a complex under reduction: a copy of its rows as
+    ``{column: nonzero}`` dicts with their column index ``at`` (see
+    ``_add_indexed``), and the count of unit pivots eliminated.  A
+    dropped row is left empty; the keys of ``at`` are the live columns."""
+
+    __slots__ = ("rows", "at", "units")
+
+    def __init__(self, a: IntMatrix):
+        self.rows = _transposed(a._cols, a.rows)
+        self.at = {j: set(col) for j, col in enumerate(a._cols)}
+        self.units = 0
+
+    def drop_row(self, i: int) -> None:
+        for j in self.rows[i]:
+            self.at[j].discard(i)
+        self.rows[i] = {}
+
+    def drop_col(self, j: int) -> None:
+        for i in self.at.pop(j):
+            del self.rows[i][j]
+
+    def unit_pivot(self, j: int) -> int | None:
+        """The row of a +-1 in column j, the shortest such row (then the
+        lowest), or ``None`` when the column holds no unit."""
+        best, size = None, 0
+        for i in self.at[j]:
+            row = self.rows[i]
+            if row[j] in (1, -1) and (best is None or len(row) < size
+                                      or (len(row) == size and i < best)):
+                best, size = i, len(row)
+        return best
+
+    def eliminate(self, i: int, j: int) -> None:
+        """Clear column j with row operations on the unit pivot (i, j),
+        then drop row i and column j: the Schur complement."""
+        rows = self.rows
+        p = rows[i][j]
+        for r in [r for r in self.at[j] if r != i]:
+            _add_indexed(rows, self.at, r, i, -rows[r][j] * p)
+        self.drop_row(i)
+        del self.at[j]
+        self.units += 1
+
+    def residue(self) -> IntMatrix:
+        """What is left, on the nonzero rows and columns in index order."""
+        rows = self.rows
+        position = {i: t for t, i in enumerate(i for i, row in enumerate(rows) if row)}
+        return IntMatrix._adopt(len(position), [
+            {position[i]: rows[i][j] for i in self.at[j]}
+            for j in sorted(self.at) if self.at[j]])
+
+
+def chain_invariants(maps: Sequence[IntMatrix]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Rank and torsion factors (those >= 2) of each map of a complex.
+
+    ``maps`` are d_1..d_n with d_{k-1} d_k = 0 (a single map qualifies).
+    Invariant factors do not depend on the route to them, so the whole
+    complex is first reduced on unit pivots (Kaczynski, Mrozek and
+    Slusarek, Comput. Math. Appl. 35(4), 1998): for k = 1..n the columns
+    of d_k are swept in index order, again until a sweep finds no pivot,
+    and each column pivots on a +-1 in its shortest row that holds one.
+    The pivot is eliminated by the Schur complement and counts one unit
+    factor.  A pivot (s, t) of d_k also drops column s of d_{k-1} and row
+    t of d_{k+1} without arithmetic: as consecutive maps compose to zero,
+    that column is an integer combination of the remaining columns and
+    that row of the remaining rows, so neither lattice changes and the
+    reduced maps still compose to zero.  Whatever is left of a map with
+    a nonzero goes to ``snf`` without transforms.  No input is changed.
+    """
+    work = [_SparseMap(a) for a in maps]
+    for k, m in enumerate(work):
+        found = True
+        while found:
+            found = False
+            for j in sorted(m.at):
+                i = m.unit_pivot(j)
+                if i is None:
+                    continue
+                m.eliminate(i, j)
+                if k > 0:
+                    work[k - 1].drop_col(i)
+                if k + 1 < len(work):
+                    work[k + 1].drop_row(j)
+                found = True
+    out = []
+    for m in work:
+        if any(m.rows):
+            decomp = snf(m.residue(), left=False, right=False)
+            factors = decomp.invariant_factors()
+        else:
+            factors = ()
+        out.append((m.units + len(factors), tuple(d for d in factors if d >= 2)))
+    return tuple(out)
+
+
 def cokernel(a: IntMatrix) -> AbelianGroup:
-    """The quotient Z^rows / (column span of ``a``) in invariant-factor form."""
-    decomp = snf(a, left=False, right=False)
-    torsion = tuple(d for d in decomp.invariant_factors() if d >= 2)
-    return AbelianGroup(free_rank=a.rows - decomp.rank, torsion=torsion)
+    """The quotient Z^rows / (column span of ``a``) in invariant-factor form,
+    from ``chain_invariants`` of the one map."""
+    ((rank, torsion),) = chain_invariants((a,))
+    return AbelianGroup(free_rank=a.rows - rank, torsion=torsion)
 
 
 def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -516,22 +636,6 @@ def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:
     for i, row in enumerate(h):
         for c in row:
             at.setdefault(c, set()).add(i)
-
-    def add_scaled(i: int, p: int, q: int) -> None:
-        """h[i] += q * h[p] for q != 0, dropping entries that cancel."""
-        target = h[i]
-        for k, x in h[p].items():
-            y = target.get(k)
-            if y is None:
-                target[k] = q * x
-                at[k].add(i)
-                continue
-            y += q * x
-            if y:
-                target[k] = y
-            else:
-                del target[k]
-
     placed: list[int] = []
     done: set[int] = set()
     for c in sorted(at):
@@ -550,7 +654,7 @@ def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:
                 h[p] = {k: -x for k, x in h[p].items()}
             live = [i for i in live if i != p]
             for i in live:
-                add_scaled(i, p, -(h[i][c] // h[p][c]))
+                _add_indexed(h, at, i, p, -(h[i][c] // h[p][c]))
             live = [i for i in live if c in h[i]]
             if not live:
                 break
@@ -559,7 +663,7 @@ def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:
             if i in done:
                 q = h[i][c] // h[p][c]
                 if q:
-                    add_scaled(i, p, -q)
+                    _add_indexed(h, at, i, p, -q)
         placed.append(p)
         done.add(p)
     h[:] = [h[i] for i in placed] + [h[i] for i in range(len(h)) if i not in done]

@@ -116,7 +116,7 @@ def peripheral_matrix(q: QuotientComplex, i: int) -> IntMatrix:
     target = homology_basis(q.chain, 1)
     if source.group.torsion:
         raise PeripheralError(
-            f"cusp {i} section has H_1 = {source.group}; adapted bases need a "
+            f"cusp {i + 1} section has H_1 = {source.group}; adapted bases need a "
             f"torsion-free section (a 3-torus cross section)")
     if target.group.torsion:
         raise PeripheralError(
@@ -198,7 +198,7 @@ def peripheral_system(q: QuotientComplex) -> PeripheralSystem:
     """
     sections = cusp_sections(q)
     # Groups come from the generator path that the peripheral matrices
-    # build anyway, so no second Smith form runs.
+    # build anyway, so the group-only reduction never runs.
     ambient = homology_basis(q.chain, 1).group
     if ambient.torsion:
         raise PeripheralError(

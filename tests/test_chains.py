@@ -23,8 +23,10 @@ from dehn24.chains import (
     homology_basis,
     validate,
 )
+from dehn24.gluing import quotient_complex
 from dehn24.intlinalg import AbelianGroup, IntMatrix
 from dehn24.peripheral import cusp_sections
+from test_gluing import klein_spec, three_torus_spec, torus_spec
 
 
 def empty_boundary(cells: int) -> IntMatrix:
@@ -172,30 +174,104 @@ def test_group_only_homology_matches_basis_sections(census_m):
         _agrees_with_generator_path(section.chain)
 
 
-def test_group_only_homology_builds_no_transforms(census_m, monkeypatch):
-    """H1..H3 of the double cover come from bare Smith forms alone."""
+def _agrees_with_per_boundary_route(c: ChainComplex) -> None:
+    """The former group-only route, kept as the oracle: H_k from the
+    invariant factors of d_k and d_{k+1}, each boundary's from its own
+    transform-free Smith form."""
+    factors = [intlinalg.snf(c.boundary_or_zero(k), left=False, right=False).invariant_factors()
+               for k in range(c.top_dim + 2)]
+    for k in range(c.top_dim + 1):
+        expected = AbelianGroup(free_rank=c.cell_count(k) - len(factors[k]) - len(factors[k + 1]),
+                                torsion=tuple(d for d in factors[k + 1] if d >= 2))
+        assert homology(c, k) == expected, k
+
+
+def test_reduction_matches_per_boundary_route_on_slices(search_demo):
+    """Every complex the demo builds from slices (0, 1) and (2, 3), at one
+    and two copies."""
+    built = 0
+    for free in ({0, 1}, {2, 3}):
+        for spec in search_demo.Search(free).run():
+            for copies in (1, 2):
+                try:
+                    q = search_demo.quotient_complex(spec, copies=copies)
+                except search_demo.GluingError:
+                    continue
+                _agrees_with_per_boundary_route(q.chain)
+                built += 1
+    assert built == 146
+
+
+def test_reduction_matches_per_boundary_route_on_sections(census_m):
+    for section in cusp_sections(census_m):
+        _agrees_with_per_boundary_route(section.chain)
+
+
+@pytest.mark.parametrize("spec, copies", [(torus_spec, 1), (three_torus_spec, 1),
+                                          (klein_spec, 1), (klein_spec, 2)])
+def test_reduction_matches_per_boundary_route_on_test_gluings(spec, copies):
+    _agrees_with_per_boundary_route(quotient_complex(spec(), copies=copies).chain)
+
+
+def _random_complex(rng: random.Random) -> ChainComplex:
+    """A seeded complex with d*d = 0: each next boundary is the kernel
+    basis of the last times a sparse random matrix."""
+    def sparse(rows, cols):
+        return IntMatrix([[rng.choice((0, 0, 0, 1, -1, 1, -1, 2, -3))
+                           for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    n0 = rng.randint(1, 6)
+    boundary = [empty_boundary(n0), sparse(n0, rng.randint(1, 9))]
+    for _ in range(rng.randint(0, 3)):
+        kernel = intlinalg.kernel_basis(boundary[-1])
+        boundary.append(kernel * sparse(kernel.cols, rng.randint(0, 8)))
+    return ChainComplex(boundary=tuple(boundary))
+
+
+def test_reduction_matches_per_boundary_route_on_random_complexes():
+    rng = random.Random(17)
+    torsion = 0
+    for _ in range(200):
+        c = _random_complex(rng)
+        assert validate(c)
+        before = [d.columns() for d in c.boundary]
+        _agrees_with_per_boundary_route(c)
+        assert [d.columns() for d in c.boundary] == before
+        torsion += any(homology(c, k).torsion for k in range(c.top_dim + 1))
+    assert torsion > 20
+
+
+def test_group_only_homology_builds_no_transforms(census_n, census_m, monkeypatch):
+    """H1..H3 come from one unit-pivot reduction per complex.  The double
+    cover reduces to nothing, so it runs no Smith form at all; the base
+    quotient leaves residues of d2 and d3 for two transform-free ones."""
     def forbidden(*args, **kwargs):
         raise AssertionError("group-only homology reached the generator path")
 
     for module in (chains, intlinalg):
         monkeypatch.setattr(module, "kernel_basis", forbidden)
         monkeypatch.setattr(module, "EchelonBasis", forbidden)
-    decomps = []
-    real_snf = intlinalg.snf
+    reductions, smith = [], []
+    real_reduction, real_snf = intlinalg.chain_invariants, intlinalg.snf
 
-    def recording_snf(*args, **kwargs):
-        decomp = real_snf(*args, **kwargs)
-        decomps.append(decomp)
-        return decomp
+    def recording_reduction(maps):
+        reductions.append(len(maps))
+        return real_reduction(maps)
 
-    for module in (chains, intlinalg):
-        monkeypatch.setattr(module, "snf", recording_snf)
-    chains._invariant_factors.cache_clear()
+    def recording_snf(a, *, left=True, right=True):
+        smith.append((a.rows, a.cols, left, right))
+        return real_snf(a, left=left, right=right)
+
+    monkeypatch.setattr(chains, "chain_invariants", recording_reduction)
+    monkeypatch.setattr(intlinalg, "snf", recording_snf)
+    chains._boundary_invariants.cache_clear()
     groups = [homology(census_m.chain, k) for k in (1, 2, 3)]
     assert groups == [AbelianGroup(5), AbelianGroup(10), AbelianGroup(4)]
-    # d1..d4, each Smith-reduced once and shared between adjacent degrees.
-    assert len(decomps) == 4
-    assert all(d.U is None and d.u_inv is None and d.V is None for d in decomps)
+    assert (reductions, smith) == ([4], [])
+    groups = [homology(census_n.chain, k) for k in (1, 2, 3)]
+    assert groups == [AbelianGroup(0, (2,) * 6), AbelianGroup(0, (2,) * 4), AbelianGroup(0)]
+    assert reductions == [4, 4]
+    assert smith == [(6, 9, False, False), (6, 4, False, False)]
 
 
 def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):

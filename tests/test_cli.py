@@ -23,7 +23,7 @@ from dehn24 import chains, cli, intlinalg, peripheral
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
-from dehn24.gluing import census_pairing, orientation_character
+from dehn24.gluing import census_pairing, orientation_character, write_pairing
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 _BOX = "--box=-1:1,-1:1,0:0,0:1,0:0,0:0,0:0,0:0,-2:0,0:0"
@@ -471,6 +471,20 @@ def test_shuffled_pairing_file_matches_goldens(capsys, tmp_path, golden, argv):
     assert out.encode() == (GOLDEN / f"{golden}.out").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["peripheral"], ["fill", "1,0", "1,0", "1,0", "1,0", "1,0"]])
+def test_torsion_section_refusal_numbers_the_cusp_from_one(capsys, tmp_path, search_demo, argv):
+    """Leaf 20 of the demo's slice (0, 1) has a first cusp section with
+    H_1 = Z + Z_2^2; the refusal names it cusp 1, as ``cusps`` prints it."""
+    path = tmp_path / "leaf20.txt"
+    path.write_text(write_pairing(search_demo.Search({0, 1}).run()[20]))
+    code, out, _ = run(capsys, "cusps", "--copies", "2", "--pairing", str(path))
+    assert code == 0 and out.startswith("cusp 1: cubes 4, cells 4 12 12 4, H1 Z + Z_2^2,")
+    code, out, err = run(capsys, *argv, "--pairing", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: cusp 1 section has H_1 = Z + Z_2^2; adapted bases need a "
+                   "torsion-free section (a 3-torus cross section)\n")
+
+
 def test_shuffled_pairing_file_build_lists_signs_in_record_order(capsys, tmp_path):
     path, order = _shuffled_pairing_file(tmp_path)
     code, out, err = run(capsys, "build", "--pairing", str(path))
@@ -605,7 +619,7 @@ def test_cold_fill_builds_no_smith_column_transform(capsys, monkeypatch):
 
     for module in (chains, intlinalg):
         monkeypatch.setattr(module, "snf", recording_snf)
-    for cached in (chains.homology_basis, chains._invariant_factors, peripheral.cusp_sections):
+    for cached in (chains.homology_basis, chains._boundary_invariants, peripheral.cusp_sections):
         cached.cache_clear()
     code, out, err = run(capsys, "fill", "3,3", "3,3", "3,3", "3,3", "3,3")
     assert (code, err) == (0, "")

@@ -302,9 +302,9 @@ def test_peripheral_system_of_m(census_m):
 def test_peripheral_system_reads_groups_from_generator_path(census_m, monkeypatch):
     """Ambient and section groups reuse the bases the matrices need."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("peripheral_system ran a group-only Smith form")
+        raise AssertionError("peripheral_system ran the group-only reduction")
 
-    monkeypatch.setattr(chains, "_invariant_factors", forbidden)
+    monkeypatch.setattr(chains, "_boundary_invariants", forbidden)
     seen = []
     real_basis = peripheral.homology_basis
 
