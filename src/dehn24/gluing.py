@@ -18,6 +18,8 @@ identical machinery can be exercised on torus and Klein-bottle gluings.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import product
+from operator import itemgetter
 from types import MappingProxyType
 
 from .chains import ChainComplex
@@ -444,28 +446,37 @@ def vertex_cycles(spec: SidePairingSpec):
     (size, first member).  For a single-copy spec the members are vertex
     indices; for a two-copy spec they are (copy, vertex) pairs.
     """
-    geo = geometry(spec.geometry)
-    # Union-find on (copy, vertex).  Keys are inserted in sorted order, so
-    # every class below lists its members sorted.
-    parent = {(c, v): (c, v) for c in range(spec.copies) for v in range(geo.spec_vertex_count)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in spec.pairings:
-        for v, w in p.vertex_map:
-            ra, rb = find((p.copy_a, v)), find((p.copy_b, w))
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict = {}
-    for e in parent:
-        groups.setdefault(find(e), []).append(e)
+    n = geometry(spec.geometry).spec_vertex_count
+    # Keys copy * n + v run in (copy, vertex) order, so every class below
+    # lists its members sorted.
+    roots = _least_members(spec.copies * n, ((p.copy_a * n + v, p.copy_b * n + w)
+                                             for p in spec.pairings for v, w in p.vertex_map))
+    groups: dict[int, list[int]] = {}
+    for key, root in enumerate(roots):
+        groups.setdefault(root, []).append(key)
     cycles = sorted(groups.values(), key=lambda g: (len(g), g[0]))
     if spec.copies == 1:
-        return tuple(tuple(v for _, v in g) for g in cycles)
-    return tuple(tuple(g) for g in cycles)
+        return tuple(map(tuple, cycles))
+    return tuple(tuple(divmod(key, n) for key in g) for g in cycles)
+
+
+def _least_members(size: int, joins) -> list[int]:
+    """Union-find on keys 0..size-1 joined in pairs: each key's least class member."""
+    # A key's parent is never larger than the key, so the final pass, run
+    # upward, finds each parent's root already in place.
+    parent = list(range(size))
+    for a, b in joins:
+        while a != parent[a]:
+            a = parent[a]
+        while b != parent[b]:
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x in range(size):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +521,12 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
 
     ``links[dim]`` lists ``(cell, image, sign, forward, backward)`` for
     every model cell of ``facet_a`` in that dimension: its image cell and
-    orientation sign, where ``forward[j]`` is the position in the cell of
-    the vertex sent to position j of the image and ``backward`` its
-    inverse.  ``ridges`` is the ridge map and that map's inverse.  Copy
+    orientation sign, and two ``operator.itemgetter``s on vertex
+    positions.  ``forward`` carries a tuple over the cell's vertex
+    positions to one over the image's, reading image position j from the
+    cell position of the vertex sent there; ``backward`` carries it back.
+    A vertex has the one position 0, so dimension-0 links carry None for
+    both.  ``ridges`` is the ridge map and that map's inverse.  Copy
     indices play no part, so both copies of a double cover share one
     cache entry.  A map sending a face to a non-face raises PairingError.
     """
@@ -527,12 +541,15 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
                            f"facet {facet_b}: {error}") from None
     links: tuple[list, ...] = tuple([] for _ in range(model.dim + 1))
     for (dim, idx), (target, sign) in table.items():
+        if dim == 0:
+            links[0].append((idx, target, sign, None, None))
+            continue
         image = model.cells[dim][target]
-        backward = tuple([image.index(mapping[v]) for v in model.cells[dim][idx]])
-        # A permutation of one or two positions is its own inverse.
-        forward = backward if len(backward) < 3 else tuple(
-            sorted(range(len(backward)), key=backward.__getitem__))
-        links[dim].append((idx, target, sign, forward, backward))
+        backward = [image.index(mapping[v]) for v in model.cells[dim][idx]]
+        # A permutation of two positions is its own inverse.
+        forward = backward if len(backward) < 3 else sorted(
+            range(len(backward)), key=backward.__getitem__)
+        links[dim].append((idx, target, sign, itemgetter(*forward), itemgetter(*backward)))
     ridges = {idx: target for idx, target, *_ in links[model.dim - 2]}
     ridges = tuple(map(MappingProxyType, (ridges, {t: r for r, t in ridges.items()})))
     return ridges, tuple(map(tuple, links))
@@ -665,23 +682,30 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
                 _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)[1])
                for p in spec.pairings]
 
-    # Per dimension, on keys copy * n + cell, with links built when it is
-    # reached: each orbit is walked from its least key, and every key records
-    # its orbit, sign and vertex positions in that representative's cell.
-    orbit_index = []
-    representatives = []
-    for k in range(top + 1):
+    # Per dimension, a list on keys copy * n + cell holds each key's orbit,
+    # sign and vertex positions in its orbit's representative, the least
+    # key.  Vertices carry sign +1 and position (0,), so their orbits are
+    # union-find classes; higher cells are walked along the links.
+    n = len(model.cells[0])
+    roots = _least_members(spec.copies * n, (
+        (copy_a * n + a, copy_b * n + b)
+        for copy_a, copy_b, per_dim in actions for a, b, _, _, _ in per_dim[0]))
+    reps = [key for key, root in enumerate(roots) if key == root]
+    entry = {key: (orbit, 1, (0,)) for orbit, key in enumerate(reps)}
+    levels = [[entry[root] for root in roots]]
+    representatives = [tuple(divmod(key, n) for key in reps)]
+    for k in range(1, top + 1):
         n = len(cells := model.cells[k])
-        links: dict[int, list] = {}
+        reps = []
+        links: list[list] = [[] for _ in range(spec.copies * n)]
         for copy_a, copy_b, per_dim in actions:
             for a, b, sign, forward, backward in per_dim[k]:
                 a, b = copy_a * n + a, copy_b * n + b
-                links.setdefault(a, []).append((b, sign, forward))
-                links.setdefault(b, []).append((a, sign, backward))
-        level: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        reps: list[tuple[int, int]] = []
-        for rep in range(spec.copies * n):
-            if rep in level:
+                links[a].append((b, sign, forward))
+                links[b].append((a, sign, backward))
+        level = [None] * len(links)
+        for rep in range(len(links)):
+            if level[rep] is not None:
                 continue
             orbit = len(reps)
             level[rep] = (orbit, 1, tuple(range(len(cells[rep % n]))))
@@ -689,25 +713,26 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
             stack = [rep]
             while stack:
                 _, sign, at = level[key := stack.pop()]
-                for other, other_sign, pull in links.get(key, ()):
-                    moved = tuple([at[j] for j in pull])
-                    if other not in level:
+                for other, other_sign, pull in links[key]:
+                    moved = pull(at)
+                    if (seen := level[other]) is None:
                         level[other] = (orbit, sign * other_sign, moved)
                         stack.append(other)
-                    elif level[other][2] != moved:
+                    elif seen[2] != moved:
                         raise GluingError(
                             "side-pairing identifies a cell with itself by a "
                             "nontrivial symmetry; the quotient is not a CW complex")
-        orbit_index.append({divmod(key, n): entry for key, entry in level.items()})
+        levels.append(level)
         representatives.append(tuple(reps))
 
     boundary_matrices = [IntMatrix.zero(0, len(representatives[0]))]
     for k in range(1, top + 1):
+        below, n = levels[k - 1], len(model.cells[k - 1])
         columns = []
         for copy, idx in representatives[k]:
             column: dict[int, int] = {}
             for sub, coeff in model.boundary_entries[k][idx]:
-                q, sign, _ = orbit_index[k - 1][copy, sub]
+                q, sign, _ = below[copy * n + sub]
                 column[q] = column.get(q, 0) + coeff * sign
             columns.append(column.items())
         boundary_matrices.append(
@@ -720,7 +745,8 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
         spec=spec,
         chain=ChainComplex(boundary=tuple(boundary_matrices), cell_labels=labels),
         representatives=tuple(representatives),
-        orbit_index=tuple(orbit_index),
+        orbit_index=tuple(dict(zip(product(range(spec.copies), range(len(cells))), level))
+                          for cells, level in zip(model.cells, levels)),
     )
 
 
@@ -768,41 +794,40 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     """
     geo = geometry(spec.geometry)
     ridge_facets = geo.ridge_facets
-    # Per (copy, model facet) slot: the letter of its crossing, where the
+    # Per key copy * n + model facet: the letter of its crossing, where the
     # crossing arrives, and where it sends each ridge.
-    crossing = {}
+    n = len(geo.model.cells[geo.model.dim - 1])
+    crossing: list = [None] * (spec.copies * n)
     for i, p in enumerate(spec.pairings):
         forward, backward = _pairing_action(spec.geometry, p.facet_a, p.facet_b,
                                             p.vertex_map)[0]
         fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
-        crossing[p.copy_a, fa] = (i + 1, p.copy_b, fb, forward)
+        crossing[p.copy_a * n + fa] = (i + 1, p.copy_b, fb, forward)
         if not p.is_self_pairing():
-            crossing[p.copy_b, fb] = (-(i + 1), p.copy_a, fa, backward)
+            crossing[p.copy_b * n + fb] = (-(i + 1), p.copy_a, fa, backward)
 
-    def step(state):
-        letter, copy, arrival, ridge_map = crossing[state[0], state[2]]
-        ridge = ridge_map[state[1]]
-        a, b = ridge_facets[ridge]
-        assert arrival in (a, b)
-        return (copy, ridge, b if a == arrival else a), letter
-
-    visited: set = set()
+    # The walk stands at (copy, ridge, facet) and leaves across that facet,
+    # having come in across the ridge's other one.  A cycle thus uses both
+    # states of every (copy, ridge) it meets, so that pair is what it marks.
+    visited: set[tuple[int, int]] = set()
     relators: list[tuple[int, ...]] = []
     limit = 2 * len(ridge_facets) * spec.copies + 2
-    for copy in range(spec.copies):
-        for ridge in sorted(ridge_facets):
-            start = (copy, ridge, ridge_facets[ridge][0])
-            if start in visited:
+    for start_copy in range(spec.copies):
+        for start_ridge in sorted(ridge_facets):
+            if (start_copy, start_ridge) in visited:
                 continue
+            start = (start_copy, start_ridge, ridge_facets[start_ridge][0])
+            copy, ridge, facet = start
             word = []
-            state = start
             for _ in range(limit):
-                a, b = ridge_facets[state[1]]
-                visited.add(state)
-                visited.add((state[0], state[1], b if state[2] == a else a))
-                state, letter = step(state)
+                visited.add((copy, ridge))
+                letter, copy, arrival, ridge_map = crossing[copy * n + facet]
+                ridge = ridge_map[ridge]
+                a, b = ridge_facets[ridge]
+                assert arrival in (a, b)
+                facet = b if a == arrival else a
                 word.append(letter)
-                if state == start:
+                if (copy, ridge, facet) == start:
                     break
             else:
                 raise GluingError("ridge cycle failed to close")

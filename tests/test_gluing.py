@@ -674,7 +674,8 @@ def test_orbit_walk_matches_oracle_on_small_gluings():
 
 # Per slice: the nonorientable leaves and how many of them build, as
 # ``perfbench/search_stages.json`` records.
-@pytest.mark.parametrize("key, nonorientable, built", [("0,1", 12, 3), ("0,3", 16, 5)])
+@pytest.mark.parametrize("key, nonorientable, built",
+                         [("0,1", 12, 3), ("0,3", 16, 5), ("2,3", 5, 1)])
 def test_orbit_walk_matches_oracle_on_search_leaves(search_demo, key, nonorientable, built):
     leaves = search_demo.Search({int(x) for x in key.split(",")}).run()
     specs = [spec for spec in leaves
@@ -684,6 +685,90 @@ def test_orbit_walk_matches_oracle_on_search_leaves(search_demo, key, nonorienta
     agreed = [spec for spec in specs if agrees_with_oracle(spec)]
     assert (len(specs), len(agreed)) == (nonorientable, built)
     assert all(agrees_with_oracle(spec, 2) for spec in agreed)
+
+
+def oracle_vertex_cycles(spec: SidePairingSpec):
+    """``vertex_cycles`` as first written, on (copy, vertex) keys: its oracle."""
+    geo = geometry(spec.geometry)
+    parent = {(c, v): (c, v) for c in range(spec.copies) for v in range(geo.spec_vertex_count)}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in spec.pairings:
+        for v, w in p.vertex_map:
+            ra, rb = find((p.copy_a, v)), find((p.copy_b, w))
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict = {}
+    for e in parent:
+        groups.setdefault(find(e), []).append(e)
+    cycles = sorted(groups.values(), key=lambda g: (len(g), g[0]))
+    if spec.copies == 1:
+        return tuple(tuple(v for _, v in g) for g in cycles)
+    return tuple(tuple(g) for g in cycles)
+
+
+def oracle_relators(spec: SidePairingSpec) -> tuple[tuple[int, ...], ...]:
+    """``presentation``'s relators as first written: the ridge walk on
+    (copy, ridge, facet) states, marking both states of a ridge."""
+    geo = geometry(spec.geometry)
+    ridge_facets = geo.ridge_facets
+    crossing = {}
+    for i, p in enumerate(spec.pairings):
+        forward, backward = gluing._pairing_action(spec.geometry, p.facet_a, p.facet_b,
+                                                   p.vertex_map)[0]
+        fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
+        crossing[p.copy_a, fa] = (i + 1, p.copy_b, fb, forward)
+        if not p.is_self_pairing():
+            crossing[p.copy_b, fb] = (-(i + 1), p.copy_a, fa, backward)
+
+    def step(state):
+        letter, copy, arrival, ridge_map = crossing[state[0], state[2]]
+        ridge = ridge_map[state[1]]
+        a, b = ridge_facets[ridge]
+        return (copy, ridge, b if a == arrival else a), letter
+
+    visited: set = set()
+    relators = []
+    for copy in range(spec.copies):
+        for ridge in sorted(ridge_facets):
+            start = (copy, ridge, ridge_facets[ridge][0])
+            if start in visited:
+                continue
+            word = []
+            state = start
+            for _ in range(2 * len(ridge_facets) * spec.copies + 2):
+                a, b = ridge_facets[state[1]]
+                visited.add(state)
+                visited.add((state[0], state[1], b if state[2] == a else a))
+                state, letter = step(state)
+                word.append(letter)
+                if state == start:
+                    break
+            else:
+                raise GluingError("ridge cycle failed to close")
+            relators.append(tuple(word))
+    relators += [(i + 1, i + 1) for i, p in enumerate(spec.pairings) if p.is_self_pairing()]
+    if spec.copies == 2:
+        relators.append((next(i for i, p in enumerate(spec.pairings)
+                              if p.copy_a != p.copy_b) + 1,))
+    return tuple(relators)
+
+
+def test_vertex_cycles_and_ridge_words_match_oracles(search_demo):
+    """Every leaf of two slices, each nonorientable leaf's double cover and
+    three small gluings: the same cycles, and relators word for word."""
+    leaves = [spec for key in ({0, 1}, {2, 3}) for spec in search_demo.Search(key).run()]
+    specs = leaves + [double_cover(spec) for spec in leaves
+                      if not orientation_character(spec).orientable]
+    specs += [torus_spec(), double_cover(klein_spec()), double_cover(projective_plane_spec())]
+    assert (len(leaves), len(specs)) == (117, 117 + 101 + 3)
+    for spec in specs:
+        assert vertex_cycles(spec) == oracle_vertex_cycles(spec)
+        assert presentation(spec).relators == oracle_relators(spec)
 
 
 def test_parse_errors():
