@@ -8,19 +8,21 @@ lattice solve is built for them.
 Generators come only from ``homology_basis``, whose cycles follow a
 fixed convention (Smith form of the next boundary expressed in the
 canonical kernel basis), so matrices of induced maps are reproducible
-across runs and machines.
+across runs and machines.  That basis is the Hermite form, read off a
+spanning forest where d_k is a graph's incidence matrix (every d_1 is).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .intlinalg import (
     AbelianGroup,
     EchelonBasis,
     IntMatrix,
     chain_invariants,
+    forest_kernel,
     kernel_basis,
     snf,
 )
@@ -146,20 +148,32 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     (peripheral matrices, one call per cusp) would otherwise redo the
     same Smith forms.
 
+    The kernel of d_k is its Hermite basis, from ``forest_kernel`` when
+    d_k is an incidence matrix (so the next boundary's coordinates are
+    its rows at the pivots) and from ``kernel_basis`` otherwise.
+
     Raises:
-        ValueError: if k is outside 0..top_dim.
+        ValueError: if k is outside 0..top_dim, or a column of d_{k+1}
+            is not a cycle.
     """
     if not 0 <= k <= c.top_dim:
         raise ValueError(f"dimension {k} out of range for a complex of top dimension {c.top_dim}")
     d_k = c.boundary[k]
-    cycles = kernel_basis(d_k)
+    d_next = c.boundary_or_zero(k + 1)
+    cycles, pivots = forest_kernel(d_k) or (kernel_basis(d_k), None)
     kernel = EchelonBasis(cycles)
+    if pivots is None:
+        # Express the image of the next boundary inside the cycle lattice;
+        # the kernel is saturated, so the coefficients are integers.
+        image_coords = IntMatrix.from_nonzeros(
+            [kernel.solve_nonzeros(col).items() for col in d_next.nonzero_columns()],
+            rows=cycles.cols)
+    elif (d_k * d_next).is_zero():
+        # In the forest basis a cycle's coordinates are its pivot entries.
+        image_coords = d_next.submatrix(pivots, range(d_next.cols))
+    else:
+        raise ValueError(f"boundary[{k + 1}] has a column that is not a cycle")
     z = cycles.cols
-    # Express the image of the next boundary inside the cycle lattice; the
-    # kernel is saturated, so the coefficients are integers.
-    image_coords = IntMatrix.from_nonzeros(
-        [kernel.solve_nonzeros(col).items()
-         for col in c.boundary_or_zero(k + 1).nonzero_columns()], rows=z)
     decomp = snf(image_coords, right=False)
     rank = decomp.rank
     factors = decomp.D.diagonal_entries()

@@ -21,10 +21,10 @@ import json
 import math
 import re
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 from .chains import euler_characteristic, homology
 from .filling import FillingError, adapted_slopes, is_homology_sphere

@@ -13,7 +13,7 @@ cross-check on the ambient homology.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, is_primitive
 from .peripheral import PeripheralSystem, Vector, slope

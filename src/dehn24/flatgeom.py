@@ -18,9 +18,9 @@ raises :class:`PrecisionError` instead of guessing.
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import floor, isqrt
-from typing import Iterable, Iterator, Sequence
 
 from .chains import homology_basis
 from .gluing import QuotientComplex, geometry

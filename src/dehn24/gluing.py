@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
+from pathlib import Path
 from types import MappingProxyType
 
 from .chains import ChainComplex
@@ -367,10 +368,8 @@ def _validate_bijection(geo: Geometry, p: Pairing) -> None:
 
 def census_pairing() -> SidePairingSpec:
     """The bundled side-pairing of census manifold 1011 (code 14FF28)."""
-    from importlib import resources
-
-    text = resources.files("dehn24").joinpath("data/pairing_1011.txt").read_text("utf-8")
-    return parse_pairing(text)
+    path = Path(__file__).parent / "data" / "pairing_1011.txt"
+    return parse_pairing(path.read_text("utf-8"))
 
 
 def _excerpt(value: object) -> str:

@@ -5,7 +5,8 @@ reduction of a chain complex, with Smith forms of what it leaves, gives
 ranks and torsion (``chain_invariants``, and ``cokernel`` as its one-map
 case); Smith forms with transforms give homology generators; and one
 Hermite reduction of [a^T | I] (``hermite_graph``) gives kernels and
-adapted bases.
+adapted bases.  The kernel of a graph's incidence matrix has that same
+Hermite basis at graph cost, from a spanning forest (``forest_kernel``).
 Matrices are immutable, arbitrary precision, and all operations are pure,
 so values can be shared freely between threads.  Boundary matrices are a
 few percent nonzero, so a matrix stores only its nonzeros, column by
@@ -16,7 +17,7 @@ touches.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .record import Record
 
@@ -700,6 +701,51 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     """The canonical basis of ker(a), as the columns of an (a.cols x k)
     matrix: its Hermite form, from ``hermite_graph``."""
     return hermite_graph(a)[2]
+
+
+def forest_kernel(a: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]] | None:
+    """``kernel_basis(a)`` and its pivot rows, when every column of ``a``
+    is zero or one +1 and one -1 (a graph's incidence matrix); else ``None``.
+
+    A spanning forest is grown from the last edge down, and each edge it
+    refuses is a pivot, whose cycle is +1 there plus the forest path
+    between its ends (Hatcher, Algebraic Topology, 1.A).  That path uses
+    only edges above the pivot, so every pivot is 1 and every cycle is
+    zero at the other pivots: the Hermite conditions, whose form is
+    unique.  A cycle's coordinates are its entries at the pivot rows.
+    """
+    cols = a._cols
+    if any(col and sorted(col.values()) != [-1, 1] for col in cols):
+        return None
+    # Components merge smaller into larger; each vertex keeps the chain of
+    # its forest path from its component's root.
+    root = list(range(a.rows))
+    members = [[u] for u in range(a.rows)]
+    path: list[dict[int, int]] = [{} for _ in range(a.rows)]
+    cycles, pivots = [], []
+    for j in reversed(range(a.cols)):
+        cycle = {j: 1}
+        if cols[j]:
+            (u, x), (v, _) = cols[j].items()
+            if root[u] != root[v]:
+                if len(members[root[u]]) > len(members[root[v]]):
+                    u, v, x = v, u, -x
+                # Hang u's tree below v by edge j: path[v] + x e_j - path[u]
+                # joins v's root to u's.
+                shift = {**path[v], j: x}
+                _add_scaled(shift, path[u], -1)
+                moved, members[root[u]] = members[root[u]], []
+                members[root[v]] += moved
+                for w in moved:
+                    root[w] = root[v]
+                    _add_scaled(path[w], shift, 1)
+                continue
+            # Refused: e_j less x times the forest path from v to u.
+            _add_scaled(cycle, path[u], -x)
+            _add_scaled(cycle, path[v], x)
+        cycles.append(cycle)
+        pivots.append(j)
+    return IntMatrix._adopt(a.cols, cycles[::-1]), tuple(pivots[::-1])
 
 
 class EchelonBasis:

@@ -358,23 +358,29 @@ def test_generators_match_dense_reference_small(make):
         assert homology_basis.__wrapped__(c, k) == homology_basis(c, k)
 
 
-def test_generators_match_dense_reference_census(census_m):
+def test_generators_match_dense_reference_census(census_n, census_m):
+    """The base quotient's Z_2^6 torsion generators and the cover's free
+    ones, and every degree of every cusp section."""
     rng = random.Random(7)
-    _agrees_with_dense_generators(census_m.chain, 1, rng)
-    for section in cusp_sections(census_m):
-        for k in range(section.chain.top_dim + 1):
-            _agrees_with_dense_generators(section.chain, k, rng)
+    for q in (census_n, census_m):
+        _agrees_with_dense_generators(q.chain, 1, rng)
+        for section in cusp_sections(q):
+            for k in range(section.chain.top_dim + 1):
+                _agrees_with_dense_generators(section.chain, k, rng)
 
 
 def test_generator_path_reads_the_kernel_once(census_m, monkeypatch):
-    """The cover's H_1 generators: the kernel basis and the next boundary
-    are each read in one pass, and only kept columns of cycles * U^-1 are
-    formed, never the whole product."""
+    """The cover's H_1 generators: d_1 is an incidence matrix, so its
+    kernel comes from a spanning forest and the next boundary's
+    coordinates from its pivot rows.  No Hermite reduction runs, nothing
+    is solved against the kernel, the kernel is read once, and only kept
+    columns of cycles * U^-1 are formed, never the whole product."""
     kernel = intlinalg.kernel_basis(census_m.chain.boundary[1])
     z = kernel.cols
-    product_widths, single_columns, all_columns = [], [], []
+    product_widths, single_columns, all_columns, calls = [], [], [], []
     real_mul, real_column = IntMatrix.__mul__, IntMatrix.column
     real_columns, real_nonzero_columns = IntMatrix.columns, IntMatrix.nonzero_columns
+    real_hermite, real_solve = intlinalg._hermite_rows, intlinalg.EchelonBasis.solve_nonzeros
 
     def recording_mul(self, other):
         product_widths.append(other.cols)
@@ -392,17 +398,27 @@ def test_generator_path_reads_the_kernel_once(census_m, monkeypatch):
         all_columns.append(self)
         return real_nonzero_columns(self)
 
+    def recording_hermite(rows):
+        calls.append("_hermite_rows")
+        return real_hermite(rows)
+
+    def recording_solve(self, target):
+        calls.append("solve_nonzeros")
+        return real_solve(self, target)
+
     monkeypatch.setattr(IntMatrix, "__mul__", recording_mul)
     monkeypatch.setattr(IntMatrix, "column", recording_column)
     monkeypatch.setattr(IntMatrix, "columns", recording_columns)
     monkeypatch.setattr(IntMatrix, "nonzero_columns", recording_nonzero_columns)
+    monkeypatch.setattr(intlinalg, "_hermite_rows", recording_hermite)
+    monkeypatch.setattr(intlinalg.EchelonBasis, "solve_nonzeros", recording_solve)
     homology_basis.cache_clear()
     basis = homology_basis(census_m.chain, 1)
     assert basis.group == AbelianGroup(5)
+    assert calls == []
     assert z not in product_widths
     assert single_columns == []
     assert sum(m == kernel for m in all_columns) == 1
-    assert sum(m == census_m.chain.boundary[2] for m in all_columns) == 1
     chain = basis.cycles.column(0)
     all_columns.clear()
     assert basis.coordinates(chain) == ((1, 0, 0, 0, 0), ())
@@ -431,6 +447,15 @@ def test_homology_basis_rejects_non_cycle():
     basis = homology_basis(c, 1)
     with pytest.raises(ValueError):
         basis.coordinates((1,))
+
+
+def test_homology_basis_rejects_non_complex():
+    """When d_1 d_2 != 0, degree 1 is refused on both routes: through the
+    forest, d_1 an incidence matrix, and through Hermite, d_1 not one."""
+    for d1 in (IntMatrix([[1], [-1]]), IntMatrix([[2], [0]])):
+        c = ChainComplex(boundary=(empty_boundary(2), d1, IntMatrix([[1]])))
+        with pytest.raises(ValueError):
+            homology_basis(c, 1)
 
 
 def test_public_names_resolve():

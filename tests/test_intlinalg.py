@@ -9,6 +9,7 @@ plain dense elimination with the same pivot rule, which the row-sparse
 list-of-rows matrix that the column-sparse ``IntMatrix`` must agree with.
 """
 
+import collections
 import itertools
 import math
 import pathlib
@@ -25,6 +26,7 @@ from dehn24.intlinalg import (
     SNFDecomposition,
     cokernel,
     complete_to_basis,
+    forest_kernel,
     generates,
     hermite_graph,
     is_primitive,
@@ -32,8 +34,11 @@ from dehn24.intlinalg import (
     row_hermite,
     snf,
 )
+from dehn24 import chains
 from dehn24.chains import homology_basis
+from dehn24.gluing import GluingError, quotient_complex
 from dehn24.peripheral import cusp_sections, peripheral_system, report
+from test_gluing import klein_spec, projective_plane_spec, three_torus_spec, torus_spec
 
 
 def minor_gcd_invariant_factors(a: IntMatrix) -> list[int]:
@@ -853,6 +858,101 @@ def test_hermite_graph_splits_image_and_kernel():
             assert all(0 <= preimage[pivot, t] < kernel[pivot, j] for t in range(preimage.cols))
         both = preimage.columns() + kernel.columns()
         assert IntMatrix.from_columns(both, rows=n).det() in (1, -1)
+
+
+def random_signed_multigraph(rng: random.Random) -> tuple[IntMatrix, list]:
+    """A seeded signed incidence matrix and its edges, (head, tail) or
+    ``None`` for a loop, whose boundary is zero.  Parallel edges come in
+    both orientations; sparsity gives isolated vertices and several
+    components, and some draws have no vertex or no edge at all."""
+    vertices, edges = rng.randint(0, 9), []
+    for _ in range(rng.randint(0, 16)):
+        if vertices < 2 or rng.random() < 0.15:
+            edges.append(None)
+        elif any(edges) and rng.random() < 0.3:
+            u, v = rng.choice([e for e in edges if e])
+            edges.append(rng.choice(((u, v), (v, u))))
+        else:
+            edges.append(tuple(rng.sample(range(vertices), 2)))
+    a = IntMatrix.from_nonzeros([{e[0]: 1, e[1]: -1}.items() if e else () for e in edges],
+                                rows=vertices)
+    return a, edges
+
+
+def component_count(vertices: int, edges: list) -> int:
+    label = list(range(vertices))
+    for u, v in filter(None, edges):
+        label = [label[v] if x == label[u] else x for x in label]
+    return len(set(label))
+
+
+def test_forest_kernel_is_the_hermite_kernel_on_random_multigraphs():
+    """Column for column, with unit pivots at the returned rows and zeros
+    at the other pivots."""
+    rng = random.Random(83)
+    seen = collections.Counter()
+    for _ in range(1500):
+        a, edges = random_signed_multigraph(rng)
+        cycles, pivots = forest_kernel(a)
+        assert cycles == kernel_basis(a)
+        assert pivots == tuple(min(i for i, _ in col) for col in cycles.nonzero_columns())
+        assert cycles.submatrix(pivots, range(cycles.cols)) == IntMatrix.identity(len(pivots))
+        ends = list(filter(None, edges))
+        seen["loop"] += None in edges
+        seen["no edge"] += not edges
+        seen["no vertex"] += a.rows == 0
+        seen["opposite parallels"] += any((v, u) in ends for u, v in ends)
+        seen["isolated vertex"] += len({x for e in ends for x in e}) < a.rows
+        seen["components"] += component_count(a.rows, edges) > 1
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
+@pytest.mark.parametrize("column", [(2, -2, 0), (0, -1, 2), (1, 0, 0), (0, 0, -1),
+                                    (1, 1, 0), (0, -1, -1), (1, -1, 1), (-1, 1, -1)])
+def test_forest_kernel_refuses_non_incidence_columns(column):
+    """A 2, a lone +-1, two entries of one sign, three nonzeros: ``None``,
+    wherever the column stands."""
+    edges = [(1, -1, 0), (0, 0, 0), (0, 1, -1)]
+    for at in range(len(edges) + 1):
+        a = IntMatrix.from_columns(edges[:at] + [column] + edges[at:])
+        assert forest_kernel(a) is None
+    assert forest_kernel(IntMatrix.from_columns(edges)) is not None
+
+
+def complexes_under_test(census_n, census_m, search_demo):
+    """Every complex the tests build: the census base and cover and their
+    cusp sections, the test gluings at 1 and 2 copies, and the buildable
+    leaves of search slice (0, 1) at 1 and 2 copies."""
+    yield census_n.chain
+    yield census_m.chain
+    for q in (census_n, census_m):
+        yield from (section.chain for section in cusp_sections(q))
+    for spec in (torus_spec, klein_spec, projective_plane_spec, three_torus_spec):
+        for copies in (1, 2):
+            try:
+                yield quotient_complex(spec(), copies=copies).chain
+            except GluingError:
+                assert copies == 2 and spec in (torus_spec, three_torus_spec)
+    for spec in search_demo.Search({0, 1}).run():
+        for copies in (1, 2):
+            try:
+                yield search_demo.quotient_complex(spec, copies=copies).chain
+            except search_demo.GluingError:
+                pass
+
+
+def test_forest_route_equals_hermite_route_on_every_test_complex(
+        census_n, census_m, search_demo, monkeypatch):
+    """``homology_basis`` in degrees 0 and 1 is the same record, kernel
+    included, whether its kernel comes from the forest or from Hermite."""
+    complexes = list(complexes_under_test(census_n, census_m, search_demo))
+    assert len(complexes) > 50
+    assert all(forest_kernel(c.boundary[1]) is not None for c in complexes)
+    forest = [homology_basis.__wrapped__(c, k) for c in complexes for k in (0, 1)]
+    monkeypatch.setattr(chains, "forest_kernel", lambda a: None)
+    hermite = [homology_basis.__wrapped__(c, k) for c in complexes for k in (0, 1)]
+    assert forest == hermite
+    assert [b._kernel._columns for b in forest] == [b._kernel._columns for b in hermite]
 
 
 def test_abelian_group_descriptions():

@@ -181,6 +181,17 @@ def test_cold_start_imports_no_class_generator(code):
     assert {"dataclasses", "inspect"} & loaded == set()
 
 
+def test_cold_census_pairing_imports_no_resources_or_typing():
+    """The bundled pairing is read next to the package, and annotation
+    names come from ``collections.abc``: a cold ``fill`` loads none of
+    ``importlib.resources``, ``typing``, ``tempfile`` or ``zipfile``."""
+    loaded = _loaded_modules("import dehn24.cli\n"
+                             "from dehn24.gluing import census_pairing\n"
+                             "census_pairing()")
+    assert "dehn24.gluing" in loaded
+    assert {"typing", "importlib.resources", "tempfile", "zipfile"} & loaded == set()
+
+
 def test_no_module_generates_code():
     calls = [f"{path.name}:{node.lineno} {node.func.id}"
              for path in sorted(PACKAGE.glob("*.py"))
