@@ -70,28 +70,6 @@ class ChainComplex(Record):
         raise ValueError(f"dimension {k} out of range")
 
 
-def first_invalid(c: ChainComplex) -> tuple[int, int] | None:
-    """Locate the first failure of d*d = 0, as a (dimension, cell) pair.
-
-    The reported cell index is the column of boundary[k] whose composed
-    boundary is nonzero.  Returns None when the complex is valid.
-    """
-    for k in range(1, c.top_dim + 1):
-        if c.boundary[k].rows != c.boundary[k - 1].cols:
-            return (k, 0)
-        if k >= 2:
-            composed = c.boundary[k - 1] * c.boundary[k]
-            for j, column in enumerate(composed.nonzero_columns()):
-                if column:
-                    return (k, j)
-    return None
-
-
-def validate(c: ChainComplex) -> bool:
-    """True iff dimensions chain correctly and every composite boundary is zero."""
-    return first_invalid(c) is None
-
-
 def euler_characteristic(c: ChainComplex) -> int:
     """Alternating sum of cell counts."""
     return sum((-1) ** k * c.cell_count(k) for k in range(c.top_dim + 1))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import floor, isqrt
 
 from .chains import homology_basis
-from .gluing import QuotientComplex, geometry
+from .gluing import geometry
 from .intlinalg import AbelianGroup
 from .peripheral import CuspSection
 from .record import Record
@@ -321,24 +321,6 @@ def weakly_balanced(lengths: SlopeLengths, c: int | Fraction) -> bool:
 # Developing a cube assembly.
 
 
-def closed_section(q: QuotientComplex) -> CuspSection:
-    """Wrap a closed cubical 3-complex as a single all-of-it section.
-
-    Lets small flat examples (a torus glued from one cube, say) run
-    through the same developing machinery as genuine cusp sections.
-    """
-    if q.top_dim != 3:
-        raise FlatGeometryError("need a quotient complex of top dimension 3")
-    cells = tuple(tuple(range(q.chain.cell_count(k))) for k in range(4))
-    return CuspSection(
-        index=0,
-        cells=cells,
-        chain=q.chain,
-        cube_count=q.chain.cell_count(3),
-        ambient=q,
-    )
-
-
 def _cube_chart(model, idx: int) -> dict[int, Vec3]:
     """Coordinates in {0,1}^3 for the vertices of one combinatorial cube.
 
@@ -500,22 +482,6 @@ def _holonomy(vectors: Sequence[Vec3], chain: Sequence[int]) -> Vec3:
         if a:
             total = tuple(t + a * x for t, x in zip(total, vec))
     return total
-
-
-def section_holonomy(section: CuspSection, chain: Sequence[int]) -> Vec3:
-    """Translational holonomy of a 1-cycle, in developed coordinates.
-
-    Raises:
-        FlatGeometryError: wrong length, not a cycle, or the section
-            fails to develop (rotational holonomy, defects).
-    """
-    vectors = _edge_vectors(section)
-    if len(chain) != len(vectors):
-        raise FlatGeometryError(f"chain has {len(chain)} coefficients for "
-                                f"{len(vectors)} section edges")
-    if any(section.chain.boundary[1].apply(chain)):
-        raise FlatGeometryError("chain is not a cycle")
-    return _holonomy(vectors, chain)
 
 
 def develop_lattice(section: CuspSection,

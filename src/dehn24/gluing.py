@@ -417,23 +417,6 @@ def parse_pairing(text: str) -> SidePairingSpec:
                            metadata=tuple(metadata))
 
 
-def write_pairing(spec: SidePairingSpec) -> str:
-    """Serialize a single-copy spec to the canonical pairing file text.
-
-    Records are sorted by facet pair and vertex assignments by source
-    vertex, so equal specs always produce byte-identical files.
-    """
-    if spec.copies != 1:
-        raise GluingError("only single-copy specs have a file representation")
-    lines = [f"{key}: {value}" for key, value in spec.metadata]
-    records = []
-    for p in spec.pairings:
-        pairs = " ".join(f"{v}->{w}" for v, w in sorted(p.vertex_map))
-        records.append((p.facet_a, p.facet_b, f"{p.facet_a} {p.facet_b} ; {pairs}"))
-    lines.extend(text for _, _, text in sorted(records))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Vertex cycles.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from .record import Record
 
@@ -48,7 +49,8 @@ class IntMatrix:
     Nonzeros are stored by column, one ``{row: entry}`` dict per column
     holding no zero; rows are derived on demand and kept once read.
     Construction is the only place dimensions are fixed; every operation
-    returns a new matrix.
+    returns a new matrix.  Entries are read with ``operator.index``, so a
+    non-integer such as 1.5 raises TypeError instead of being truncated.
     """
 
     __slots__ = ("rows", "cols", "_cols", "_by_row", "_hash")
@@ -69,7 +71,7 @@ class IntMatrix:
         for i, row in enumerate(data):
             for j, x in enumerate(row):
                 if x:
-                    columns[j][i] = int(x)
+                    columns[j][i] = index(x)
         self._init(len(data), columns)
 
     def _init(self, rows: int, columns: Sequence[dict[int, int]]) -> None:
@@ -110,7 +112,7 @@ class IntMatrix:
         height = len(columns[0])
         if any(len(c) != height for c in columns):
             raise ValueError("ragged columns")
-        return IntMatrix._adopt(height, [{i: int(x) for i, x in enumerate(c) if x}
+        return IntMatrix._adopt(height, [{i: index(x) for i, x in enumerate(c) if x}
                                          for c in columns])
 
     @staticmethod
@@ -122,7 +124,7 @@ class IntMatrix:
         """
         out = []
         for column in columns:
-            col = {i: int(x) for i, x in column if x}
+            col = {i: index(x) for i, x in column if x}
             if any(not 0 <= i < rows for i in col):
                 raise ValueError("row index out of range")
             out.append(col)
@@ -275,6 +277,8 @@ class AbelianGroup(Record):
     torsion: tuple[int, ...]
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
+            raise ValueError("free rank must be >= 0")
         if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be >= 2")
         for a, b in zip(torsion, torsion[1:]):
@@ -671,12 +675,6 @@ def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:
     return h
 
 
-def row_hermite(a: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form of ``a`` (see ``_hermite_rows``)."""
-    rows = _hermite_rows(_transposed(a._cols, a.rows))
-    return IntMatrix._adopt(a.rows, _transposed(rows, a.cols))
-
-
 def hermite_graph(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """One Hermite reduction of [a^T | I]: ``(image, preimage, kernel)``.
 
@@ -800,7 +798,7 @@ class EchelonBasis:
             ValueError: if ``target`` is not an integer combination of the
                 columns.
         """
-        residual = {i: int(x) for i, x in target if x}
+        residual = {i: index(x) for i, x in target if x}
         coeffs = {}
         for j, (pivot_row, pivot, entries) in enumerate(self._columns):
             if pivot_row in residual:
@@ -816,29 +814,7 @@ class EchelonBasis:
 
 def is_primitive(v: Sequence[int]) -> bool:
     """True iff the entries have gcd exactly 1 (so never for the zero vector)."""
-    g = 0
-    for x in v:
-        g = math.gcd(g, int(x))
-    return g == 1
-
-
-def complete_to_basis(v: Sequence[int]) -> IntMatrix:
-    """A unimodular matrix whose first column is ``v``.
-
-    Args:
-        v: a primitive integer vector.
-
-    Raises:
-        ValueError: if ``v`` is not primitive.
-    """
-    if not is_primitive(v):
-        raise ValueError("can only complete a primitive vector to a basis")
-    column = IntMatrix([[int(x)] for x in v], cols=1)
-    decomp = snf(column, right=False)
-    # U v = e_1, hence the first column of U^-1 is v itself.
-    completion = decomp.u_inv
-    assert completion.column(0) == tuple(int(x) for x in v)
-    return completion
+    return math.gcd(*v) == 1
 
 
 def generates(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bool:

@@ -1,5 +1,5 @@
 """Shared fixtures: the bundled census pairing, its two quotients and the
-side-pairing search demo."""
+side-pairing search demo; and ``is_chain_complex``, the d∘d = 0 check."""
 
 import importlib.util
 import sys
@@ -9,6 +9,14 @@ import pytest
 
 from dehn24.gluing import census_pairing, quotient_complex
 from dehn24.peripheral import peripheral_system
+
+
+def is_chain_complex(c) -> bool:
+    """Whether each boundary maps onto the cells one dimension down and
+    every composite d_(k-1) d_k is zero."""
+    d = c.boundary
+    return (all(d[k].rows == d[k - 1].cols for k in range(1, len(d)))
+            and all((d[k - 1] * d[k]).is_zero() for k in range(2, len(d))))
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from dehn24 import chains, cli, intlinalg, peripheral
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
-from dehn24.gluing import census_pairing, orientation_character, write_pairing
+from dehn24.gluing import census_pairing, orientation_character
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 _BOX = "--box=-1:1,-1:1,0:0,0:1,0:0,0:0,0:0,0:0,-2:0,0:0"
@@ -439,19 +439,25 @@ def test_refused_text_is_cut_short(capsys, tmp_path, argv, message):
     assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+def _pairing_text(spec, records):
+    """Pairing-file text: ``spec``'s metadata, then one line per
+    ``(facet_a, facet_b, vertex assignments)`` record."""
+    lines = [f"{key}: {value}" for key, value in spec.metadata]
+    lines += [f"{a} {b} ; " + " ".join(f"{v}->{w}" for v, w in assignments)
+              for a, b, assignments in records]
+    return "\n".join(lines) + "\n"
+
+
 def _shuffled_pairing_file(tmp_path):
     """The bundled pairing with its records in a seeded order, every other
     one written from its far side; returns the path and the records' order."""
     spec = census_pairing()
     pairings = list(spec.pairings)
     random.Random(1011).shuffle(pairings)
-    lines = [f"{key}: {value}" for key, value in spec.metadata]
-    for i, p in enumerate(pairings):
-        a, b, assignments = ((p.facet_b, p.facet_a, sorted(p.backward().items())) if i % 2
-                             else (p.facet_a, p.facet_b, p.vertex_map))
-        lines.append(f"{a} {b} ; " + " ".join(f"{v}->{w}" for v, w in assignments))
     path = tmp_path / "shuffled.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_pairing_text(spec, [
+        (p.facet_b, p.facet_a, sorted(p.backward().items())) if i % 2
+        else (p.facet_a, p.facet_b, p.vertex_map) for i, p in enumerate(pairings)]))
     return path, [spec.pairings.index(p) for p in pairings]
 
 
@@ -476,7 +482,9 @@ def test_torsion_section_refusal_numbers_the_cusp_from_one(capsys, tmp_path, sea
     """Leaf 20 of the demo's slice (0, 1) has a first cusp section with
     H_1 = Z + Z_2^2; the refusal names it cusp 1, as ``cusps`` prints it."""
     path = tmp_path / "leaf20.txt"
-    path.write_text(write_pairing(search_demo.Search({0, 1}).run()[20]))
+    spec = search_demo.Search({0, 1}).run()[20]
+    path.write_text(_pairing_text(spec, [(p.facet_a, p.facet_b, p.vertex_map)
+                                         for p in spec.pairings]))
     code, out, _ = run(capsys, "cusps", "--copies", "2", "--pairing", str(path))
     assert code == 0 and out.startswith("cusp 1: cubes 4, cells 4 12 12 4, H1 Z + Z_2^2,")
     code, out, err = run(capsys, *argv, "--pairing", str(path))

@@ -20,19 +20,17 @@ from dehn24.flatgeom import (
     FlatLattice,
     PrecisionError,
     SlopeLength,
-    closed_section,
     develop_lattice,
     enumerate_short,
-    section_holonomy,
     slope_length,
     slope_lengths,
     two_pi_ok,
     weakly_balanced,
 )
-from dehn24.flatgeom import _edge_vectors, _exp_enclosure
+from dehn24.flatgeom import _edge_vectors, _exp_enclosure, _holonomy
 from dehn24.gluing import quotient_complex
 from dehn24.intlinalg import IntMatrix
-from dehn24.peripheral import cusp_sections
+from dehn24.peripheral import CuspSection, cusp_sections
 
 from test_gluing import three_torus_spec
 
@@ -151,16 +149,14 @@ def test_enumerate_rejects_bad_bound(cubic):
 
 
 def test_single_cube_torus_develops_to_unit_lattice():
+    """The cube glued to itself, taken whole as one section, develops to Z^3."""
     q = quotient_complex(three_torus_spec())
-    lattice = develop_lattice(closed_section(q))
+    cells = tuple(tuple(range(q.chain.cell_count(k))) for k in range(4))
+    lattice = develop_lattice(CuspSection(index=0, cells=cells, chain=q.chain,
+                                          cube_count=1, ambient=q))
     identity = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
     assert lattice.gram() == identity
     assert lattice.covolume() == 1
-
-
-def test_closed_section_needs_dimension_three(census_m):
-    with pytest.raises(FlatGeometryError, match="top dimension 3"):
-        closed_section(census_m)
 
 
 def test_cover_cusps_have_published_covolumes(m_lattices, m_sections):
@@ -215,38 +211,21 @@ def test_nonorientable_sections_are_not_tori(census_n):
 
 def test_boundary_cycles_have_zero_holonomy(m_sections):
     section = m_sections[0]
+    vectors = _edge_vectors(section)
     d2 = section.chain.boundary[2]
     for j in range(d2.cols):
-        assert section_holonomy(section, d2.column(j)) == (0, 0, 0)
+        assert _holonomy(vectors, d2.column(j)) == (0, 0, 0)
 
 
 def test_holonomy_is_additive(m_sections):
     section = m_sections[1]
     from dehn24.chains import homology_basis
     cycles = homology_basis(section.chain, 1).cycles
+    vectors = _edge_vectors(section)
     a, b = cycles.column(0), cycles.column(1)
     combined = tuple(x + y for x, y in zip(a, b))
-    assert section_holonomy(section, combined) == tuple(
-        x + y for x, y in zip(section_holonomy(section, a),
-                              section_holonomy(section, b)))
-
-
-def test_holonomy_rejects_non_cycles(m_sections):
-    section = m_sections[0]
-    chain = [0] * section.chain.cell_count(1)
-    d2 = section.chain.boundary[2]
-    # A single edge is almost never closed; find one that is not.
-    for j in range(len(chain)):
-        probe = [0] * len(chain)
-        probe[j] = 1
-        if any(section.chain.boundary[1].apply(probe)):
-            with pytest.raises(FlatGeometryError, match="not a cycle"):
-                section_holonomy(section, probe)
-            break
-    else:
-        pytest.skip("every single edge is a cycle in this section")
-    with pytest.raises(FlatGeometryError, match="section edges"):
-        section_holonomy(section, chain + [0])
+    assert _holonomy(vectors, combined) == tuple(
+        x + y for x, y in zip(_holonomy(vectors, a), _holonomy(vectors, b)))
 
 
 def test_two_pi_verdicts(cubic):

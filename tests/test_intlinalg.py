@@ -14,6 +14,7 @@ import itertools
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,15 +26,14 @@ from dehn24.intlinalg import (
     IntMatrix,
     SNFDecomposition,
     cokernel,
-    complete_to_basis,
     forest_kernel,
     generates,
     hermite_graph,
     is_primitive,
     kernel_basis,
-    row_hermite,
     snf,
 )
+from dehn24.intlinalg import _hermite_rows
 from dehn24 import chains
 from dehn24.chains import homology_basis
 from dehn24.gluing import GluingError, quotient_complex
@@ -660,6 +660,19 @@ def test_echelon_solver_refuses_bad_input():
     assert EchelonBasis(IntMatrix([[], []], cols=0)).solve((0, 0)) == ()
 
 
+@pytest.mark.parametrize("read", [
+    lambda: IntMatrix([[1.5]]),
+    lambda: IntMatrix.from_columns([[Fraction(7, 2)]]),
+    lambda: IntMatrix.from_nonzeros([[(0, 2.5)]], rows=1),
+    lambda: EchelonBasis(IntMatrix.identity(1)).solve_nonzeros([(0, 1.5)]),
+    lambda: is_primitive((1.5, 2)),
+], ids=["IntMatrix", "from_columns", "from_nonzeros", "solve_nonzeros", "is_primitive"])
+def test_non_integer_entries_are_refused(read):
+    """Entries are read exactly, never truncated: 1.5 is not 1."""
+    with pytest.raises(TypeError):
+        read()
+
+
 def test_is_primitive():
     assert is_primitive((1, 17, -4))
     assert not is_primitive((0, 0, 0))
@@ -671,31 +684,6 @@ def test_is_primitive():
 @settings(max_examples=60)
 def test_slope_vectors_are_primitive(b, c):
     assert is_primitive((1, b, c))
-
-
-def test_complete_to_basis_identity_case():
-    assert complete_to_basis((1, 0, 0)) == IntMatrix.identity(3)
-
-
-def test_complete_to_basis_properties():
-    rng = random.Random(43)
-    done = 0
-    while done < 150:
-        n = rng.randint(1, 6)
-        v = [rng.randint(-9, 9) for _ in range(n)]
-        if not is_primitive(v):
-            continue
-        done += 1
-        basis = complete_to_basis(v)
-        assert basis.column(0) == tuple(v)
-        assert basis.det() in (1, -1)
-
-
-def test_complete_to_basis_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        complete_to_basis((2, 4))
-    with pytest.raises(ValueError):
-        complete_to_basis((0, 0))
 
 
 def test_generates():
@@ -716,6 +704,12 @@ def test_generates_matches_cokernel_triviality():
         vectors = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(count)]
         expected = cokernel(IntMatrix.from_columns(vectors, rows=n)).is_trivial()
         assert generates(vectors, n) == expected
+
+
+def row_hermite(a: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form of ``a``, from ``_hermite_rows``."""
+    rows = _hermite_rows([{j: x for j, x in enumerate(a.row(i)) if x} for i in range(a.rows)])
+    return IntMatrix([[row.get(j, 0) for j in range(a.cols)] for row in rows], cols=a.cols)
 
 
 def test_row_hermite_canonical():

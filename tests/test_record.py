@@ -155,6 +155,8 @@ def test_post_init_checks_still_refuse():
         FlatLattice(((1, 0), (0, 1)))
     with pytest.raises(ValueError, match="invariant factors"):
         AbelianGroup(0, (2, 3))
+    with pytest.raises(ValueError, match="free rank"):
+        AbelianGroup(-1)
     with pytest.raises(ValueError, match="at least dimension 0"):
         ChainComplex(())
     with pytest.raises(FillingError, match="not primitive"):
