@@ -1,10 +1,12 @@
 """Finite chain complexes over Z and their homology.
 
-A complex stores one boundary matrix per dimension.  Homology groups are
-read off the ranks and torsion of the boundaries alone (``homology``),
-from one unit-pivot reduction of the whole complex plus transform-free
-Smith forms of what it leaves: no Smith transform, kernel basis or
-lattice solve is built for them.
+A complex stores one boundary matrix per dimension, and the shapes must
+chain: d_k has one row per (k-1)-cell.  Homology groups are read off the
+ranks and torsion of the boundaries alone (``homology``), from one
+unit-pivot reduction of the whole complex, each map then finished by
+content division, with a transform-free Smith form only for a residue of
+content 1 with no unit: no Smith transform, kernel basis or lattice
+solve is built for them.
 Generators come only from ``homology_basis``, whose cycles follow a
 fixed convention (Smith form of the next boundary expressed in the
 canonical kernel basis), so matrices of induced maps are reproducible
@@ -32,8 +34,9 @@ from .record import Record
 class ChainComplex(Record):
     """A bounded chain complex of finitely generated free abelian groups.
 
-    ``boundary[k]`` maps k-chains to (k-1)-chains; ``boundary[0]`` is the
-    empty matrix with zero rows.  ``cell_labels[k]`` carries one opaque
+    ``boundary[k]`` maps k-chains to (k-1)-chains, so it has one row per
+    column of ``boundary[k-1]``, and a mismatch is refused; ``boundary[0]``
+    is the empty matrix with zero rows.  ``cell_labels[k]`` carries one opaque
     label per k-cell, purely for reporting.
     """
 
@@ -45,6 +48,10 @@ class ChainComplex(Record):
             raise ValueError("a complex needs at least dimension 0")
         if self.boundary[0].rows != 0:
             raise ValueError("boundary[0] must have zero rows")
+        for k in range(1, len(self.boundary)):
+            if self.boundary[k].rows != self.boundary[k - 1].cols:
+                raise ValueError(f"boundary[{k}] row count {self.boundary[k].rows} is not "
+                                 f"dimension {k - 1}'s cell count {self.boundary[k - 1].cols}")
         if self.cell_labels and len(self.cell_labels) != len(self.boundary):
             raise ValueError("cell_labels must cover every dimension")
         if self.cell_labels:
@@ -132,12 +139,14 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
 
     Raises:
         ValueError: if k is outside 0..top_dim, or a column of d_{k+1}
-            is not a cycle.
+            is not a cycle (d_k d_{k+1} != 0), checked before either route.
     """
     if not 0 <= k <= c.top_dim:
         raise ValueError(f"dimension {k} out of range for a complex of top dimension {c.top_dim}")
     d_k = c.boundary[k]
     d_next = c.boundary_or_zero(k + 1)
+    if not (d_k * d_next).is_zero():
+        raise ValueError(f"boundary[{k + 1}] has a column that is not a cycle")
     cycles, pivots = forest_kernel(d_k) or (kernel_basis(d_k), None)
     kernel = EchelonBasis(cycles)
     if pivots is None:
@@ -146,11 +155,9 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
         image_coords = IntMatrix.from_nonzeros(
             [kernel.solve_nonzeros(col).items() for col in d_next.nonzero_columns()],
             rows=cycles.cols)
-    elif (d_k * d_next).is_zero():
+    else:
         # In the forest basis a cycle's coordinates are its pivot entries.
         image_coords = d_next.submatrix(pivots, range(d_next.cols))
-    else:
-        raise ValueError(f"boundary[{k + 1}] has a column that is not a cycle")
     z = cycles.cols
     decomp = snf(image_coords, right=False)
     rank = decomp.rank
@@ -193,7 +200,7 @@ def homology(c: ChainComplex, k: int) -> AbelianGroup:
 
     H_k is Z^(n_k - rank d_k - rank d_{k+1}) plus the torsion of
     d_{k+1}.  Both come from one unit-pivot reduction of the whole
-    complex plus transform-free Smith forms of what it leaves
+    complex, finished per map by content division
     (``chain_invariants``), shared by every degree.  For generator
     cycles use ``homology_basis``.
 

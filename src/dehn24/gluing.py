@@ -220,6 +220,11 @@ class Geometry(Record, eq=False):
                 incident.setdefault(r, []).append(f)
         return {r: tuple(fs) for r, fs in incident.items() if len(fs) == 2}
 
+    @cached_property
+    def ridges(self) -> tuple[int, ...]:
+        """The keys of ``ridge_facets`` in increasing order."""
+        return tuple(sorted(self.ridge_facets))
+
 
 @lru_cache(maxsize=None)
 def geometry(name: str) -> Geometry:
@@ -755,8 +760,6 @@ class Presentation(Record):
             for letter in word:
                 exponent[abs(letter) - 1] += 1 if letter > 0 else -1
             cols.append(exponent)
-        if not cols:
-            return AbelianGroup(rows)
         return cokernel(IntMatrix.from_columns(cols, rows=rows))
 
 
@@ -795,7 +798,7 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     relators: list[tuple[int, ...]] = []
     limit = 2 * len(ridge_facets) * spec.copies + 2
     for start_copy in range(spec.copies):
-        for start_ridge in sorted(ridge_facets):
+        for start_ridge in geo.ridges:
             if (start_copy, start_ridge) in visited:
                 continue
             start = (start_copy, start_ridge, ridge_facets[start_ridge][0])

@@ -1,12 +1,14 @@
 """Exact integer matrices and their unimodular normal forms.
 
 Everything downstream reduces to normal forms over Z: one unit-pivot
-reduction of a chain complex, with Smith forms of what it leaves, gives
-ranks and torsion (``chain_invariants``, and ``cokernel`` as its one-map
-case); Smith forms with transforms give homology generators; and one
-Hermite reduction of [a^T | I] (``hermite_graph``) gives kernels and
-adapted bases.  The kernel of a graph's incidence matrix has that same
-Hermite basis at graph cost, from a spanning forest (``forest_kernel``).
+reduction of a chain complex, finished map by map by dividing out each
+residue's content and sweeping again, gives ranks and torsion
+(``chain_invariants``, and ``cokernel`` as its one-map case); only a
+residue of content 1 with no unit needs a Smith form.  Smith forms with
+transforms give homology generators; and one Hermite reduction of
+[a^T | I] (``hermite_graph``) gives kernels and adapted bases.  The
+kernel of a graph's incidence matrix has that same Hermite basis at
+graph cost, from a spanning forest (``forest_kernel``).
 Matrices are immutable, arbitrary precision, and all operations are pure,
 so values can be shared freely between threads.  Boundary matrices are a
 few percent nonzero, so a matrix stores only its nonzeros, column by
@@ -17,7 +19,7 @@ touches.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from operator import index
 
 from .record import Record
@@ -474,8 +476,9 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     skipped fields come back as ``None``.  Neither flag changes D or the
     transforms that are built, so callers that need only the invariant
     factors pay for the working matrix alone; in the package those are
-    the residues of ``chain_invariants``.  The package itself never
-    asks for V: its kernels come from ``hermite_graph``.
+    the residues of ``chain_invariants`` with content 1 and no unit.  The
+    package itself never asks for V: its kernels come from
+    ``hermite_graph``.
     """
     r = _Reduction(a, left, right)
     d = r.d
@@ -567,6 +570,56 @@ class _SparseMap:
         del self.at[j]
         self.units += 1
 
+    def sweep(self) -> Iterator[tuple[int, int]]:
+        """Eliminate unit pivots, the columns in index order, yielding each
+        pivot (row, column) once it is eliminated.
+
+        A pivot changes only the columns of its row, so a column that was
+        looked at and has not changed since is not looked at again: each
+        further pass visits, in index order, the columns changed after
+        their last look, until a pass changes none.
+        """
+        pending = sorted(self.at)
+        while pending:
+            changed: set[int] = set()
+            for j in pending:
+                changed.discard(j)
+                i = self.unit_pivot(j)
+                if i is not None:
+                    changed.update(self.rows[i])
+                    self.eliminate(i, j)
+                    yield i, j
+            pending = sorted(changed & self.at.keys())
+
+    def finish(self) -> tuple[int, tuple[int, ...]]:
+        """Rank and torsion factors of the map, once no unit is left.
+
+        While a residue is left, its content g (the gcd of its entries)
+        is divided out into a running scale and the quotient swept again:
+        SNF(g M) = g SNF(M), so each unit pivot found then is one factor
+        equal to the scale.  Only a residue of content 1 with no unit goes
+        to ``snf``, its factors times the scale.  Scales only grow by
+        multiples, so the factors come out as a divisibility chain.
+        """
+        factors = [1] * self.units
+        scale = 1
+        while any(self.rows):
+            g = 0
+            for row in self.rows:
+                g = math.gcd(g, *row.values())
+                if g == 1:
+                    break
+            if g == 1:
+                decomp = snf(self.residue(), left=False, right=False)
+                factors += [scale * d for d in decomp.invariant_factors()]
+                break
+            for row in self.rows:
+                for j in row:
+                    row[j] //= g
+            scale *= g
+            factors += [scale] * sum(1 for _ in self.sweep())
+        return len(factors), tuple(d for d in factors if d >= 2)
+
     def residue(self) -> IntMatrix:
         """What is left, on the nonzero rows and columns in index order."""
         rows = self.rows
@@ -583,40 +636,27 @@ def chain_invariants(maps: Sequence[IntMatrix]) -> tuple[tuple[int, tuple[int, .
     Invariant factors do not depend on the route to them, so the whole
     complex is first reduced on unit pivots (Kaczynski, Mrozek and
     Slusarek, Comput. Math. Appl. 35(4), 1998): for k = 1..n the columns
-    of d_k are swept in index order, again until a sweep finds no pivot,
-    and each column pivots on a +-1 in its shortest row that holds one.
+    of d_k are swept in index order, then those changed since they were
+    last looked at, until none changed (``_SparseMap.sweep``), and each
+    column pivots on a +-1 in its shortest row that holds one.
     The pivot is eliminated by the Schur complement and counts one unit
     factor.  A pivot (s, t) of d_k also drops column s of d_{k-1} and row
     t of d_{k+1} without arithmetic: as consecutive maps compose to zero,
     that column is an integer combination of the remaining columns and
     that row of the remaining rows, so neither lattice changes and the
-    reduced maps still compose to zero.  Whatever is left of a map with
-    a nonzero goes to ``snf`` without transforms.  No input is changed.
+    reduced maps still compose to zero.  Each map then finishes alone, by
+    content division (``_SparseMap.finish``): a residue that is g times a
+    matrix with unit pivots needs no Smith form, and only one of content 1
+    with no unit goes to ``snf`` without transforms.  No input is changed.
     """
     work = [_SparseMap(a) for a in maps]
     for k, m in enumerate(work):
-        found = True
-        while found:
-            found = False
-            for j in sorted(m.at):
-                i = m.unit_pivot(j)
-                if i is None:
-                    continue
-                m.eliminate(i, j)
-                if k > 0:
-                    work[k - 1].drop_col(i)
-                if k + 1 < len(work):
-                    work[k + 1].drop_row(j)
-                found = True
-    out = []
-    for m in work:
-        if any(m.rows):
-            decomp = snf(m.residue(), left=False, right=False)
-            factors = decomp.invariant_factors()
-        else:
-            factors = ()
-        out.append((m.units + len(factors), tuple(d for d in factors if d >= 2)))
-    return tuple(out)
+        for i, j in m.sweep():
+            if k > 0:
+                work[k - 1].drop_col(i)
+            if k + 1 < len(work):
+                work[k + 1].drop_row(j)
+    return tuple(m.finish() for m in work)
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:

@@ -26,6 +26,7 @@ from dehn24.intlinalg import AbelianGroup, IntMatrix
 from dehn24.peripheral import cusp_sections
 from conftest import is_chain_complex
 from test_gluing import klein_spec, three_torus_spec, torus_spec
+from test_intlinalg import _times
 
 
 def empty_boundary(cells: int) -> IntMatrix:
@@ -239,10 +240,28 @@ def test_reduction_matches_per_boundary_route_on_random_complexes():
     assert torsion > 20
 
 
+def test_content_division_matches_per_boundary_route_on_scaled_complexes():
+    """The seeded random complexes with each boundary times its own g, which
+    keeps d*d = 0: every residue then has content g or a multiple, which
+    ``chain_invariants`` divides out before it sweeps again."""
+    rng = random.Random(17)
+    scaled_torsion = 0
+    for _ in range(200):
+        c = _random_complex(rng)
+        scaled = ChainComplex(boundary=c.boundary[:1] + tuple(
+            _times(d, rng.choice((2, 3, 4, 6))) for d in c.boundary[1:]))
+        assert is_chain_complex(scaled)
+        _agrees_with_per_boundary_route(scaled)
+        scaled_torsion += any(len(homology(scaled, k).torsion) > len(homology(c, k).torsion)
+                              for k in range(c.top_dim + 1))
+    assert scaled_torsion > 100
+
+
 def test_group_only_homology_builds_no_transforms(census_n, census_m, monkeypatch):
-    """H1..H3 come from one unit-pivot reduction per complex.  The double
-    cover reduces to nothing, so it runs no Smith form at all; the base
-    quotient leaves residues of d2 and d3 for two transform-free ones."""
+    """H1..H3 come from one unit-pivot reduction per complex, and neither
+    complex runs a Smith form.  The double cover reduces to nothing; the
+    base quotient leaves residues of d2 and d3 that are twice a matrix
+    with unit pivots, which content division finishes on those units."""
     def forbidden(*args, **kwargs):
         raise AssertionError("group-only homology reached the generator path")
 
@@ -269,7 +288,7 @@ def test_group_only_homology_builds_no_transforms(census_n, census_m, monkeypatc
     groups = [homology(census_n.chain, k) for k in (1, 2, 3)]
     assert groups == [AbelianGroup(0, (2,) * 6), AbelianGroup(0, (2,) * 4), AbelianGroup(0)]
     assert reductions == [4, 4]
-    assert smith == [(6, 9, False, False), (6, 4, False, False)]
+    assert smith == []
 
 
 def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):
@@ -448,12 +467,28 @@ def test_homology_basis_rejects_non_cycle():
 
 
 def test_homology_basis_rejects_non_complex():
-    """When d_1 d_2 != 0, degree 1 is refused on both routes: through the
-    forest, d_1 an incidence matrix, and through Hermite, d_1 not one."""
-    for d1 in (IntMatrix([[1], [-1]]), IntMatrix([[2], [0]])):
-        c = ChainComplex(boundary=(empty_boundary(2), d1, IntMatrix([[1]])))
-        with pytest.raises(ValueError):
+    """When d_1 d_2 != 0, degree 1 is refused with one message on both
+    routes: through the forest, d_1 an incidence matrix, and through
+    Hermite, d_1 not one (d_1 = (2), d_2 = (2) among them)."""
+    for d1, d2 in ((IntMatrix([[1], [-1]]), IntMatrix([[1]])),
+                   (IntMatrix([[2], [0]]), IntMatrix([[1]])),
+                   (IntMatrix([[2]]), IntMatrix([[2]]))):
+        c = ChainComplex(boundary=(empty_boundary(d1.rows), d1, d2))
+        with pytest.raises(ValueError, match=r"boundary\[2\] has a column that is not a cycle"):
             homology_basis(c, 1)
+
+
+def test_complex_refuses_boundaries_whose_shapes_do_not_chain():
+    """3 vertices but a d_1 with one row: ``homology(c, 0)`` used to answer
+    Z^2 for it.  A mismatch higher up is refused the same way."""
+    with pytest.raises(ValueError, match=r"boundary\[1\] row count 1 is not dimension 0's "
+                                         r"cell count 3"):
+        ChainComplex(boundary=(IntMatrix([], cols=3), IntMatrix([[1, -1]]),
+                               IntMatrix([[1], [1]])))
+    with pytest.raises(ValueError, match=r"boundary\[2\] row count 2 is not dimension 1's "
+                                         r"cell count 1"):
+        ChainComplex(boundary=(empty_boundary(2), IntMatrix([[1], [-1]]),
+                               IntMatrix([[1], [1]])))
 
 
 def test_homology_refuses_a_negative_free_rank():

@@ -34,7 +34,7 @@ from dehn24.intlinalg import (
     snf,
 )
 from dehn24.intlinalg import _hermite_rows
-from dehn24 import chains
+from dehn24 import chains, intlinalg
 from dehn24.chains import homology_basis
 from dehn24.gluing import GluingError, quotient_complex
 from dehn24.peripheral import cusp_sections, peripheral_system, report
@@ -555,6 +555,90 @@ def test_cokernel_matches_minor_gcd_oracle():
         assert cokernel(a) == AbelianGroup(m - len(factors), tuple(d for d in factors if d >= 2))
         residues += any(d >= 2 for d in factors)
     assert residues > 50
+
+
+def _times(a: IntMatrix, g: int) -> IntMatrix:
+    return IntMatrix.from_nonzeros([[(i, g * x) for i, x in col] for col in a.nonzero_columns()],
+                                   rows=a.rows)
+
+
+def _recording_snf(monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``intlinalg.snf`` to record the shape of every matrix it gets."""
+    shapes, real_snf = [], intlinalg.snf
+
+    def recording_snf(a, *, left=True, right=True):
+        shapes.append((a.rows, a.cols))
+        return real_snf(a, left=left, right=right)
+
+    monkeypatch.setattr(intlinalg, "snf", recording_snf)
+    return shapes
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 6])
+def test_cokernel_of_a_multiple_matches_both_oracles(g):
+    """cokernel(g A): the residue's content is divided out and swept
+    again; the factors agree with the Smith form and the minors."""
+    rng = random.Random(40 + g)
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = _times(IntMatrix([[rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(n)]
+                              for _ in range(m)], cols=n), g)
+        factors = minor_gcd_invariant_factors(a)
+        assert list(snf(a).invariant_factors()) == factors
+        assert cokernel(a) == AbelianGroup(m - len(factors), tuple(d for d in factors if d >= 2))
+
+
+def test_cokernel_of_a_multiple_of_a_triangular_matrix_runs_no_smith_form(monkeypatch):
+    """g T, for T unitriangular up to row order and signs, has content g,
+    and T has unit pivots all the way down, so every factor g is found on
+    a unit and no Smith form runs."""
+    shapes = _recording_snf(monkeypatch)
+    rng = random.Random(47)
+    for g in (2, 3, 4, 6):
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            rows = [[0] * i + [rng.choice((1, -1))] + [rng.randint(-5, 5) for _ in range(n - i - 1)]
+                    for i in range(n)]
+            rng.shuffle(rows)
+            assert cokernel(_times(IntMatrix(rows), g)) == AbelianGroup(0, (g,) * n)
+    assert shapes == []
+
+
+def test_sweep_looks_again_at_a_column_a_later_pivot_changed(monkeypatch):
+    """Column 0 of [[2, 1], [3, 1]] has no unit until the pivot in column 1
+    subtracts row 0 from row 1, so the sweep must pass over it again; a
+    single pass would leave the unit [[1]] to a Smith form."""
+    shapes = _recording_snf(monkeypatch)
+    assert cokernel(IntMatrix([[2, 1], [3, 1]])) == AbelianGroup(0)
+    assert cokernel(IntMatrix([[4, 2], [6, 2]])) == AbelianGroup(0, (2, 2))
+    assert shapes == []
+
+
+def test_cokernel_reaches_smith_form_on_content_one_without_units(monkeypatch):
+    """diag(2A, 3B) with A and B of content 1 has content 1 and no +-1, so
+    neither the unit sweep nor content division finishes it: its one
+    residue goes to ``snf``.  So does the 1 x 2 matrix (2 3)."""
+    real_snf = intlinalg.snf
+    shapes = _recording_snf(monkeypatch)
+    rng = random.Random(53)
+    tried = 0
+    while tried < 100:
+        a, b = ([[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)] for _ in range(2))
+        if math.gcd(*a[0], *a[1]) != 1 or math.gcd(*b[0], *b[1]) != 1:
+            continue
+        tried += 1
+        d = IntMatrix([[2 * x for x in a[0]] + [0, 0], [2 * x for x in a[1]] + [0, 0],
+                       [0, 0] + [3 * x for x in b[0]], [0, 0] + [3 * x for x in b[1]]])
+        factors = minor_gcd_invariant_factors(d)
+        assert list(real_snf(d).invariant_factors()) == factors
+        shapes.clear()
+        assert cokernel(d) == AbelianGroup(4 - len(factors), tuple(x for x in factors if x >= 2))
+        assert len(shapes) == 1
+    shapes.clear()
+    row = IntMatrix([[2, 3]])
+    assert minor_gcd_invariant_factors(row) == list(real_snf(row).invariant_factors()) == [1]
+    assert cokernel(row) == AbelianGroup(0)
+    assert shapes == [(1, 2)]
 
 
 def test_cokernel_unimodular_invariance():

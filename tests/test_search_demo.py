@@ -5,7 +5,8 @@ tables, and its admissible maps come from each side's equatorial square.
 The first version composed vertex dicts step by step and filtered all 24
 permutations of the half vertices; both are kept here as oracles.  Every
 two-free-class slice must also reproduce the stage counts the benchmark
-gate checks, with the bundled pairing among its survivors.
+gate checks, with the bundled pairing among its survivors, and the
+cascade over slice (0, 1) must finish without a Smith form.
 """
 
 import itertools
@@ -13,6 +14,9 @@ import json
 from pathlib import Path
 
 import pytest
+
+from dehn24 import chains
+from test_intlinalg import _recording_snf
 
 STAGES = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "search_stages.json").read_text())
@@ -152,3 +156,17 @@ def test_slice_reproduces_its_stage_counts(search_demo, capsys, key):
     assert counts == STAGES[key]
     shipped = search_demo.normalized(search_demo.census_pairing())
     assert shipped in [search_demo.normalized(s) for s in survivors]
+
+
+def test_slice_cascade_runs_no_smith_form(search_demo, capsys, monkeypatch):
+    """Cost guard: every relation matrix and boundary the cascade over
+    slice (0, 1) reduces finishes on unit pivots, after content division,
+    so ``intlinalg.snf`` is never called; the stage counts stay put."""
+    calls = _recording_snf(monkeypatch)
+    chains._boundary_invariants.cache_clear()
+    leaves = search_demo.Search({0, 1}).run()
+    capsys.readouterr()
+    search_demo.invariant_cascade(leaves)
+    counts = [int(line.rsplit(":", 1)[1]) for line in capsys.readouterr().out.splitlines()]
+    assert counts == [53, 52, 12, 12, 3, 1, 1]
+    assert calls == []
