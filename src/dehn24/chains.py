@@ -36,12 +36,12 @@ class ChainComplex(Record):
 
     ``boundary[k]`` maps k-chains to (k-1)-chains, so it has one row per
     column of ``boundary[k-1]``, and a mismatch is refused; ``boundary[0]``
-    is the empty matrix with zero rows.  ``cell_labels[k]`` carries one opaque
-    label per k-cell, purely for reporting.
+    is the empty matrix with zero rows.  A complex holds its boundaries
+    alone; where a cell came from is kept by what built it, such as a
+    quotient's representatives.
     """
 
     boundary: tuple[IntMatrix, ...]
-    cell_labels: tuple[tuple[object, ...], ...] = ()
 
     def __post_init__(self):
         if not self.boundary:
@@ -52,12 +52,6 @@ class ChainComplex(Record):
             if self.boundary[k].rows != self.boundary[k - 1].cols:
                 raise ValueError(f"boundary[{k}] row count {self.boundary[k].rows} is not "
                                  f"dimension {k - 1}'s cell count {self.boundary[k - 1].cols}")
-        if self.cell_labels and len(self.cell_labels) != len(self.boundary):
-            raise ValueError("cell_labels must cover every dimension")
-        if self.cell_labels:
-            for k, labels in enumerate(self.cell_labels):
-                if len(labels) != self.boundary[k].cols:
-                    raise ValueError(f"label count mismatch in dimension {k}")
 
     @property
     def top_dim(self) -> int:
@@ -189,8 +183,8 @@ def _boundary_invariants(boundary: tuple[IntMatrix, ...]) -> tuple[tuple[int, tu
     """Rank and torsion of d_0..d_{n+1}, from one reduction of d_1..d_n.
 
     Keyed on the boundary tuple, whose matrices cache their own hash, so
-    every degree of one complex shares the reduction and no cell label
-    is ever hashed.  d_0 and the zero map past the top have rank 0.
+    every degree of one complex shares the reduction.  d_0 and the zero
+    map past the top have rank 0.
     """
     return ((0, ()),) + chain_invariants(boundary[1:]) + ((0, ()),)
 

@@ -21,6 +21,7 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import floor, isqrt
+from operator import index
 
 from .chains import homology_basis
 from .gluing import geometry
@@ -165,7 +166,7 @@ class SlopeLength(Record):
             raise FlatGeometryError("enclosure bounds out of order")
         if not lower ** 2 <= squared <= upper ** 2:
             raise FlatGeometryError("enclosure does not bracket the squared length")
-        self.__dict__.update(slope=tuple(map(int, slope)), squared=squared, lower=lower,
+        self.__dict__.update(slope=tuple(map(index, slope)), squared=squared, lower=lower,
                              upper=upper)
 
 
@@ -180,7 +181,9 @@ def slope_length(lattice: FlatLattice, v: Sequence[int]) -> SlopeLength:
 
     Raises:
         FlatGeometryError: if v is zero or not a 3-vector.
+        TypeError: if an entry of v is not an integer, such as 1/2.
     """
+    v = tuple(map(index, v))
     if len(v) != 3:
         raise FlatGeometryError("slope classes are integer 3-vectors")
     if not any(v):
@@ -188,7 +191,7 @@ def slope_length(lattice: FlatLattice, v: Sequence[int]) -> SlopeLength:
     developed = [sum(lattice.basis[i][j] * v[j] for j in range(3)) for i in range(3)]
     squared = lattice.scale ** 2 * sum(x * x for x in developed)
     lower, upper = _sqrt_enclosure(squared)
-    return SlopeLength(slope=tuple(v), squared=squared, lower=lower, upper=upper)
+    return SlopeLength(slope=v, squared=squared, lower=lower, upper=upper)
 
 
 def slope_lengths(lattices: Sequence[FlatLattice],

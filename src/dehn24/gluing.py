@@ -248,24 +248,20 @@ def _ideal24_geometry() -> Geometry:
     model_facet = tuple(trunc.troct_facet(o) for o in range(24))
 
     edge_index = {frozenset(e): i for i, e in enumerate(edges)}
-    flags_at: dict[int, list[tuple[int, int, int]]] = {}
-    for flag, (v, e) in enumerate(trunc.flags):
-        flags_at.setdefault(v, []).append((flag, v, e))
 
     def extend(pairing: Pairing) -> dict[int, int]:
         # Flags run in (vertex, edge) order, so the first refused edge is
         # the least one; once edges map to edges, so do the triangles.
         phi = pairing.forward()
         mapping = {}
-        source = set(base.faces[3][pairing.facet_a])
-        for flag, v, e in (f for v in base.faces[3][pairing.facet_a] for f in flags_at[v]):
-            if set(edges[e]) <= source:
-                image = frozenset(phi[w] for w in edges[e])
-                if image not in edge_index:
-                    raise PairingError(
-                        f"bijection sends face {list(edges[e])} of facet {pairing.facet_a} "
-                        f"to the non-face {sorted(image)} of facet {pairing.facet_b}")
-                mapping[flag] = trunc.flag_index(phi[v], edge_index[image])
+        for flag in trunc.faces[3][model_facet[pairing.facet_a]]:
+            v, e = trunc.flags[flag]
+            image = frozenset(phi[w] for w in edges[e])
+            if image not in edge_index:
+                raise PairingError(
+                    f"bijection sends face {list(edges[e])} of facet {pairing.facet_a} "
+                    f"to the non-face {sorted(image)} of facet {pairing.facet_b}")
+            mapping[flag] = trunc.flag_index(phi[v], edge_index[image])
         return mapping
 
     return Geometry(
@@ -627,9 +623,10 @@ def double_cover(spec: SidePairingSpec) -> SidePairingSpec:
 class QuotientComplex(Record, eq=False):
     """The quotient CW complex of a side-pairing.
 
-    ``chain`` is the underlying chain complex; its cell labels carry the
-    provenance (copy, original face data) of each orbit representative.
-    ``representatives[k]`` lists each orbit's least (copy, cell) key;
+    ``chain`` is the underlying chain complex, one k-cell per orbit of
+    model k-cells.  ``representatives[k]`` lists each orbit's least
+    (copy, cell) key, and the geometry's ``labels[k][cell]`` is that
+    cell's provenance, so the quotient keeps no copy of it.
     ``orbit_index[k][key]`` is (orbit, sign of key relative to the
     representative, positions), where ``positions[j]`` is the place, in
     the representative's cell, of the key cell's j-th vertex.
@@ -725,12 +722,9 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
         boundary_matrices.append(
             IntMatrix.from_nonzeros(columns, rows=len(representatives[k - 1])))
 
-    labels = tuple(
-        tuple((copy,) + tuple(geo.labels[k][idx]) for copy, idx in representatives[k])
-        for k in range(top + 1))
     return QuotientComplex(
         spec=spec,
-        chain=ChainComplex(boundary=tuple(boundary_matrices), cell_labels=labels),
+        chain=ChainComplex(boundary=tuple(boundary_matrices)),
         representatives=tuple(representatives),
         orbit_index=tuple(dict(zip(product(range(spec.copies), range(len(cells))), level))
                           for cells, level in zip(model.cells, levels)),

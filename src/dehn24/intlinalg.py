@@ -279,6 +279,8 @@ class AbelianGroup(Record):
     torsion: tuple[int, ...]
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        # ``index`` refuses 1.5 or 2.0 (TypeError); a list becomes a hashable tuple.
+        free_rank, torsion = index(free_rank), tuple(map(index, torsion))
         if free_rank < 0:
             raise ValueError("free rank must be >= 0")
         if any(d < 2 for d in torsion):

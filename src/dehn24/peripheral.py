@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .chains import ChainComplex, homology_basis
-from .gluing import QuotientComplex, vertex_cycles
+from .gluing import QuotientComplex, geometry, vertex_cycles
 from .intlinalg import AbelianGroup, IntMatrix, generates, hermite_graph, is_primitive
 from .polytope import cusp_vertex
 from .record import Record
@@ -34,7 +34,7 @@ class CuspSection(Record, eq=False):
     ``cells[k]`` lists the ambient quotient cell indices forming the
     section in dimension k and is the inclusion: section k-cell j is
     ambient k-cell ``cells[k][j]``.  ``chain`` is the section's own
-    complex, the ambient boundaries restricted to these cells, unlabelled.
+    complex, the ambient boundaries restricted to these cells.
     ``cube_count`` is the number of top-dimensional (cubical) cells,
     which equals the section's covolume in units of a cross-section
     cube.  ``ambient`` keeps the quotient complex the section was carved
@@ -53,7 +53,8 @@ class CuspSection(Record, eq=False):
 def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     """The boundary subcomplex split by ideal vertex cycle, in cusp order.
 
-    A cell labelled (copy, *origin) lies over the cusp of the ideal vertex
+    A cell whose representative (copy, cell) has the geometry label
+    ``origin`` lies over the cusp of the ideal vertex
     v = ``cusp_vertex(origin)``, if any, and pairings keep v in its vertex
     cycle, so the cell goes to the cycle holding v (or (copy, v) on two
     copies).  Sections come in the cycles' canonical order (cycles sorted
@@ -70,10 +71,11 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     bdim = q.top_dim - 1
     cycles = vertex_cycles(q.spec)
     cusp_of = {v: ci for ci, cycle in enumerate(cycles) for v in cycle}
+    labels = geometry(q.spec.geometry).labels
     by_cycle: list[list[list[int]]] = [[[] for _ in range(bdim + 1)] for _ in cycles]
     for k in range(bdim + 1):
-        for i, (copy, *origin) in enumerate(q.chain.cell_labels[k]):
-            v = cusp_vertex(origin)
+        for i, (copy, idx) in enumerate(q.representatives[k]):
+            v = cusp_vertex(labels[k][idx])
             if v is not None:
                 by_cycle[cusp_of[v if q.spec.copies == 1 else (copy, v)]][k].append(i)
     covered = sum(1 for comp in by_cycle if comp[bdim])

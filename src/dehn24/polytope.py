@@ -160,13 +160,24 @@ def embedded_cusp_scale() -> Fraction:
     return edge
 
 
+# Per dimension k >= 1 of a 24-cell face F: the kind of F cut back, a
+# k-face of the truncation, and the kind of F's vertex figure at one of its
+# vertices, a (k-1)-face of the cube truncating that vertex.
+_KINDS = {1: ("edge", "flag"), 2: ("triangle", "corner_edge"),
+          3: ("facet", "vertex_facet"), 4: ("body", "vertex")}
+_FIGURE_KINDS = frozenset(figure for _, figure in _KINDS.values())
+
+
 class TruncatedLattice(_Faces, Record):
     """The truncated 24-cell, with provenance back to the ideal lattice.
 
     Vertices are flags (original vertex, incident original edge); every
-    face is a sorted tuple of flag indices.  ``provenance[k][i]`` is the
-    kind and origin of k-face i, such as ``("vertex", v)`` for the cube
-    truncating v or ``("facet", o)`` for a truncated octahedron.
+    face is a sorted tuple of flag indices.  ``provenance[k][i]`` says
+    which rule made k-face i: ``(kind, f)`` for face f of the 24-cell cut
+    back, such as ``("facet", o)`` for a truncated octahedron, or
+    ``(figure kind, v, f)`` for the vertex figure of face f at vertex v,
+    such as ``("corner_edge", v, t)``.  The body drops its index, giving
+    ``("body",)`` and ``("vertex", v)`` for the cube truncating v.
     """
 
     flags: tuple[tuple[int, int], ...]
@@ -191,91 +202,33 @@ class TruncatedLattice(_Faces, Record):
 def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
     """Truncate every ideal vertex of the 24-cell, combinatorially.
 
-    The vertex figure of each ideal vertex is a cube: its 8 vertices are
-    the edges at the vertex, its 12 edges the triangles there, its 6
-    squares the facets there.  Each original octahedral facet becomes a
-    truncated octahedron; original triangles become hexagons.
+    Every face of the truncation comes from a face F of dimension k >= 1
+    by one rule.  F cut back is the k-face of the flags (v, e) over the
+    edges e in F: edges become their middles, triangles hexagons,
+    octahedra truncated octahedra.  The vertex figure of F at each of its
+    vertices v is the (k-1)-face of the flags (v, e) over the edges e of
+    F at v; these make up the cube truncating v (the vertex figure of the
+    body), whose vertices are the flags at v.  Each dimension's faces are
+    in sorted order.
     """
     base = lattice if lattice is not None else build_24cell()
-    edges = base.faces[1]
-    triangles = base.faces[2]
-    facets = base.faces[3]
-
-    edge_of = {pair: e for e, pair in enumerate(edges)}
-    flags = tuple(sorted((v, e) for e, pair in enumerate(edges) for v in pair))
+    edge_of = {pair: e for e, pair in enumerate(base.faces[1])}
+    flags = tuple(sorted((v, e) for pair, e in edge_of.items() for v in pair))
     flag_index = {f: i for i, f in enumerate(flags)}
-    flags_at: dict[int, list[int]] = {}
-    for i, (v, _) in enumerate(flags):
-        flags_at.setdefault(v, []).append(i)
 
-    def corner(vertex: int, edge: int) -> int:
-        return flag_index[(vertex, edge)]
-
-    def edges_within(members: tuple[int, ...]) -> list[int]:
-        return [edge_of[pair] for pair in itertools.combinations(members, 2)
-                if pair in edge_of]
-
-    # dim 1: truncated middles of original edges, plus cube edges (one per
-    # incident vertex-triangle flag); dim 2: hexagons from original
-    # triangles.
-    middles = {}
-    for e, (a, b) in enumerate(edges):
-        middles[tuple(sorted((corner(a, e), corner(b, e))))] = ("edge", e)
-    cube_edges = {}
-    hexagons = {}
-    for t, trio in enumerate(triangles):
-        tri_edges = edges_within(trio)
-        assert len(tri_edges) == 3
-        for v in trio:
-            ends = tuple(sorted(corner(v, e) for e in tri_edges if v in edges[e]))
-            assert len(ends) == 2
-            cube_edges[ends] = ("corner_edge", v, t)
-        members = tuple(sorted(corner(v, e) for e in tri_edges for v in edges[e]))
-        assert len(members) == 6
-        hexagons[members] = ("triangle", t)
-
-    # dim 2: squares where a cube meets a truncated octahedron (one per
-    # incident vertex-facet flag); dim 3: truncated octahedra and cubes
-    # (vertex figures).
-    squares = {}
-    trocts = {}
-    for o, members6 in enumerate(facets):
-        facet_edges = edges_within(members6)
-        for v in members6:
-            ends = tuple(sorted(corner(v, e) for e in facet_edges if v in edges[e]))
-            assert len(ends) == 4
-            squares[ends] = ("vertex_facet", v, o)
-        members = tuple(sorted(corner(v, e) for e in facet_edges for v in edges[e]))
-        assert len(members) == 24
-        trocts[members] = ("facet", o)
-    cubes = {}
-    for v in range(len(base.vertices)):
-        members = tuple(flags_at[v])
-        assert len(members) == 8
-        cubes[members] = ("vertex", v)
-
-    def sorted_faces(table: dict) -> tuple[list[tuple[int, ...]], list[tuple]]:
-        keys = sorted(table)
-        return keys, [table[k] for k in keys]
-
-    dim1_faces, dim1_prov = sorted_faces(middles | cube_edges)
-    dim2_faces, dim2_prov = sorted_faces(hexagons | squares)
-    dim3_faces, dim3_prov = sorted_faces(cubes | trocts)
-
-    faces = (
-        tuple((i,) for i in range(len(flags))),
-        tuple(dim1_faces),
-        tuple(dim2_faces),
-        tuple(dim3_faces),
-        (tuple(range(len(flags))),),
-    )
-    provenance = (
-        tuple(("flag",) + flags[i] for i in range(len(flags))),
-        tuple(dim1_prov),
-        tuple(dim2_prov),
-        tuple(dim3_prov),
-        (("body",),),
-    )
+    found: list[dict[tuple[int, ...], tuple]] = [{} for _ in range(5)]
+    for k, (kind, figure) in _KINDS.items():
+        for f, members in enumerate(base.faces[k]):
+            origin = () if k == 4 else (f,)
+            at: dict[int, list[int]] = {}
+            for pair in itertools.combinations(members, 2):
+                if (e := edge_of.get(pair)) is not None:
+                    for v in pair:
+                        at.setdefault(v, []).append(flag_index[(v, e)])
+            found[k][tuple(sorted(itertools.chain(*at.values())))] = (kind,) + origin
+            for v, ends in at.items():
+                found[k - 1][tuple(sorted(ends))] = (figure, v) + origin
+    faces, provenance = zip(*(zip(*sorted(table.items())) for table in found))
     return TruncatedLattice(
         flags=flags,
         faces=faces,
@@ -284,7 +237,7 @@ def truncate(lattice: FaceLattice | None = None) -> TruncatedLattice:
     )
 
 
-def cusp_vertex(origin: tuple | list) -> int | None:
+def cusp_vertex(origin: tuple) -> int | None:
     """The ideal vertex whose cusp holds the face of provenance ``origin``
     (a face of the cube truncating it), or ``None`` for any other face."""
-    return origin[1] if origin[0] in ("flag", "corner_edge", "vertex_facet", "vertex") else None
+    return origin[1] if origin[0] in _FIGURE_KINDS else None

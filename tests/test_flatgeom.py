@@ -114,6 +114,13 @@ def test_zero_slope_rejected(cubic):
         slope_length(cubic, (1, 0))
 
 
+@pytest.mark.parametrize("v", [(Fraction(1, 2), 0, 0), (1.0, 0, 0)], ids=["half", "float"])
+def test_non_integer_slope_rejected(cubic, v):
+    # A half once truncated to the zero class, of squared length 1/4.
+    with pytest.raises(TypeError):
+        slope_length(cubic, v)
+
+
 def test_enumerate_unit_lattice_small_bounds(cubic):
     units = sorted(
         [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])

@@ -509,15 +509,16 @@ def test_positions_place_each_cell_in_its_representative(name, request):
 
 def test_census_boundary_flags(census_n):
     q = census_n
-    on_cusp = [[cusp_vertex(label[1:]) is not None for label in q.chain.cell_labels[k]]
-               for k in range(5)]
+    provenance = geometry(q.spec.geometry).labels
+    labels = [[provenance[k][idx] for _, idx in q.representatives[k]] for k in range(5)]
+    on_cusp = [[cusp_vertex(label) is not None for label in labels[k]] for k in range(5)]
     # One cubical 3-cell survives per ideal vertex orbit representative:
     # the 24 vertex cubes are never identified with each other.
     assert sum(on_cusp[3]) == 24
     # The body cell and the glued octahedral cells are interior.
     assert not on_cusp[4][0]
-    labels = [label for label, cusp in zip(q.chain.cell_labels[3], on_cusp[3]) if not cusp]
-    assert all(lab[1] == "facet" for lab in labels)
+    interior = [label for label, cusp in zip(labels[3], on_cusp[3]) if not cusp]
+    assert all(lab[0] == "facet" for lab in interior)
 
 
 def _shuffled_and_flipped(spec: SidePairingSpec) -> SidePairingSpec:
@@ -548,7 +549,6 @@ def test_pairing_order_does_not_matter(census_spec, census_n, census_m, census_s
         q = quotient_complex(flipped, expected.spec.copies)
         assert q.representatives == expected.representatives
         assert q.chain.boundary == expected.chain.boundary
-        assert q.chain.cell_labels == expected.chain.cell_labels
     assert report(peripheral_system(q)) == report(census_system)
 
 
@@ -613,11 +613,8 @@ def oracle_quotient(spec: SidePairingSpec, copies: int = 1) -> dict:
                 column[q] = column.get(q, 0) + coeff * sign
             columns.append(column.items())
         boundary.append(IntMatrix.from_nonzeros(columns, rows=len(representatives[k - 1])))
-    labels = tuple(
-        tuple((copy,) + tuple(geo.labels[k][idx]) for copy, idx in representatives[k])
-        for k in range(top + 1))
     return {"representatives": tuple(representatives), "orbit_index": tuple(orbit_index),
-            "maps_to_rep": tuple(maps_to_rep), "boundary": tuple(boundary), "labels": labels}
+            "maps_to_rep": tuple(maps_to_rep), "boundary": tuple(boundary)}
 
 
 def agrees_with_oracle(spec: SidePairingSpec, copies: int = 1) -> bool:
@@ -642,7 +639,6 @@ def agrees_with_oracle(spec: SidePairingSpec, copies: int = 1) -> bool:
         for k in range(q.top_dim + 1)]
     assert maps_to_rep == list(want["maps_to_rep"])
     assert q.chain.boundary == want["boundary"]
-    assert q.chain.cell_labels == want["labels"]
     return True
 
 

@@ -1040,3 +1040,17 @@ def test_abelian_group_descriptions():
     assert AbelianGroup(1, (2, 4)).describe() == "Z + Z_2 + Z_4"
     with pytest.raises(ValueError):
         AbelianGroup(0, (3, 2))
+
+
+@pytest.mark.parametrize("args", [(1.5,), (0, (2.0, 4.0)), (Fraction(2),)],
+                         ids=["float-rank", "float-torsion", "fraction-rank"])
+def test_abelian_group_refuses_non_integers(args):
+    # Unchecked, these printed as Z^1.5 and Z_2.0 + Z_4.0.
+    with pytest.raises(TypeError):
+        AbelianGroup(*args)
+
+
+def test_abelian_group_torsion_is_a_tuple():
+    group = AbelianGroup(0, [2, 2])
+    assert group.torsion == (2, 2) and group == AbelianGroup(0, (2, 2))
+    assert hash(group) == hash(AbelianGroup(0, (2, 2)))

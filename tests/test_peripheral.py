@@ -13,7 +13,7 @@ import pytest
 
 from dehn24 import chains, intlinalg, peripheral
 from dehn24.chains import homology
-from dehn24.gluing import quotient_complex
+from dehn24.gluing import geometry, quotient_complex
 from dehn24.intlinalg import IntMatrix, generates, is_primitive
 from dehn24.peripheral import (
     PeripheralError,
@@ -64,9 +64,10 @@ def test_sections_of_m(census_m):
 def test_sections_partition_boundary(census_m):
     q = census_m
     sections = cusp_sections(q)
+    provenance = geometry(q.spec.geometry).labels
     for k in range(4):
-        flagged = {i for i, (_, *origin) in enumerate(q.chain.cell_labels[k])
-                   if cusp_vertex(origin) is not None}
+        flagged = {i for i, (_, idx) in enumerate(q.representatives[k])
+                   if cusp_vertex(provenance[k][idx]) is not None}
         pieces = [set(s.cells[k]) for s in sections]
         assert set().union(*pieces) == flagged
         assert sum(len(p) for p in pieces) == len(flagged)
@@ -93,10 +94,11 @@ def test_section_ordering_follows_vertex_cycles(census_n):
     # Cusp i (i = 1..4) is the one containing the cubes of the ideal
     # vertices -e_i and e_i; the half-integer cusp comes last.
     sections = cusp_sections(census_n)
+    provenance = geometry(census_n.spec.geometry).labels
     vertex_pairs = []
     for s in sections[:4]:
-        labels = [census_n.chain.cell_labels[3][a] for a in s.cells[3]]
-        vertex_pairs.append(tuple(sorted(lab[2] for lab in labels)))
+        cubes = [provenance[3][census_n.representatives[3][a][1]] for a in s.cells[3]]
+        vertex_pairs.append(tuple(sorted(cusp_vertex(cube) for cube in cubes)))
     assert vertex_pairs == [(0, 23), (9, 14), (10, 13), (11, 12)]
 
 

@@ -293,6 +293,32 @@ def test_provenance_tags(trunc):
                      "vertex": 24, "facet": 24, "body": 1}
 
 
+def test_every_provenance_names_its_flags(lattice, trunc):
+    """Each face is exactly the flag set its provenance tuple defines, in
+    the dimension that kind lives in, so a wrong index in any tuple fails."""
+    edges = lattice.faces[1]
+
+    def edges_in(dim, f):
+        return [e for e, pair in enumerate(edges) if set(pair) <= set(lattice.faces[dim][f])]
+
+    defines = {
+        "flag": (0, lambda v, e: {(v, e)}),
+        "edge": (1, lambda e: {(v, e) for v in edges[e]}),
+        "corner_edge": (1, lambda v, t: {(v, e) for e in edges_in(2, t) if v in edges[e]}),
+        "triangle": (2, lambda t: {(v, e) for e in edges_in(2, t) for v in edges[e]}),
+        "vertex_facet": (2, lambda v, o: {(v, e) for e in edges_in(3, o) if v in edges[e]}),
+        "facet": (3, lambda o: {(v, e) for e in edges_in(3, o) for v in edges[e]}),
+        "vertex": (3, lambda v: {flag for flag in trunc.flags if flag[0] == v}),
+        "body": (4, lambda: set(trunc.flags)),
+    }
+    for dim in range(5):
+        assert len(trunc.provenance[dim]) == len(trunc.faces[dim])
+        for face, (kind, *origin) in zip(trunc.faces[dim], trunc.provenance[dim]):
+            kind_dim, flags_of = defines[kind]
+            assert kind_dim == dim
+            assert {trunc.flags[i] for i in face} == flags_of(*origin)
+
+
 def test_cube_and_troct_lookup(lattice, trunc):
     for v in range(24):
         i = trunc.cube_facet(v)
