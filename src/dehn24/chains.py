@@ -58,9 +58,7 @@ class ChainComplex(Record):
         return len(self.boundary) - 1
 
     def cell_count(self, k: int) -> int:
-        if 0 <= k <= self.top_dim:
-            return self.boundary[k].cols
-        return 0
+        return self.boundary[k].cols
 
     def boundary_or_zero(self, k: int) -> IntMatrix:
         """boundary[k], or the appropriate zero map just past the top."""

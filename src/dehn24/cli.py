@@ -161,11 +161,9 @@ def _load_spec(config: RunConfig):
 
 
 def _exact_decimal(x: Fraction) -> str:
-    """Exact decimal rendering; the denominator must divide a power of ten."""
-    scaled = x * 10 ** 13
-    if scaled.denominator != 1:
-        return str(x)
-    n = scaled.numerator
+    """Exact decimal rendering of a multiple of 10^-13, as every enclosure
+    bound is."""
+    n = (x * 10 ** 13).numerator
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 10 ** 13}.{n % 10 ** 13:013d}"

@@ -53,14 +53,11 @@ def h1_filled(system: PeripheralSystem, slopes: FillingSlopes) -> AbelianGroup:
     """First homology after filling every cusp along the given slopes.
 
     Computed as the cokernel of the matrix whose columns are the images
-    of the slope classes under the peripheral maps.  An empty slope
-    tuple is the degenerate no-filling case and returns the ambient H_1.
+    of the slope classes under the peripheral maps.
 
     Raises:
-        FillingError: wrong number of slopes (other than zero).
+        FillingError: wrong number of slopes.
     """
-    if not slopes.classes:
-        return AbelianGroup(system.ambient_h1.free_rank)
     if len(slopes.classes) != system.cusp_count:
         raise FillingError(f"need {system.cusp_count} slopes, got {len(slopes.classes)}")
     columns = [system.matrices[i].apply(v) for i, v in enumerate(slopes.classes)]

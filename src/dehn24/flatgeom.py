@@ -10,15 +10,16 @@ section's canonical H_1 generators, so a slope class written in H_1
 coordinates is measured against the basis the peripheral maps use.
 
 All certified numerics are exact rational arithmetic: square roots are
-enclosed with ``math.isqrt``, the exponential with a Taylor partial
-sum plus a tail bound.  A comparison that the enclosures cannot decide
-raises :class:`PrecisionError` instead of guessing.
+enclosed with ``math.isqrt``, the exponential with a fixed-point Taylor
+sum plus a tail bound, after halving the argument below 1.  A comparison
+that the enclosures cannot decide raises :class:`PrecisionError` instead
+of guessing.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import floor, isqrt
 from operator import index
@@ -58,33 +59,41 @@ def _sqrt_enclosure(squared: Fraction) -> tuple[Fraction, Fraction]:
             Fraction(isqrt(ceil) + 1, _SQRT_SCALE))
 
 
-def _exp_partial_sums(x: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
-    """Taylor partial sums of exp(x) for x >= 0, each with its last term.
+def _exp_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= exp(x) <= hi for x >= 0, within exp(x) / 2^100.
 
-    Every partial sum is a lower bound on exp(x).  The sums stop once
-    n + 1 >= 2x and the last term is negligible: from there the tail is
-    dominated by a geometric series with ratio <= 1/2, so it is at most
-    the last term and the final pair encloses exp(x).
+    With s the bit length of floor(x), y = x / 2^s lies in [0, 1).  A
+    Taylor sum on fixed-point integers of 128 + 2s bits, its terms rounded
+    down for lo and up for hi (whose tail after the last term is at most
+    that term, as y / n <= 1/2), encloses exp(y); s squarings, rounded the
+    same ways, give exp(x).  The cost grows with s, not with the size of
+    x's denominator.
     """
     if x < 0:
         raise ValueError("argument must be nonnegative")
-    total = Fraction(1)
-    term = Fraction(1)
+    s = floor(x).bit_length()
+    bits = 128 + 2 * s
+    one = 1 << bits
+    scaled = x * one / (1 << s)
+    lo = _exp_fixed(floor(scaled), bits, down=True)
+    hi = _exp_fixed(-floor(-scaled), bits, down=False)
+    for _ in range(s):
+        lo = lo * lo >> bits
+        hi = -(-hi * hi >> bits)
+    return Fraction(lo, one), Fraction(hi, one)
+
+
+def _exp_fixed(y: int, bits: int, down: bool) -> int:
+    """exp(y / 2^bits) for 0 <= y <= 2^bits, in units of 2^-bits: a lower
+    bound from terms rounded down, or an upper bound from terms rounded up
+    plus the last term again for the tail."""
+    total = term = 1 << bits
     n = 0
-    while True:
+    while term > (0 if down else 1):
         n += 1
-        term *= x / n
+        term = term * y // (n << bits) if down else -(-term * y // (n << bits))
         total += term
-        yield total, term
-        if n + 1 >= 2 * x and term * 10 ** 30 <= total:
-            return
-
-
-def _exp_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bounds on exp(x) for x >= 0, from the last partial sum."""
-    for total, term in _exp_partial_sums(x):
-        pass
-    return total, total + term
+    return total if down else total + term
 
 
 def _det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -240,9 +249,8 @@ def _ldl_enumerate(q: list[list[Fraction]],
 
     def span(center: Fraction, budget: Fraction, weight: Fraction) -> Iterable[int]:
         # Integers t with weight * (t + center)^2 <= budget, plus slack;
-        # callers re-test exactly, so overshooting is harmless.
-        if budget <= 0:
-            return range(0)
+        # callers re-test exactly, so overshooting is harmless.  Every
+        # budget is positive: a caller skips a level once its bound is used.
         radius = budget / weight
         top = isqrt(-((-radius.numerator) // radius.denominator)) + 1
         lo = floor(-center) - top
@@ -308,16 +316,17 @@ def weakly_balanced(lengths: SlopeLengths, c: int | Fraction) -> bool:
     max_hi = max(s.upper for s in lengths)
     min_lo = min(s.lower for s in lengths)
     min_hi = min(s.upper for s in lengths)
-    # A large argument's full series never ends in practice: stop at max_hi.
-    for rhs_lo, _ in _exp_partial_sums(c * min_lo ** 3):
-        if max_hi <= rhs_lo:
-            return True
-    rhs_hi = _exp_enclosure(c * min_hi ** 3)[1]
+    # exp(x) >= 2^floor(x) exceeds every length whose numerator has fewer
+    # bits, so capping x there decides the same comparison at bounded cost.
+    rhs_lo = _exp_enclosure(min(c * min_lo ** 3, max_hi.numerator.bit_length()))[0]
+    if max_hi <= rhs_lo:
+        return True
+    rhs_hi = _exp_enclosure(min(c * min_hi ** 3, max_lo.numerator.bit_length()))[1]
     if max_lo > rhs_hi:
         return False
     raise PrecisionError(
         f"cannot separate max length in [{max_lo},{max_hi}] from the balance "
-        f"bound in [{rhs_lo},{rhs_hi}]; a tighter enclosure is needed")
+        f"bound exp(c * min length^3); a tighter enclosure is needed")
 
 
 # ---------------------------------------------------------------------------

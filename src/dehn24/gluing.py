@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -41,14 +41,22 @@ class Pairing(Record):
     ``vertex_map`` sends vertices of ``facet_a`` to vertices of
     ``facet_b``; the record also implicitly provides the inverse gluing
     from ``facet_b`` back.  Copy indices only matter for two-copy
-    (double-cover) specs.
+    (double-cover) specs.  Every index is read with ``operator.index``,
+    so 1.5 or 0.0 raises TypeError when the record is built.
     """
 
     facet_a: int
     facet_b: int
     vertex_map: tuple[tuple[int, int], ...]
-    copy_a: int = 0
-    copy_b: int = 0
+    copy_a: int
+    copy_b: int
+
+    def __init__(self, facet_a: int, facet_b: int, vertex_map, copy_a: int = 0,
+                 copy_b: int = 0):
+        # The search builds 12 per leaf, so the fields are bound here.
+        self.__dict__.update(facet_a=index(facet_a), facet_b=index(facet_b),
+                             vertex_map=tuple([(index(v), index(w)) for v, w in vertex_map]),
+                             copy_a=index(copy_a), copy_b=index(copy_b))
 
     def forward(self) -> dict[int, int]:
         return dict(self.vertex_map)
@@ -64,8 +72,9 @@ class SidePairingSpec(Record):
     """A full side-pairing: a perfect matching of all facet slots.
 
     ``copies`` is 1 for a plain quotient, 2 for a double-cover spec whose
-    pairings reference (copy, facet) slots.  Building a spec validates
-    it (see ``validate_spec``), so an invalid spec cannot be built.
+    pairings reference (copy, facet) slots; it is read with
+    ``operator.index``.  Building a spec validates it (see
+    ``validate_spec``), so an invalid spec cannot be built.
     """
 
     pairings: tuple[Pairing, ...]
@@ -74,6 +83,7 @@ class SidePairingSpec(Record):
     metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "copies", index(self.copies))
         validate_spec(self)
 
     def metadata_dict(self) -> dict[str, str]:
@@ -757,12 +767,6 @@ class Presentation(Record):
         return cokernel(IntMatrix.from_columns(cols, rows=rows))
 
 
-def _generator_names(count: int) -> tuple[str, ...]:
-    if count <= 26:
-        return tuple(chr(ord("a") + i) for i in range(count))
-    return tuple(f"x{i + 1}" for i in range(count))
-
-
 def presentation(spec: SidePairingSpec) -> Presentation:
     """Fundamental-polyhedron presentation of the quotient's fundamental group.
 
@@ -823,5 +827,6 @@ def presentation(spec: SidePairingSpec) -> Presentation:
                               "is disconnected and has no single fundamental group")
         relators.append((tree_gen + 1,))
 
-    return Presentation(generators=_generator_names(len(spec.pairings)),
+    # A valid spec has at most 24 pairings, so one letter each suffices.
+    return Presentation(generators=tuple(chr(ord("a") + i) for i in range(len(spec.pairings))),
                         relators=tuple(relators))

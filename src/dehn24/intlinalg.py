@@ -167,10 +167,6 @@ class IntMatrix:
             {position[i]: x for i, x in self._cols[j].items() if i in position}
             for j in cols])
 
-    def row_lists(self) -> list[list[int]]:
-        """A mutable copy of the entries, row-major."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def diagonal_entries(self) -> tuple[int, ...]:
         return tuple(self._cols[i].get(i, 0) for i in range(min(self.rows, self.cols)))
 
@@ -209,9 +205,6 @@ class IntMatrix:
                 for i, x in col.items():
                     out[i] += x * v
         return tuple(out)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._adopt(self.cols, self._row_entries())
 
     def is_zero(self) -> bool:
         return not any(self._cols)
@@ -864,8 +857,4 @@ def generates(vectors: Sequence[Sequence[int]], ambient_rank: int) -> bool:
     for v in vectors:
         if len(v) != ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-    if ambient_rank == 0:
-        return True
-    if not vectors:
-        return False
     return cokernel(IntMatrix.from_columns(vectors, rows=ambient_rank)).is_trivial()

@@ -28,8 +28,6 @@ from .record import Record
 Coord = tuple[Fraction, Fraction, Fraction, Fraction]
 IntVec = tuple[int, int, int, int]
 
-HALF = Fraction(1, 2)
-
 # The vertices times two, in canonical (lexicographic) order: the order of
 # the unit coordinates too, since doubling keeps it.
 _DOUBLED: tuple[IntVec, ...] = tuple(sorted(
@@ -47,26 +45,7 @@ def _dot(a: IntVec, b: IntVec) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
-def _inner(a: Coord, b: Coord) -> Fraction:
-    return sum(x * y for x, y in zip(a, b))
-
-
-class _Faces:
-    """Methods shared by both lattices, which store ``faces`` by dimension."""
-
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces[k]) for k in range(4))
-
-    def dump(self) -> str:
-        """Canonical text dump: one face per line as `dim index v1 v2 ...`."""
-        lines = []
-        for dim in range(5):
-            for idx, vs in enumerate(self.faces[dim]):
-                lines.append(f"{dim} {idx} " + " ".join(str(v) for v in vs))
-        return "\n".join(lines) + "\n"
-
-
-class FaceLattice(_Faces, Record):
+class FaceLattice(Record):
     """The face lattice of the 24-cell.
 
     ``faces[k]`` lists the k-faces as sorted tuples of vertex indices, in
@@ -78,18 +57,6 @@ class FaceLattice(_Faces, Record):
     vertices: tuple[Coord, ...]
     faces: tuple[tuple[tuple[int, ...], ...], ...]
     facet_normal: tuple[Coord, ...]
-
-    def vertex_index(self, coords: Coord) -> int:
-        return self.vertices.index(tuple(coords))
-
-    def face_index(self, dim: int, vertex_set: tuple[int, ...]) -> int:
-        return self.faces[dim].index(tuple(sorted(vertex_set)))
-
-    def facet_of_normal(self, normal: Coord) -> int:
-        """Index of the facet whose outward normal is ``normal``."""
-        members = tuple(sorted(i for i, v in enumerate(self.vertices)
-                               if _inner(normal, v) == 1))
-        return self.faces[3].index(members)
 
 
 @lru_cache(maxsize=1)
@@ -168,7 +135,7 @@ _KINDS = {1: ("edge", "flag"), 2: ("triangle", "corner_edge"),
 _FIGURE_KINDS = frozenset(figure for _, figure in _KINDS.values())
 
 
-class TruncatedLattice(_Faces, Record):
+class TruncatedLattice(Record):
     """The truncated 24-cell, with provenance back to the ideal lattice.
 
     Vertices are flags (original vertex, incident original edge); every
@@ -188,10 +155,6 @@ class TruncatedLattice(_Faces, Record):
 
     def flag_index(self, vertex: int, edge: int) -> int:
         return self._flag_index[(vertex, edge)]
-
-    def cube_facet(self, vertex: int) -> int:
-        """Facet index of the cubical facet truncating ``vertex``."""
-        return self.provenance[3].index(("vertex", vertex))
 
     def troct_facet(self, facet: int) -> int:
         """Facet index of the truncated octahedron from original facet."""

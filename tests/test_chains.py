@@ -531,10 +531,10 @@ def _identifiers(tree: ast.AST) -> collections.Counter:
 
 
 def _defined_names(tree: ast.Module):
-    """(line, name) of each function or method, and of each module-level
-    assignment target."""
+    """(line, name) of each function, method or class, and of each
+    module-level assignment target."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.lineno, node.name
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign):
@@ -549,36 +549,56 @@ def _defined_names(tree: ast.Module):
                     yield stmt.lineno, node.id
 
 
-def test_every_function_is_named_outside_its_def():
-    """Each non-dunder function, method or module-level name of the package
-    is read by code in the package, demos, benchmark or tests; prose
-    mentions and the assignment itself do not count."""
-    root = pathlib.Path(__file__).resolve().parents[1]
+def _unread_names(package, pipeline) -> list[str]:
+    """``file:line name`` for each non-dunder name defined in the ``package``
+    files that no ``pipeline`` file reads."""
     used = collections.Counter()
-    for top in ("src", "demos", "perfbench", "tests"):
-        for path in sorted((root / top).rglob("*.py")):
-            used += _identifiers(ast.parse(path.read_text("utf-8")))
-    unused = []
-    for path in sorted((root / "src" / "dehn24").glob("*.py")):
-        for lineno, name in _defined_names(ast.parse(path.read_text("utf-8"))):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if not used[name]:
-                unused.append(f"{path.name}:{lineno} {name}")
-    assert unused == []
-
-
-def test_every_public_name_is_read_by_the_pipeline():
-    """Each name in ``dehn24.__all__`` is read by the package outside its
-    ``__init__``, by the demos, the benchmark or the acceptance gate: the
-    public surface is what the pipeline runs, not what only unit tests call."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    paths = [path for top in ("src", "demos", "perfbench")
-             for path in sorted((root / top).rglob("*.py")) if path.name != "__init__.py"]
-    used = collections.Counter()
-    for path in paths + [root / "tests" / "test_acceptance.py"]:
+    for path in pipeline:
         used += _identifiers(ast.parse(path.read_text("utf-8")))
-    assert [name for name in dehn24.__all__ if not used[name]] == []
+    return [f"{path.name}:{lineno} {name}"
+            for path in package
+            for lineno, name in sorted(_defined_names(ast.parse(path.read_text("utf-8"))))
+            if not (name.startswith("__") and name.endswith("__")) and not used[name]]
+
+
+def test_every_package_name_is_read_by_the_pipeline():
+    """Each non-dunder function, method, class or module-level name of the
+    package is read by the pipeline: the package outside its ``__init__``,
+    the demos, the benchmark or the acceptance gate.  A name only unit
+    tests read, or only prose mentions, is code the pipeline does not need."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pipeline = [path for top in ("src", "demos", "perfbench")
+                for path in sorted((root / top).rglob("*.py")) if path.name != "__init__.py"]
+    pipeline.append(root / "tests" / "test_acceptance.py")
+    assert _unread_names(sorted((root / "src" / "dehn24").glob("*.py")), pipeline) == []
+
+
+def test_name_guard_on_a_fixture(tmp_path):
+    """A method only a unit test reads is flagged, one the gate reads
+    passes, and a name only a docstring or comment mentions does not count."""
+    files = {
+        "module.py": ("RANK = 3\n"
+                      "class Lattice:\n"
+                      "    def row(self): pass\n"
+                      "    def dump(self): pass\n"
+                      "    def only_unit(self): pass\n"
+                      "    def __repr__(self): pass\n"
+                      "def orphan(): pass\n"),
+        "pipeline.py": ('"""Calls orphan."""\n'
+                        "def f(m):\n"
+                        "    # orphan() would go here\n"
+                        "    return m.row, RANK, Lattice\n"),
+        "test_acceptance.py": "def test_gate(lattice):\n    assert lattice.dump()\n",
+        "test_unit.py": "def test_unit(lattice):\n    assert lattice.only_unit(orphan)\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    package = [tmp_path / "module.py"]
+    pipeline = [tmp_path / "pipeline.py", tmp_path / "test_acceptance.py"]
+    assert _unread_names(package, pipeline) == ["module.py:5 only_unit", "module.py:7 orphan"]
+    assert _unread_names(package, pipeline[:1]) == [
+        "module.py:4 dump", "module.py:5 only_unit", "module.py:7 orphan"]
+    assert _unread_names(package, pipeline + [tmp_path / "test_unit.py"]) == []
 
 
 def test_identifier_guard_ignores_prose():
@@ -595,8 +615,9 @@ def test_identifier_guard_ignores_prose():
 
 
 def test_guard_reads_module_assignments():
-    tree = ast.parse("A, B = 1, 2\nC: int = A\nD = {}\nD[0] = B\ndef f():\n    E = 3\n")
-    assert [name for _, name in _defined_names(tree)] == ["f", "A", "B", "C", "D"]
+    tree = ast.parse("A, B = 1, 2\nC: int = A\nD = {}\nD[0] = B\ndef f():\n    E = 3\n"
+                     "class K:\n    def g(self):\n        pass\n")
+    assert [name for _, name in _defined_names(tree)] == ["f", "K", "g", "A", "B", "C", "D"]
     used = _identifiers(tree)
     assert (used["A"], used["B"], used["C"], used["D"], used["E"]) == (1, 1, 0, 1, 0)
 

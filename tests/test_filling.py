@@ -122,10 +122,6 @@ def test_negating_slopes_changes_nothing(census_system):
     assert h1_filled(census_system, slopes) == h1_filled(census_system, negated)
 
 
-def test_empty_slopes_return_ambient_h1(census_system):
-    assert h1_filled(census_system, FillingSlopes(())) == AbelianGroup(5)
-
-
 def test_slope_validation():
     with pytest.raises(FillingError, match="slope 1 is zero"):
         FillingSlopes(((0, 0, 0),))
@@ -138,6 +134,8 @@ def test_wrong_slope_count_raises(census_system):
         adapted_slopes(census_system, [(0, 0)] * 4)
     with pytest.raises(FillingError, match="need 5 slopes, got 2"):
         h1_filled(census_system, FillingSlopes(((1, 0, 0), (0, 1, 0))))
+    with pytest.raises(FillingError, match="need 5 slopes, got 0"):
+        h1_filled(census_system, FillingSlopes(()))
 
 
 def test_wrong_euler_characteristic_blocks_verdict(census_system):

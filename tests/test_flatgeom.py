@@ -6,6 +6,7 @@ Machin-formula pi enclosure in exact rationals, so the constants in
 the module never vouch for themselves.
 """
 
+import decimal
 import itertools
 import time
 from fractions import Fraction
@@ -278,6 +279,20 @@ def test_weakly_balanced_large_exponent_is_fast(census_system, m_lattices, c):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("c, verdict", [(Fraction(6), False), (Fraction(718, 100), False),
+                                        (Fraction(73, 10), True)])
+def test_weakly_balanced_cost_is_bounded(census_system, m_lattices, c, verdict):
+    """One coefficient of 301 digits makes a slope about 10^300 long while
+    the others stay short.  Exact Taylor partial sums took 34.5 s and
+    59.4 s for the two "no" verdicts, as the terms' denominators grow with
+    every term; the enclosure's cost grows only with the exponent's size."""
+    slopes = adapted_slopes(census_system, ((2, 1),) * 4 + ((10 ** 300, 0),))
+    lengths = tuple(slope_length(m_lattices[i], slopes.classes[i]) for i in range(5))
+    start = time.perf_counter()
+    assert weakly_balanced(lengths, c) is verdict
+    assert time.perf_counter() - start < 2
+
+
 def test_weakly_balanced_indeterminate_and_errors():
     wide = SlopeLength(slope=(1, 0, 0), squared=4,
                        lower=Fraction(1), upper=Fraction(3))
@@ -298,6 +313,20 @@ def test_exp_enclosure_brackets_e():
     assert lo < Fraction("2.7182818284590453")
     assert hi - lo < Fraction(1, 10 ** 25)
     assert _exp_enclosure(Fraction(0)) == (1, 1)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(7, 2), Fraction(1000),
+                               Fraction(10 ** 1000 + 1, 10 ** 999), Fraction(2 ** 11 - 1, 3)])
+def test_exp_enclosure_brackets_decimal_exp(x):
+    """Against ``Decimal.exp`` at 80 digits, which is within a relative
+    10^-70 of exp(x); the width is under exp(x) / 2^100 whatever the size
+    of x's denominator."""
+    lo, hi = _exp_enclosure(x)
+    with decimal.localcontext(decimal.Context(prec=80)):
+        ref = Fraction((decimal.Decimal(x.numerator) / x.denominator).exp())
+    slack = ref / 10 ** 70
+    assert lo <= ref + slack and ref - slack <= hi
+    assert (hi - lo) * 2 ** 100 < lo
 
 
 def test_slope_length_enclosure_is_consistent():

@@ -323,6 +323,39 @@ def test_quotient_rejects_orbifold_fold():
         quotient_complex(spec)
 
 
+@pytest.mark.parametrize("value", [1.5, 0.0])
+@pytest.mark.parametrize("field", ["facet_a", "facet_b", "copy_a", "copy_b", "source",
+                                   "target"])
+def test_pairing_refuses_non_integer_indices(field, value):
+    """Every index is read with ``operator.index`` when the record is built.
+    A ``copy_a`` of 0.0 or a float vertex used to pass ``validate_spec`` and
+    then raise a bare TypeError in ``vertex_cycles``, ``presentation`` or
+    ``quotient_complex``."""
+    fields = {"facet_a": 0, "facet_b": 3, "copy_a": 0, "copy_b": 0}
+    vertex_map = [[0, 3], [1, 2]]
+    if field in fields:
+        fields[field] = value
+    else:
+        vertex_map[0][field == "target"] = value
+    with pytest.raises(TypeError):
+        Pairing(vertex_map=vertex_map, **fields)
+
+
+def test_pairing_reads_its_vertex_map_as_tuples():
+    listed = Pairing(0, 3, [[0, 3], [1, 2]])
+    assert listed == Pairing(0, 3, ((0, 3), (1, 2)))
+    assert hash(listed) == hash(Pairing(0, 3, ((0, 3), (1, 2))))
+    assert listed.vertex_map == ((0, 3), (1, 2))
+
+
+def test_spec_refuses_non_integer_copies(census_spec):
+    with pytest.raises(TypeError):
+        SidePairingSpec(pairings=census_spec.pairings, copies=1.0)
+    with pytest.raises(TypeError):
+        SidePairingSpec(pairings=census_spec.pairings, copies=1.5)
+    assert SidePairingSpec(pairings=census_spec.pairings, copies=1).copies == 1
+
+
 def test_unknown_geometry():
     with pytest.raises(GluingError, match="unknown geometry"):
         geometry("dodecahedron")
@@ -487,6 +520,20 @@ def test_each_pairing_is_resolved_once(census_spec, monkeypatch):
     quotient_complex(census_spec)
     presentation(census_spec)
     assert facet_calls == []
+
+
+def test_presentation_squares_a_self_paired_generator():
+    """A facet glued to itself by a reflection is an involution, so its
+    generator's square is a relator (the quotient itself is refused as an
+    orbifold, but the presentation is read from the spec alone)."""
+    spec = square_spec(
+        Pairing(0, 0, ((0, 1), (1, 0))),
+        Pairing(1, 2, ((0, 1), (3, 2))),
+        Pairing(3, 3, ((2, 3), (3, 2))),
+    )
+    pres = presentation(spec)
+    assert pres.generators == ("a", "b", "c")
+    assert pres.relators[-2:] == ((1, 1), (3, 3))
 
 
 def test_presentation_refuses_two_copies_without_crossing():

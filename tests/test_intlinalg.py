@@ -75,6 +75,15 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:
     return IntMatrix(rows, cols=n)
 
 
+def row_lists(a: IntMatrix) -> list[list[int]]:
+    """A mutable copy of the entries, row-major."""
+    return [list(a.row(i)) for i in range(a.rows)]
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix([a.column(j) for j in range(a.cols)], cols=a.rows)
+
+
 # -- the dense reduction, kept as the oracle for ``snf`` -----------------
 
 class _DenseReduction:
@@ -86,10 +95,10 @@ class _DenseReduction:
     def __init__(self, a: IntMatrix, left: bool, right: bool):
         self.m = a.rows
         self.n = a.cols
-        self.d = a.row_lists()
-        self.u = IntMatrix.identity(self.m).row_lists() if left else None
-        self.ui = IntMatrix.identity(self.m).row_lists() if left else None
-        self.v = IntMatrix.identity(self.n).row_lists() if right else None
+        self.d = row_lists(a)
+        self.u = row_lists(IntMatrix.identity(self.m)) if left else None
+        self.ui = row_lists(IntMatrix.identity(self.m)) if left else None
+        self.v = row_lists(IntMatrix.identity(self.n)) if right else None
 
     # Row operations act on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
 
@@ -240,9 +249,6 @@ class DenseMatrix:
     def apply(self, v):
         return tuple(sum(x * y for x, y in zip(r, v)) for r in self.entries)
 
-    def transpose(self):
-        return DenseMatrix([list(self.column(j)) for j in range(self.n)], self.m)
-
     def det(self):
         total = 0
         for perm in itertools.permutations(range(self.n)):
@@ -286,7 +292,6 @@ def test_int_matrix_matches_dense_reference():
             d = random_dense(rng, m, n)
             a = d.as_int_matrix()
             assert_agrees(a, d)
-            assert_agrees(a.transpose(), d.transpose())
             if m == n:
                 assert a.det() == d.det()
             v = [rng.randint(-5, 5) for _ in range(n)]
@@ -300,8 +305,8 @@ def test_int_matrix_matches_dense_reference():
 
 def test_int_matrix_equality_across_construction_routes():
     """Equal entries make equal matrices with equal hashes, however built:
-    from rows, from dense or sparse columns, by transposing twice, as a
-    whole submatrix, or as a Smith transform against the dense oracle."""
+    from rows, from dense or sparse columns, as a whole submatrix, or as
+    a Smith transform against the dense oracle."""
     rng = random.Random(71)
     for _ in range(30):
         for m, n in SHAPES:
@@ -312,7 +317,6 @@ def test_int_matrix_equality_across_construction_routes():
                 IntMatrix.from_nonzeros(
                     [[(i, x) for i, x in reversed(list(enumerate(d.column(j))))]
                      for j in range(n)], rows=m),
-                a.transpose().transpose(),
                 a.submatrix(range(m), range(n)),
             ]
             for b in routes:
@@ -503,15 +507,14 @@ def test_snf_matches_dense_oracle_on_census(census_oracle, left, right):
 
 def test_snf_never_builds_a_dense_matrix(census_m, monkeypatch):
     """The reduction reads its input and builds its outputs, nothing more:
-    with the dense copy and the dense identity refused, the cover's d2
-    still reduces under every flag combination."""
+    ``IntMatrix`` keeps no dense row copy, and with the identity refused
+    the cover's d2 still reduces under every flag combination."""
     d2 = census_m.chain.boundary[2]
     full = snf(d2)
 
     def refuse(*args):
         raise AssertionError("snf asked for a dense working copy")
 
-    monkeypatch.setattr(IntMatrix, "row_lists", refuse)
     monkeypatch.setattr(IntMatrix, "identity", staticmethod(refuse))
     for left, right in FLAGS:
         got = snf(d2, left=left, right=right)
@@ -520,17 +523,13 @@ def test_snf_never_builds_a_dense_matrix(census_m, monkeypatch):
         assert got.V == (full.V if right else None)
 
 
-def test_pipeline_never_asks_for_dense_rows(census_m, monkeypatch):
+def test_pipeline_never_asks_for_dense_rows(census_m):
     """The cover's homology generators and its whole peripheral system run
-    on the column storage: with the dense row copy refused they still run,
-    and the report is the golden one."""
-    def refuse(*args):
-        raise AssertionError("a dense copy of the rows was asked for")
-
+    on the column storage, as ``IntMatrix`` keeps no dense row copy: from
+    cold caches they run, and the report is the golden one."""
     golden = pathlib.Path(__file__).parent / "data" / "peripheral_1011.txt"
     homology_basis.cache_clear()
     cusp_sections.cache_clear()
-    monkeypatch.setattr(IntMatrix, "row_lists", refuse)
     for k in (1, 2, 3):
         homology_basis(census_m.chain, k)
     assert report(peripheral_system(census_m)) == golden.read_text()
@@ -707,7 +706,7 @@ def test_echelon_solver_many_targets_per_basis():
         if k.cols == 0:
             continue
         basis = EchelonBasis(k)
-        doubled = EchelonBasis(IntMatrix([[2 * x for x in row] for row in k.row_lists()],
+        doubled = EchelonBasis(IntMatrix([[2 * x for x in row] for row in row_lists(k)],
                                          cols=k.cols))
         for _ in range(6):
             coeffs = [rng.randint(-6, 6) for _ in range(k.cols)]
@@ -880,7 +879,7 @@ def test_kernel_bases_match_dense_hermite_on_census(census_n, census_m):
             assert [list(got.column(j)) for j in range(got.cols)] == want
     kernel = kernel_basis(census_m.chain.boundary[1])
     assert (kernel.rows, kernel.cols) == (168, 121)
-    assert_row_hermite_matches_dense(kernel.transpose())
+    assert_row_hermite_matches_dense(transpose(kernel))
     assert_row_hermite_matches_dense(census_m.chain.boundary[2])
 
 
@@ -891,7 +890,7 @@ def smith_kernel_basis(a: IntMatrix) -> IntMatrix:
     raw = [decomp.V.column(j) for j in range(decomp.rank, a.cols)]
     if not raw:
         return IntMatrix.zero(a.cols, 0)
-    return row_hermite(IntMatrix(raw, cols=a.cols)).transpose()
+    return transpose(row_hermite(IntMatrix(raw, cols=a.cols)))
 
 
 def test_kernel_basis_matches_smith_route_on_census_sections(census_n, census_m):
@@ -926,7 +925,7 @@ def test_hermite_graph_splits_image_and_kernel():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, m, n, bound=rng.choice((1, 4)))
         image, preimage, kernel = hermite_graph(a)
-        want = row_hermite(a.transpose())
+        want = row_hermite(transpose(a))
         assert image.columns() == [want.row(i) for i in range(image.cols)]
         assert not any(any(want.row(i)) for i in range(image.cols, want.rows))
         assert a * preimage == image

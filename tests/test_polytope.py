@@ -15,7 +15,24 @@ from fractions import Fraction
 
 import pytest
 
-from dehn24.polytope import HALF, _inner, build_24cell, embedded_cusp_scale, truncate
+from dehn24.polytope import build_24cell, embedded_cusp_scale, truncate
+
+HALF = Fraction(1, 2)
+
+
+def inner(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def f_vector(lattice):
+    """Face counts in dimensions 0 to 3."""
+    return tuple(len(lattice.faces[k]) for k in range(4))
+
+
+def dump(lattice):
+    """Canonical text dump: one face per line as `dim index v1 v2 ...`."""
+    return "".join(f"{dim} {idx} " + " ".join(map(str, vs)) + "\n"
+                   for dim in range(5) for idx, vs in enumerate(lattice.faces[dim]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +159,7 @@ def test_hull_oracle_normals_match(lattice, hull):
 
 
 def test_f_vector(lattice):
-    assert lattice.f_vector() == (24, 96, 96, 24)
+    assert f_vector(lattice) == (24, 96, 96, 24)
     # Euler relation for a 4-polytope boundary (a 3-sphere).
     assert 24 - 96 + 96 - 24 == 0
 
@@ -153,7 +170,7 @@ def test_vertices_are_units_and_halves(lattice):
     halves = {v for v in lattice.vertices if v not in units}
     assert len(units) == 8 and len(halves) == 16
     assert all(all(abs(x) == HALF for x in v) for v in halves)
-    assert all(_inner(v, v) == 1 for v in lattice.vertices)
+    assert all(inner(v, v) == 1 for v in lattice.vertices)
 
 
 def test_canonical_vertex_order(lattice):
@@ -173,7 +190,7 @@ def test_canonical_vertex_order(lattice):
 def test_edges_have_inner_product_half(lattice):
     edges = set(lattice.faces[1])
     for i, j in itertools.combinations(range(24), 2):
-        expected = _inner(lattice.vertices[i], lattice.vertices[j]) == HALF
+        expected = inner(lattice.vertices[i], lattice.vertices[j]) == HALF
         assert ((i, j) in edges) == expected
 
 
@@ -215,16 +232,19 @@ def test_vertex_figure_counts(lattice):
 
 def test_facet_of_normal(lattice):
     for i, u in enumerate(lattice.facet_normal):
-        assert lattice.facet_of_normal(u) == i
+        assert tuple(j for j, v in enumerate(lattice.vertices) if inner(u, v) == 1) == \
+            lattice.faces[3][i]
         assert sorted(x for x in u) in ([-1, -1, 0, 0], [-1, 0, 0, 1], [0, 0, 1, 1])
 
 
 def test_face_index_roundtrip(lattice):
-    for dim in range(4):
-        for idx, members in enumerate(lattice.faces[dim]):
-            assert lattice.face_index(dim, members) == idx
-    for i, v in enumerate(lattice.vertices):
-        assert lattice.vertex_index(v) == i
+    """Faces and vertices are distinct and sorted, so a vertex set or a
+    coordinate names one index."""
+    for dim in range(5):
+        faces = lattice.faces[dim]
+        assert all(list(members) == sorted(set(members)) for members in faces)
+        assert list(faces) == sorted(set(faces))
+    assert list(lattice.vertices) == sorted(set(lattice.vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +252,15 @@ def test_face_index_roundtrip(lattice):
 
 
 def test_truncated_f_vector(lattice, trunc):
-    n_v, n_e, n_t, n_f = lattice.f_vector()
+    n_v, n_e, n_t, n_f = f_vector(lattice)
     incidences_vf = sum(1 for f in lattice.faces[3] for _ in f)
-    assert trunc.f_vector() == (
+    assert f_vector(trunc) == (
         2 * n_e,                  # one corner per edge end
         n_e + 3 * n_t,            # truncated middles plus cube edges
         n_t + incidences_vf,      # hexagons plus squares
         n_v + n_f,                # cubes plus truncated octahedra
     )
-    assert trunc.f_vector() == (192, 384, 240, 48)
+    assert f_vector(trunc) == (192, 384, 240, 48)
 
 
 def test_flags_cover_edge_ends(lattice, trunc):
@@ -321,7 +341,7 @@ def test_every_provenance_names_its_flags(lattice, trunc):
 
 def test_cube_and_troct_lookup(lattice, trunc):
     for v in range(24):
-        i = trunc.cube_facet(v)
+        i = trunc.provenance[3].index(("vertex", v))
         assert trunc.provenance[3][i] == ("vertex", v)
         assert set(trunc.faces[3][i]) == {f for f, (w, _) in enumerate(trunc.flags)
                                           if w == v}
@@ -352,8 +372,8 @@ def test_dump_matches_golden(lattice, trunc):
     import pathlib
 
     here = pathlib.Path(__file__).parent
-    assert lattice.dump() == (here / "data" / "ideal24_faces.txt").read_text()
-    assert trunc.dump() == (here / "data" / "truncated24_faces.txt").read_text()
+    assert dump(lattice) == (here / "data" / "ideal24_faces.txt").read_text()
+    assert dump(trunc) == (here / "data" / "truncated24_faces.txt").read_text()
 
 
 def test_embedded_cusp_scale_is_the_unit_cube(lattice):
@@ -364,8 +384,8 @@ def test_embedded_cusp_scale_is_the_unit_cube(lattice):
     diagonals and four body diagonals."""
     assert embedded_cusp_scale() == 1
     for v in lattice.vertices:
-        near = [w for w in lattice.vertices if _inner(v, w) == HALF]
+        near = [w for w in lattice.vertices if inner(v, w) == HALF]
         assert len(near) == 8
-        distances = collections.Counter(2 - 2 * _inner(a, b)
+        distances = collections.Counter(2 - 2 * inner(a, b)
                                         for a, b in itertools.combinations(near, 2))
         assert distances == {1: 12, 2: 12, 3: 4}

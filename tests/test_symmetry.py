@@ -51,8 +51,8 @@ def _symmetry(rng: random.Random, mixing: bool):
             point = _hadamard(point)
         return tuple(signs[i] * point[order[i]] for i in range(4))
 
-    vertex = {i: lattice.vertex_index(act(v)) for i, v in enumerate(lattice.vertices)}
-    facet = {i: lattice.facet_of_normal(act(u)) for i, u in enumerate(lattice.facet_normal)}
+    vertex = {i: lattice.vertices.index(act(v)) for i, v in enumerate(lattice.vertices)}
+    facet = {i: lattice.facet_normal.index(act(u)) for i, u in enumerate(lattice.facet_normal)}
     for i, members in enumerate(lattice.faces[3]):
         assert sorted(vertex[v] for v in members) == list(lattice.faces[3][facet[i]])
     return vertex, facet

@@ -1,46 +1,75 @@
 #!/usr/bin/env python3
-"""List the lines of the package that the pipeline's own runs never execute.
+"""Map the lines of the package that the pipeline's own runs never execute.
 
-Runs a fixed set of invocations in one process under the standard
-library's ``trace``: every CLI subcommand, both output formats,
-``lattice --scale 1/2``, ``fill --balance-c 1``, two small ``enumerate``
-boxes, and both demos (the search at ``--free 2``).  Then it prints, per
-module of ``src/dehn24``, each executable line that never ran, and a
-total with the number of those lines that are ``raise`` statements.
+Runs a fixed set of invocations in one process under a line tracer
+(``sys.settrace``) that follows only the package's frames: every CLI
+subcommand, both output formats, ``build --pairing`` on the bundled
+file, ``lattice --scale 3/2`` (which overlaps the cusps), ``fill
+--balance-c 1``, two small ``enumerate`` boxes, both demos (the search
+at ``--free 2``) and the benchmark's layer probe (``perfbench/child.py``'s
+``run_probe``).  The package is first imported inside the traced call,
+so module-level definitions count as run.
 
-The package is first imported inside the traced call, so module-level
-definitions count as run.  A run takes about 3 s on a 2-core machine
+Every executable line of ``src/dehn24`` that never ran must be listed in
+``tests/data/pipeline_lines.txt`` with its kind (see that file's header).
+An entry is the module, the kind and the line's text, so line shifts
+alone change nothing.  Stdout gets the map regenerated from this run:
+each listed line keeps its kind, and a line missing from the map comes
+out as ``untriaged``.  Stderr gets the per-module counts, each untriaged
+line with its line number, and each listed line that now runs; the exit
+status is 1 if there is any.  A run takes about 3 s on a 2-core machine
 with Python 3.11.
 
 Usage:
-    python3 tools/pipeline_lines.py
+    python3 tools/pipeline_lines.py > new_map.txt
 """
 
+import collections
 import contextlib
 import dis
 import os
 import pathlib
+import re
 import runpy
 import sys
-import trace
+import threading
 import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dehn24"
+MAP = ROOT / "tests" / "data" / "pipeline_lines.txt"
+PAIRING = str(PACKAGE / "data" / "pairing_1011.txt")
+
+HEADER = """\
+# Executable lines of src/dehn24 that tools/pipeline_lines.py never runs.
+# One entry per line: module, kind and the line's text, tab-separated.
+# Kinds:
+#   refusal TEST       a refusal, reached by the named test
+#   refusal untested   a refusal no test reaches (ROADMAP item 10)
+#   gate-only          only the acceptance gate runs it
+#   kept ITEM          kept for a named open ROADMAP item
+#   input TEST         a branch for an input or entry the traced runs do
+#                      not give (a residue with no unit pivot, a two-copy
+#                      presentation, repr), given by the named test
+# A dead line is deleted, not listed.  Regenerate with
+#   python3 tools/pipeline_lines.py > tests/data/pipeline_lines.txt
+# and give every "untriaged" line its kind.
+"""
+KIND = re.compile(r"refusal \S+|gate-only|kept \S.*|input \S+")
 
 COEFFICIENTS = ("3,3",) * 5
 BOX = "--box=-1:1,-1:1,0:0,0:1,0:0,0:0,0:0,0:0,-2:0,0:0"
 INVOCATIONS = (
     ("build",),
-    ("build", "--copies", "2", "--format", "jsonl"),
+    ("build", "--copies", "2", "--pairing", PAIRING, "--format", "jsonl"),
     ("cusps",),
     ("cusps", "--format", "jsonl"),
     ("peripheral",),
     ("peripheral", "--format", "jsonl"),
     ("lattice",),
-    ("lattice", "--scale", "1/2", "--format", "jsonl"),
-    ("fill", *COEFFICIENTS),
-    ("fill", "--balance-c", "1", "--format", "jsonl", *COEFFICIENTS),
+    ("lattice", "--scale", "3/2", "--format", "jsonl"),
+    ("fill", "--balance-c", "1", *COEFFICIENTS),
+    ("fill", "--format", "jsonl", *COEFFICIENTS),
     ("enumerate", "--box", "0:0"),
     ("enumerate", BOX, "--format", "jsonl"),
 )
@@ -60,6 +89,30 @@ def run_pipeline() -> None:
         path = str(ROOT / "demos" / script)
         sys.argv = [path, *args]
         runpy.run_path(path, run_name="__main__")
+    child = runpy.run_path(str(ROOT / "perfbench" / "child.py"))
+    child["run_probe"](child["Tracer"]())
+
+
+def lines_run(files: set[str], func) -> set[tuple[str, int]]:
+    """(file name, line) of each line that ``func()`` runs in ``files``."""
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    sys.settrace(calls)
+    threading.settrace(calls)
+    try:
+        func()
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return ran
 
 
 def executable_lines(code: types.CodeType) -> set[int]:
@@ -72,28 +125,72 @@ def executable_lines(code: types.CodeType) -> set[int]:
     return lines
 
 
-def main() -> None:
-    sys.path.insert(0, str(ROOT / "src"))
-    tracer = trace.Trace(count=1, trace=0)
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracer.runfunc(run_pipeline)
-    ran = tracer.results().counts  # (file name, line) -> times run
-
-    total = missed = raised = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+def never_run(paths, ran) -> list[tuple[str, int, str]]:
+    """(module, line, stripped text) of each executable line of ``paths``
+    whose (file name, line) is not in ``ran``."""
+    found = []
+    for path in paths:
         source = path.read_text("utf-8")
         text = source.splitlines()
-        lines = sorted(executable_lines(compile(source, str(path), "exec")))
-        never = [line for line in lines if (str(path), line) not in ran]
-        total += len(lines)
-        missed += len(never)
-        print(f"{path.name}: {len(never)} of {len(lines)} executable lines never ran")
-        for line in never:
-            statement = text[line - 1].strip()
-            raised += statement.startswith("raise")
-            print(f"  {line:4d}  {statement}")
-    print(f"total: {missed} of {total} executable lines never ran, {raised} of them raise")
+        for line in sorted(executable_lines(compile(source, str(path), "exec"))):
+            if (str(path), line) not in ran:
+                found.append((path.name, line, text[line - 1].strip()))
+    return found
+
+
+def read_map(text: str) -> dict[tuple[str, str], list[str]]:
+    """(module, line text) -> the kinds listed for it, in file order."""
+    listed = collections.defaultdict(list)
+    for row in text.splitlines():
+        if row and not row.startswith("#"):
+            module, kind, line = row.split("\t", 2)
+            listed[module, line].append(kind)
+    return listed
+
+
+def match(never, listed):
+    """Pair each line that never ran with a listed kind of the same module
+    and text.  Returns (module, line, kind, text) per line, ``untriaged``
+    where none is left or the kind is not a known one, and the listed
+    (module, kind, text) that no such line takes: lines that now run."""
+    left = {key: list(kinds) for key, kinds in listed.items()}
+    entries = []
+    for module, line, text in never:
+        kinds = left.get((module, text))
+        kind = kinds.pop(0) if kinds else "untriaged"
+        entries.append((module, line, kind if KIND.fullmatch(kind) else "untriaged", text))
+    now_run = [(module, kind, text) for (module, text), kinds in left.items()
+               for kind in kinds]
+    return entries, now_run
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    paths = sorted(PACKAGE.glob("*.py"))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        ran = lines_run({str(path) for path in paths}, run_pipeline)
+    never = never_run(paths, ran)
+    entries, now_run = match(never, read_map(MAP.read_text("utf-8")))
+
+    sys.stdout.write(HEADER)
+    for module, _, kind, text in entries:
+        print(f"{module}\t{kind}\t{text}")
+    total = sum(len(executable_lines(compile(p.read_text("utf-8"), str(p), "exec")))
+                for p in paths)
+    per_module = collections.Counter(module for module, *_ in entries)
+    for path in paths:
+        print(f"{path.name}: {per_module[path.name]} lines never ran", file=sys.stderr)
+    raised = sum(text.startswith("raise") for *_, text in entries)
+    print(f"total: {len(entries)} of {total} executable lines never ran, "
+          f"{raised} of them raise", file=sys.stderr)
+    untriaged = [entry for entry in entries if entry[2] == "untriaged"]
+    for module, line, _, text in untriaged:
+        print(f"untriaged: {module}:{line}  {text}", file=sys.stderr)
+    for module, kind, text in now_run:
+        print(f"now runs: {module}  {text}  ({kind})", file=sys.stderr)
+    return 1 if untriaged or now_run else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
