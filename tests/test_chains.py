@@ -561,16 +561,30 @@ def _unread_names(package, pipeline) -> list[str]:
             if not (name.startswith("__") and name.endswith("__")) and not used[name]]
 
 
-def test_every_package_name_is_read_by_the_pipeline():
-    """Each non-dunder function, method, class or module-level name of the
-    package is read by the pipeline: the package outside its ``__init__``,
-    the demos, the benchmark or the acceptance gate.  A name only unit
-    tests read, or only prose mentions, is code the pipeline does not need."""
+def _pipeline_files() -> list[pathlib.Path]:
+    """The pipeline: the package outside its ``__init__``, the demos, the
+    benchmark and the acceptance gate."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    pipeline = [path for top in ("src", "demos", "perfbench")
-                for path in sorted((root / top).rglob("*.py")) if path.name != "__init__.py"]
-    pipeline.append(root / "tests" / "test_acceptance.py")
-    assert _unread_names(sorted((root / "src" / "dehn24").glob("*.py")), pipeline) == []
+    return [path for top in ("src", "demos", "perfbench")
+            for path in sorted((root / top).rglob("*.py")) if path.name != "__init__.py"
+            ] + [root / "tests" / "test_acceptance.py"]
+
+
+def test_every_function_is_named_outside_its_def():
+    """Each non-dunder function, method, class or module-level name of the
+    package is read by the pipeline.  A name only unit tests read, or only
+    prose mentions, is code the pipeline does not need."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehn24"
+    assert _unread_names(sorted(package.glob("*.py")), _pipeline_files()) == []
+
+
+def test_every_public_name_is_read_by_the_pipeline():
+    """Each name in ``dehn24.__all__`` is read by the pipeline: the public
+    surface is what the pipeline runs, not what only unit tests call."""
+    used = collections.Counter()
+    for path in _pipeline_files():
+        used += _identifiers(ast.parse(path.read_text("utf-8")))
+    assert [name for name in dehn24.__all__ if not used[name]] == []
 
 
 def test_name_guard_on_a_fixture(tmp_path):
