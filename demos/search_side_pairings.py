@@ -25,11 +25,12 @@ Usage:
     python3 demos/search_side_pairings.py [--free K]
 
 Each extra free class multiplies the raw slice by 192.  Measured on a
-shared 2-core machine with Python 3.11: K = 2 runs in 0.15-0.25 s,
-0.03-0.05 s of it the ridge-pruned search and 0.04-0.06 s the cascade,
-and K = 4 in 3.6-5.3 s, 1.2-2.0 s of it the search and 2.3-3.1 s the
-cascade; K = 6 is the full unconstrained search, where the quotient
-builds behind the later filters dominate and the run stretches to hours.
+shared 2-core machine with Python 3.11: K = 2 runs in 0.12-0.17 s,
+0.016-0.025 s of it the ridge-pruned search and 0.028-0.045 s the
+cascade, and K = 4 in 2.5-3.4 s, 0.9-1.1 s of it the search and
+1.4-2.3 s the cascade; K = 6 is the full unconstrained search, where the
+quotient builds behind the later filters dominate and the run stretches
+to hours.
 """
 
 import argparse

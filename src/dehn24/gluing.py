@@ -18,13 +18,13 @@ identical machinery can be exercised on torus and Klein-bottle gluings.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import index, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
 from .chains import ChainComplex
-from .intlinalg import AbelianGroup, IntMatrix, cokernel
+from .intlinalg import AbelianGroup, IntMatrix, cokernel_of_rows
 from .record import Record
 
 class GluingError(ValueError):
@@ -223,17 +223,21 @@ class Geometry(Record, eq=False):
 
     @cached_property
     def ridge_facets(self) -> dict[int, tuple[int, int]]:
-        """Each model ridge shared by two spec facets, with those facets in order."""
+        """Each model ridge shared by two spec facets, with those facets in
+        order; the ridges in increasing order."""
         incident: dict[int, list[int]] = {}
         for f in sorted(self.model_facet):
             for r, _ in self.model.boundary_entries[self.model.dim - 1][f]:
                 incident.setdefault(r, []).append(f)
-        return {r: tuple(fs) for r, fs in incident.items() if len(fs) == 2}
+        return {r: tuple(fs) for r, fs in sorted(incident.items()) if len(fs) == 2}
 
     @cached_property
-    def ridges(self) -> tuple[int, ...]:
-        """The keys of ``ridge_facets`` in increasing order."""
-        return tuple(sorted(self.ridge_facets))
+    def ridge_partner(self) -> dict[int, dict[int, int]]:
+        """Per model facet: each of its ridges in ``ridge_facets`` and that ridge's other facet."""
+        partner: dict[int, dict[int, int]] = {f: {} for f in self.model_facet}
+        for r, (a, b) in self.ridge_facets.items():
+            partner[a][r], partner[b][r] = b, a
+        return partner
 
 
 @lru_cache(maxsize=None)
@@ -751,20 +755,38 @@ class Presentation(Record):
     Relators are words of signed 1-based generator indices (negative for
     inverses): ridge-cycle words, squares of self-paired generators, and
     one length-one word per spanning-tree crossing in the two-copy case.
+    Letters are read with ``operator.index`` (1.5 raises TypeError); 0 or
+    a letter past the last generator raises ValueError.
     """
 
     generators: tuple[str, ...]
     relators: tuple[tuple[int, ...], ...]
 
+    def __init__(self, generators, relators):
+        generators, relators = tuple(generators), tuple(map(tuple, relators))
+        letters = set(map(index, chain.from_iterable(relators)))
+        n = len(generators)
+        if letters and (0 in letters or min(letters) < -n or max(letters) > n):
+            bad = min((letter for letter in letters if not 0 < abs(letter) <= n), key=abs)
+            raise ValueError(f"letter {bad} names none of the {n} generators")
+        self.__dict__.update(generators=generators, relators=relators)
+
     def abelianization(self) -> AbelianGroup:
-        rows = len(self.generators)
-        cols = []
-        for word in self.relators:
-            exponent = [0] * rows
+        # Each letter of relator j adds its sign at (generator, j), kept
+        # in sparse rows with their column index (see cokernel_of_rows).
+        rows: list[dict[int, int]] = [{} for _ in self.generators]
+        at: dict[int, set[int]] = {}
+        for j, word in enumerate(self.relators):
+            column = at[j] = set()
             for letter in word:
-                exponent[abs(letter) - 1] += 1 if letter > 0 else -1
-            cols.append(exponent)
-        return cokernel(IntMatrix.from_columns(cols, rows=rows))
+                row = rows[i := abs(letter) - 1]
+                if (x := row.get(j, 0) + (1 if letter > 0 else -1)):
+                    row[j] = x
+                    column.add(i)
+                else:
+                    del row[j]
+                    column.discard(i)
+        return cokernel_of_rows(rows, at)
 
 
 def presentation(spec: SidePairingSpec) -> Presentation:
@@ -776,49 +798,47 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     inversion and base-point conventions.
     """
     geo = geometry(spec.geometry)
-    ridge_facets = geo.ridge_facets
-    # Per key copy * n + model facet: the letter of its crossing, where the
-    # crossing arrives, and where it sends each ridge.
+    ridge_facets, partner = geo.ridge_facets, geo.ridge_partner
+    # Per key copy * n + model facet: its crossing's letter, n and r times the
+    # copy it arrives in, the arrival facet's ridge partners, its ridge map.
     n = len(geo.model.cells[geo.model.dim - 1])
+    r = len(geo.model.cells[geo.model.dim - 2])
     crossing: list = [None] * (spec.copies * n)
     for i, p in enumerate(spec.pairings):
         forward, backward = _pairing_action(spec.geometry, p.facet_a, p.facet_b,
                                             p.vertex_map)[0]
         fa, fb = geo.model_facet[p.facet_a], geo.model_facet[p.facet_b]
-        crossing[p.copy_a * n + fa] = (i + 1, p.copy_b, fb, forward)
+        crossing[p.copy_a * n + fa] = (i + 1, p.copy_b * n, p.copy_b * r, partner[fb], forward)
         if not p.is_self_pairing():
-            crossing[p.copy_b * n + fb] = (-(i + 1), p.copy_a, fa, backward)
+            crossing[p.copy_b * n + fb] = (-(i + 1), p.copy_a * n, p.copy_a * r,
+                                           partner[fa], backward)
 
-    # The walk stands at (copy, ridge, facet) and leaves across that facet,
-    # having come in across the ridge's other one.  A cycle thus uses both
-    # states of every (copy, ridge) it meets, so that pair is what it marks.
-    visited: set[tuple[int, int]] = set()
+    # The walk stands at ridge key copy * r + ridge and a facet key, leaving
+    # across that facet after coming in across the ridge's other one.  A
+    # cycle thus uses both facets of each ridge key it meets, and marks it.
+    visited: set[int] = set()
     relators: list[tuple[int, ...]] = []
     limit = 2 * len(ridge_facets) * spec.copies + 2
-    for start_copy in range(spec.copies):
-        for start_ridge in geo.ridges:
-            if (start_copy, start_ridge) in visited:
+    for copy in range(spec.copies):
+        for start_ridge, (low, _) in ridge_facets.items():
+            if (start := copy * r + start_ridge) in visited:
                 continue
-            start = (start_copy, start_ridge, ridge_facets[start_ridge][0])
-            copy, ridge, facet = start
-            word = []
+            first = facet = copy * n + low
+            key, ridge, word = start, start_ridge, []
             for _ in range(limit):
-                visited.add((copy, ridge))
-                letter, copy, arrival, ridge_map = crossing[copy * n + facet]
+                visited.add(key)
+                letter, facets, ridges, other, ridge_map = crossing[facet]
                 ridge = ridge_map[ridge]
-                a, b = ridge_facets[ridge]
-                assert arrival in (a, b)
-                facet = b if a == arrival else a
+                facet = facets + other[ridge]
+                key = ridges + ridge
                 word.append(letter)
-                if (copy, ridge, facet) == start:
+                if key == start and facet == first:
                     break
             else:
                 raise GluingError("ridge cycle failed to close")
             relators.append(tuple(word))
 
-    for i, p in enumerate(spec.pairings):
-        if p.is_self_pairing():
-            relators.append((i + 1, i + 1))
+    relators += [(i + 1, i + 1) for i, p in enumerate(spec.pairings) if p.is_self_pairing()]
     if spec.copies == 2:
         # Contract one crossing generator so the groupoid presents a group.
         tree_gen = next((i for i, p in enumerate(spec.pairings) if p.copy_a != p.copy_b), None)

@@ -522,17 +522,15 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
 
 
 class _SparseMap:
-    """One map of a complex under reduction: a copy of its rows as
-    ``{column: nonzero}`` dicts with their column index ``at`` (see
+    """One map of a complex under reduction: its rows as ``{column:
+    nonzero}`` dicts with their column index ``at`` (see
     ``_add_indexed``), and the count of unit pivots eliminated.  A
     dropped row is left empty; the keys of ``at`` are the live columns."""
 
     __slots__ = ("rows", "at", "units")
 
-    def __init__(self, a: IntMatrix):
-        self.rows = _transposed(a._cols, a.rows)
-        self.at = {j: set(col) for j, col in enumerate(a._cols)}
-        self.units = 0
+    def __init__(self, rows: list[dict[int, int]], at: dict[int, set[int]]):
+        self.rows, self.at, self.units = rows, at, 0
 
     def drop_row(self, i: int) -> None:
         for j in self.rows[i]:
@@ -644,7 +642,8 @@ def chain_invariants(maps: Sequence[IntMatrix]) -> tuple[tuple[int, tuple[int, .
     matrix with unit pivots needs no Smith form, and only one of content 1
     with no unit goes to ``snf`` without transforms.  No input is changed.
     """
-    work = [_SparseMap(a) for a in maps]
+    work = [_SparseMap(_transposed(a._cols, a.rows), {j: set(c) for j, c in enumerate(a._cols)})
+            for a in maps]
     for k, m in enumerate(work):
         for i, j in m.sweep():
             if k > 0:
@@ -659,6 +658,17 @@ def cokernel(a: IntMatrix) -> AbelianGroup:
     from ``chain_invariants`` of the one map."""
     ((rank, torsion),) = chain_invariants((a,))
     return AbelianGroup(free_rank=a.rows - rank, torsion=torsion)
+
+
+def cokernel_of_rows(rows: list[dict[int, int]], at: dict[int, set[int]]) -> AbelianGroup:
+    """``cokernel`` of a matrix given as ``_SparseMap`` holds it: one
+    ``{column: nonzero}`` dict per row, and ``at[j]`` the rows with a
+    nonzero in column j, for every column j.  Both are reduced in place."""
+    work = _SparseMap(rows, at)
+    for _ in work.sweep():
+        pass
+    rank, torsion = work.finish()
+    return AbelianGroup(free_rank=len(rows) - rank, torsion=torsion)
 
 
 def _hermite_rows(h: list[dict[int, int]]) -> list[dict[int, int]]:

@@ -21,6 +21,7 @@ from dehn24.gluing import (
     GluingError,
     Pairing,
     PairingError,
+    Presentation,
     SidePairingSpec,
     _facet_gluing_signs,
     build_cell_model,
@@ -33,7 +34,7 @@ from dehn24.gluing import (
     validate_spec,
     vertex_cycles,
 )
-from dehn24.intlinalg import AbelianGroup, IntMatrix, kernel_basis
+from dehn24.intlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis
 from dehn24.peripheral import peripheral_system, report
 from dehn24.polytope import cusp_vertex, truncate
 from conftest import is_chain_complex
@@ -302,6 +303,25 @@ def test_non_face_refusal_names_the_image():
         ))
 
 
+def test_validation_rejects_bad_copies():
+    """A spec on three copies, and a pairing on a copy the spec lacks."""
+    with pytest.raises(PairingError, match="^copies must be 1 or 2$"):
+        SidePairingSpec(pairings=torus_spec().pairings, geometry="square", copies=3)
+    with pytest.raises(PairingError, match="^copy index 1 out of range$"):
+        square_spec(Pairing(0, 3, ((0, 3), (1, 2)), copy_b=1),
+                    Pairing(1, 2, ((0, 1), (3, 2))))
+
+
+def test_quotient_and_cover_refuse_a_copy_count_mismatch():
+    cover = double_cover(klein_spec())
+    with pytest.raises(GluingError, match="^copies must be 1 or 2$"):
+        quotient_complex(klein_spec(), copies=3)
+    with pytest.raises(GluingError, match="^spec has 2 copies, requested 1$"):
+        quotient_complex(cover)
+    with pytest.raises(GluingError, match="^double cover expects a single-copy spec$"):
+        double_cover(cover)
+
+
 def test_validation_rejects_pointwise_self_gluing():
     with pytest.raises(PairingError, match="itself pointwise"):
         validate_spec(square_spec(
@@ -539,6 +559,26 @@ def test_presentation_squares_a_self_paired_generator():
 def test_presentation_refuses_two_copies_without_crossing():
     with pytest.raises(GluingError, match="no pairing crosses"):
         presentation(_glued_within_copies(torus_spec()))
+
+
+@pytest.mark.parametrize("letter, error", [(0, ValueError), (3, ValueError),
+                                           (-3, ValueError), (1.5, TypeError),
+                                           (1.0, TypeError)])
+def test_presentation_refuses_a_letter_that_names_no_generator(letter, error):
+    """Letters are read with ``operator.index`` when the record is built.
+    Letter 0 was read as the last generator's inverse, so <a, b | 0>
+    abelianized to Z, and letter 3 raised a bare IndexError."""
+    with pytest.raises(error):
+        Presentation(generators=("a", "b"), relators=((1, -2), (2, letter)))
+    with pytest.raises(ValueError, match="^letter 0 names none of the 2 generators$"):
+        Presentation(generators=("a", "b"), relators=((0,),))
+
+
+def test_presentation_reads_its_words_as_tuples():
+    listed = Presentation(generators=["a", "b"], relators=[[1, -2, 1, 2], []])
+    assert listed == Presentation(generators=("a", "b"), relators=((1, -2, 1, 2), ()))
+    assert listed.relators == ((1, -2, 1, 2), ())
+    assert listed.abelianization() == AbelianGroup(1, (2,))
 
 
 @pytest.mark.parametrize("name", ["census_n", "census_m"])
@@ -805,6 +845,51 @@ def test_vertex_cycles_and_ridge_words_match_oracles(search_demo):
     for spec in specs:
         assert vertex_cycles(spec) == oracle_vertex_cycles(spec)
         assert presentation(spec).relators == oracle_relators(spec)
+
+
+def oracle_abelianization(pres: Presentation) -> AbelianGroup:
+    """``Presentation.abelianization`` as first written, its oracle: dense
+    exponent columns, then ``IntMatrix.from_columns``, then ``cokernel``."""
+    rows = len(pres.generators)
+    cols = []
+    for word in pres.relators:
+        exponent = [0] * rows
+        for letter in word:
+            exponent[abs(letter) - 1] += 1 if letter > 0 else -1
+        cols.append(exponent)
+    return cokernel(IntMatrix.from_columns(cols, rows=rows))
+
+
+def test_abelianization_matches_oracle_on_every_slice(search_demo):
+    """Every leaf of the 15 two-free-class slices and each nonorientable
+    leaf's double cover: the same group from the sparse rows as from the
+    dense relation matrix."""
+    leaves = [spec for key in itertools.combinations(range(6), 2)
+              for spec in search_demo.Search(set(key)).run()]
+    covers = [double_cover(spec) for spec in leaves
+              if not orientation_character(spec).orientable]
+    assert len(leaves) == 854
+    for spec in leaves + covers:
+        pres = presentation(spec)
+        assert pres.abelianization() == oracle_abelianization(pres)
+
+
+def test_abelianization_matches_oracle_on_random_presentations():
+    """Seeded random words, repeated letters among them, and the corner
+    relators: a self-paired square, the two-copy one-letter tree relator,
+    a word that cancels to nothing and the empty word."""
+    rng = random.Random(24)
+    corners = [(1, 1), (2,), (1, -1), (2, 2, -2, -2), ()]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        words = [tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                       for _ in range(rng.randint(0, 6)))
+                 for _ in range(rng.randint(0, 8))]
+        words += [word for word in corners if all(abs(x) <= n for x in word)
+                  and rng.random() < 0.5]
+        rng.shuffle(words)
+        pres = Presentation(generators=tuple("abcdef"[:n]), relators=tuple(words))
+        assert pres.abelianization() == oracle_abelianization(pres)
 
 
 def test_parse_errors():

@@ -756,6 +756,21 @@ def test_non_integer_entries_are_refused(read):
         read()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntMatrix([[1, 2], [3]]), "ragged rows"),
+    (lambda: IntMatrix([]), "empty matrix needs an explicit column count"),
+    (lambda: IntMatrix([[1, 2]], cols=3), "cols does not match row width"),
+    (lambda: IntMatrix.from_columns([[1, 2], [3]]), "ragged columns"),
+    (lambda: IntMatrix.from_columns([]), "empty column list needs an explicit row count"),
+    (lambda: IntMatrix.identity(2) * IntMatrix.identity(3), "shape mismatch in product"),
+    (lambda: IntMatrix.identity(2).apply((1, 2, 3)), "vector length mismatch"),
+    (lambda: IntMatrix([[1, 2]]).det(), "determinant of a non-square matrix"),
+], ids=["rows", "no_cols", "cols", "columns", "no_rows", "product", "apply", "det"])
+def test_int_matrix_refuses_mismatched_shapes(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_is_primitive():
     assert is_primitive((1, 17, -4))
     assert not is_primitive((0, 0, 0))

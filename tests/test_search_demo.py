@@ -6,16 +6,18 @@ The first version composed vertex dicts step by step and filtered all 24
 permutations of the half vertices; both are kept here as oracles.  Every
 two-free-class slice must also reproduce the stage counts the benchmark
 gate checks, with the bundled pairing among its survivors, and the
-cascade over slice (0, 1) must finish without a Smith form.
+cascade over slice (0, 1) must finish without a Smith form and without
+building a relation matrix from columns.
 """
 
+import collections
 import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from dehn24 import chains
+from dehn24 import chains, intlinalg
 from test_intlinalg import _recording_snf
 
 STAGES = json.loads(
@@ -158,11 +160,28 @@ def test_slice_reproduces_its_stage_counts(search_demo, capsys, key):
     assert shipped in [search_demo.normalized(s) for s in survivors]
 
 
+def _counting(counted, name, real):
+    """``real``, counting each call under ``name``."""
+    def call(*args, **kwargs):
+        counted[name] += 1
+        return real(*args, **kwargs)
+    return call
+
+
 def test_slice_cascade_runs_no_smith_form(search_demo, capsys, monkeypatch):
     """Cost guard: every relation matrix and boundary the cascade over
     slice (0, 1) reduces finishes on unit pivots, after content division,
-    so ``intlinalg.snf`` is never called; the stage counts stay put."""
+    so ``intlinalg.snf`` is never called; the stage counts stay put.  The
+    H1 screen writes its relation rows straight into the reduction, so
+    no ``IntMatrix`` is built from columns and rows are transposed only
+    for the four maps of each of the four complexes whose homology is
+    taken (three quotients and one double cover)."""
     calls = _recording_snf(monkeypatch)
+    counted = collections.Counter()
+    monkeypatch.setattr(intlinalg.IntMatrix, "from_columns", staticmethod(
+        _counting(counted, "from_columns", intlinalg.IntMatrix.from_columns)))
+    monkeypatch.setattr(intlinalg, "_transposed",
+                        _counting(counted, "_transposed", intlinalg._transposed))
     chains._boundary_invariants.cache_clear()
     leaves = search_demo.Search({0, 1}).run()
     capsys.readouterr()
@@ -170,3 +189,4 @@ def test_slice_cascade_runs_no_smith_form(search_demo, capsys, monkeypatch):
     counts = [int(line.rsplit(":", 1)[1]) for line in capsys.readouterr().out.splitlines()]
     assert counts == [53, 52, 12, 12, 3, 1, 1]
     assert calls == []
+    assert (counted["from_columns"], counted["_transposed"]) == (0, 16)
