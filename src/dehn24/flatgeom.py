@@ -2,9 +2,9 @@
 
 A cross section carved out by :mod:`dehn24.peripheral` is an assembly
 of unit cubes glued along their square faces.  Developing that gluing
-in R^3 (place one cube, then propagate charts across shared faces)
-either exposes rotational holonomy or exhibits the section as R^3
-modulo a lattice of translations.  The lattice returned here is
+in R^3 (place one cube's vertices, then those of each cube glued to a
+placed one across a square) either exposes rotational holonomy or
+exhibits the section as R^3 modulo a lattice of translations.  The lattice returned here is
 *marked*: its three columns are the translations realized by the
 section's canonical H_1 generators, so a slope class written in H_1
 coordinates is measured against the basis the peripheral maps use.
@@ -19,8 +19,9 @@ of guessing.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import combinations
 from math import floor, isqrt
 from operator import index
 
@@ -31,7 +32,6 @@ from .peripheral import CuspSection
 from .record import Record
 
 Vec3 = tuple[int, int, int]
-Mat3 = tuple[Vec3, Vec3, Vec3]
 
 
 class FlatGeometryError(ValueError):
@@ -333,93 +333,51 @@ def weakly_balanced(lengths: SlopeLengths, c: int | Fraction) -> bool:
 # Developing a cube assembly.
 
 
-def _cube_chart(model, idx: int) -> dict[int, Vec3]:
-    """Coordinates in {0,1}^3 for the vertices of one combinatorial cube.
+def _cube_graph(model, idx: int) -> dict[int, list[int]]:
+    """The edge graph of one combinatorial cube: its vertices in
+    breadth-first order from the least, each with its neighbours, the
+    vertices that share two of its squares, in label order.
 
-    The minimal vertex sits at the origin and its neighbors, in label
-    order, along the axes; every face then lies in a coordinate plane.
+    Eight vertices of three neighbours each, with every edge joining the
+    two sides of a two-colouring, make the cube's graph; six squares that
+    hold each of its twelve edges twice are then its six faces.
     """
     verts = model.cells[3][idx]
-    squares = [frozenset(model.cells[2][sq]) for sq, _ in model.boundary_entries[3][idx]]
+    squares = [sorted(set(model.cells[2][sq])) for sq, _ in model.boundary_entries[3][idx]]
     if len(verts) != 8 or len(squares) != 6 or any(len(s) != 4 for s in squares):
         raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
-    origin = min(verts)
-    containing = [s for s in squares if origin in s]
-    shared = {g: sum(1 for s in containing if g in s) for g in verts if g != origin}
-    neighbors = sorted(g for g, n in shared.items() if n == 2)
-    if len(containing) != 3 or len(neighbors) != 3:
+    graph: dict[int, list[int]] = {}
+    for (g, h), n in sorted(Counter(p for s in squares for p in combinations(s, 2)).items()):
+        if n == 2:
+            graph.setdefault(g, []).append(h)
+            graph.setdefault(h, []).append(g)
+    order = [min(verts)]
+    side = {order[0]: 0}
+    for g in order:
+        for h in graph.get(g, ()):
+            if h not in side:
+                side[h] = 1 - side[g]
+                order.append(h)
+    if (sorted(order) != sorted(verts) or any(len(graph[g]) != 3 for g in order)
+            or any(side[g] == side[h] for g in order for h in graph[g])):
         raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
-    planes = []
-    for n in neighbors:
-        omitting = [s for s in containing if n not in s]
-        if len(omitting) != 1:
-            raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
-        planes.append(omitting[0])
-    chart = {g: tuple(0 if g in planes[i] else 1 for i in range(3)) for g in verts}
-    if len(set(chart.values())) != 8:
-        raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
-    return chart
-
-
-def _face_normal(chart: dict[int, Vec3], face: Iterable[int]) -> Vec3:
-    """Outward unit normal of a chart face lying in a coordinate plane."""
-    coords = [chart[g] for g in face]
-    for axis in range(3):
-        values = {p[axis] for p in coords}
-        if len(values) == 1:
-            value = values.pop()
-            normal = [0, 0, 0]
-            normal[axis] = 1 if value == 1 else -1
-            return tuple(normal)
-    raise FlatGeometryError("face does not lie in a chart coordinate plane")
-
-
-def _apply3(m: Mat3, v: Vec3) -> Vec3:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    x, y, z = v
-    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
-
-
-def _times_transpose(a: Mat3, b: Mat3) -> Mat3:
-    """a * b^T; for the signed permutations here b^T is b's inverse."""
-    return tuple(_apply3(b, row) for row in a)
-
-
-def _face_transition(chart_a: dict[int, Vec3], face_a: Sequence[int],
-                     chart_b: dict[int, Vec3], psi: dict[int, int]) -> Mat3:
-    """The rotation part of the isometry taking chart_a onto chart_b across a face.
-
-    Determined by two face edges plus the requirement that the outward
-    normal on one side map to the inward normal on the other.  It is a
-    3 x 3 signed permutation, kept as integer rows.
-    """
-    qs = [chart_a[g] for g in face_a]
-    ps = [chart_b[psi[g]] for g in face_a]
-    q_diffs = [tuple(a - b for a, b in zip(q, qs[0])) for q in qs]
-    p_diffs = [tuple(a - b for a, b in zip(p, ps[0])) for p in ps]
-    edges = [k for k in range(1, 4) if sum(x * x for x in q_diffs[k]) == 1]
-    if len(edges) != 2:
-        raise FlatGeometryError("face is not a chart unit square")
-    n_a = _face_normal(chart_a, face_a)
-    n_b = _face_normal(chart_b, [psi[g] for g in face_a])
-    q_cols = [q_diffs[k] for k in edges] + [n_a]
-    p_cols = [p_diffs[k] for k in edges] + [tuple(-x for x in n_b)]
-    # P * Q^T, with P and Q the matrices of those columns.
-    linear = _times_transpose(tuple(zip(*p_cols)), tuple(zip(*q_cols)))
-    if any(_apply3(linear, q) != p for q, p in zip(q_diffs, p_diffs)):
-        raise FlatGeometryError("face identification is not an isometry "
-                                "of the chart cubes")
-    return linear
+    return {g: graph[g] for g in order}
 
 
 def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
     """Developed displacement of each section 1-cell.
 
-    Develops the section's cubes by breadth-first propagation of chart
-    rotations across glued squares, then turns each quotient edge's
-    representative, a chart edge of its own cube, by that cube's
-    rotation.  Summing these over a 1-cycle gives the cycle's
-    translational holonomy; where a cube is placed plays no part.
+    Places every vertex of the section's cubes in R^3, breadth first
+    across glued squares.  The least cube fills {0,1}^3: its least vertex
+    at the origin, that vertex's neighbours in label order along the
+    axes, and each further vertex at the componentwise max of its placed
+    neighbours.  A cube reached across a square keeps the square's
+    positions and puts each other vertex one outward normal beyond its
+    neighbour on the square.  A gluing between two placed cubes must
+    move all eight vertices by one translation.  A quotient edge's
+    vector is the difference of its representative's placed ends;
+    summing these over a 1-cycle gives the cycle's translational
+    holonomy.
 
     Raises:
         FlatGeometryError: rotational holonomy (the section is not a
@@ -429,18 +387,16 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
     model = geometry(q.spec.geometry).model
 
     owners = Counter(orbit for orbit, _, _ in q.orbit_index[3].values())
-    for orbit in section.cells[3]:
-        if owners[orbit] != 1:
-            raise FlatGeometryError("3-cells of the section must be unidentified cubes")
+    if any(owners[orbit] != 1 for orbit in section.cells[3]):
+        raise FlatGeometryError("3-cells of the section must be unidentified cubes")
 
     cube_keys = [q.representatives[3][orbit] for orbit in section.cells[3]]
-    charts = {key: _cube_chart(model, key[1]) for key in cube_keys}
+    graphs = {key: _cube_graph(model, key[1]) for key in cube_keys}
 
     members: dict[int, list[tuple[tuple[int, int], int]]] = {}
     for key in cube_keys:
-        copy, idx = key
-        for sq, _ in model.boundary_entries[3][idx]:
-            members.setdefault(q.orbit_index[2][(copy, sq)][0], []).append((key, sq))
+        for sq, _ in model.boundary_entries[3][key[1]]:
+            members.setdefault(q.orbit_index[2][(key[0], sq)][0], []).append((key, sq))
 
     adjacency: dict[tuple[int, int], list] = {key: [] for key in cube_keys}
     for orbit in sorted(members):
@@ -453,27 +409,47 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
         at_2 = dict(zip(q.orbit_index[2][(k2[0], s2)][2], model.cells[2][s2]))
         psi = {v: at_2[j] for v, j in zip(model.cells[2][s1],
                                             q.orbit_index[2][(k1[0], s1)][2])}
-        linear = _face_transition(charts[k1], model.cells[2][s1], charts[k2], psi)
-        adjacency[k1].append((k2, linear))
-        adjacency[k2].append((k1, tuple(zip(*linear))))
+        square_2 = at_2.values()
+        if ({(psi[v], psi[h]) for v in psi for h in graphs[k1][v] if h in psi}
+                != {(w, h) for w in square_2 for h in graphs[k2][w] if h in square_2}):
+            raise FlatGeometryError("face identification is not an isometry "
+                                    "of the chart cubes")
+        adjacency[k1].append((k2, psi))
+        adjacency[k2].append((k1, {w: v for v, w in psi.items()}))
 
     base = min(cube_keys)
-    rotations = {base: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    order = list(graphs[base])
+    start = dict(zip(order, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    for g in order[4:]:
+        start[g] = tuple(map(max, *(start[h] for h in graphs[base][g] if h in start)))
+    placed = {base: start}
     queue = deque([base])
     while queue:
         k1 = queue.popleft()
-        for k2, linear in adjacency[k1]:
-            r2 = _times_transpose(rotations[k1], linear)
-            if k2 not in rotations:
-                rotations[k2] = r2
+        at = placed[k1]
+        for k2, psi in adjacency[k1]:
+            # A vertex v of the glued square less its neighbour off the
+            # square is the square's outward normal.
+            v = next(iter(psi))
+            (x, y, z), (a, b, c) = at[v], at[next(h for h in graphs[k1][v] if h not in psi)]
+            nx, ny, nz = x - a, y - b, z - c
+            moved = {w: at[v] for v, w in psi.items()}
+            for v, w in psi.items():
+                x, y, z = at[v]
+                for h in graphs[k2][w]:
+                    if h not in moved:
+                        moved[h] = (x + nx, y + ny, z + nz)
+            if k2 not in placed:
+                placed[k2] = moved
                 queue.append(k2)
-            elif rotations[k2] != r2:
+            elif len({(x - a, y - b, z - c) for (x, y, z), (a, b, c)
+                      in zip(moved.values(), map(placed[k2].__getitem__, moved))}) != 1:
                 raise FlatGeometryError(
                     "cross section has rotational holonomy; not a torus")
-    if len(rotations) != len(cube_keys):
+    if len(placed) != len(cube_keys):
         raise FlatGeometryError("cross section is not connected")
 
-    cube_of = {(key[0], g): key for key in cube_keys for g in charts[key]}
+    cube_of = {(key[0], g): key for key in cube_keys for g in graphs[key]}
     vectors = []
     for orbit in section.cells[1]:
         copy, eidx = q.representatives[1][orbit]
@@ -481,10 +457,8 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
         keys = {cube_of.get((copy, mv)) for mv, _ in ends}
         if len(keys) != 1 or None in keys:
             raise FlatGeometryError("edge representative leaves the section cubes")
-        key = keys.pop()
-        chart = charts[key]
-        step = tuple(sum(coeff * chart[mv][i] for mv, coeff in ends) for i in range(3))
-        vectors.append(_apply3(rotations[key], step))
+        at = placed[keys.pop()]
+        vectors.append(tuple(sum(coeff * at[mv][i] for mv, coeff in ends) for i in range(3)))
     return tuple(vectors)
 
 

@@ -8,8 +8,11 @@ than produced by any gluing machinery.
 
 import ast
 import collections
+import importlib
+import inspect
 import pathlib
 import random
+import typing
 
 import pytest
 
@@ -501,6 +504,39 @@ def test_homology_refuses_a_negative_free_rank():
 
 def test_public_names_resolve():
     assert all(hasattr(dehn24, name) for name in dehn24.__all__)
+
+
+def _annotated(module):
+    """The functions, methods and classes that ``module`` defines."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, type):
+            yield value
+            for member in vars(value).values():
+                # Static and class methods keep the function in __func__,
+                # properties in fget, cached properties in func.
+                for name in ("__func__", "fget", "func"):
+                    member = getattr(member, name, member)
+                if inspect.isfunction(inspect.unwrap(member)):
+                    yield member
+        elif inspect.isfunction(inspect.unwrap(value)):
+            yield value
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` evaluates the annotations of every function,
+    method and class of the package: each names what its module defines
+    or imports.  The package itself never imports ``typing``."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehn24"
+    unresolved = []
+    for path in sorted(package.glob("[!_]*.py")):
+        for value in _annotated(importlib.import_module(f"dehn24.{path.stem}")):
+            try:
+                typing.get_type_hints(value)
+            except NameError as error:
+                unresolved.append(f"{path.name}: {value.__qualname__}: {error}")
+    assert unresolved == []
 
 
 def _named_in_strings(tree: ast.AST) -> collections.Counter:

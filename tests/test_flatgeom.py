@@ -8,8 +8,11 @@ the module never vouch for themselves.
 
 import decimal
 import itertools
+import random
 import time
+from collections import Counter, deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,12 +31,14 @@ from dehn24.flatgeom import (
     two_pi_ok,
     weakly_balanced,
 )
+from dehn24 import flatgeom
 from dehn24.flatgeom import _edge_vectors, _exp_enclosure, _holonomy
-from dehn24.gluing import quotient_complex
+from dehn24.gluing import GluingError, Pairing, SidePairingSpec, geometry, quotient_complex
 from dehn24.intlinalg import IntMatrix
 from dehn24.peripheral import CuspSection, cusp_sections
 
 from test_gluing import three_torus_spec
+from test_record import _rebuilt
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +188,9 @@ def test_cover_cusp_lattices_are_reproducible(m_lattices):
 
 
 def test_development_builds_no_integer_matrix(m_sections, monkeypatch):
-    """Cube charts are placed by 3 x 3 signed permutations kept as integer
-    rows: with every ``IntMatrix`` constructor refused, the cusp cubes
-    develop afresh to the same edge vectors."""
+    """Cube vertices are placed on integer 3-tuples: with every
+    ``IntMatrix`` constructor refused, the cusp cubes develop afresh to
+    the same edge vectors."""
     before = [_edge_vectors(s) for s in m_sections]
 
     def refuse(*args, **kwargs):
@@ -194,6 +199,281 @@ def test_development_builds_no_integer_matrix(m_sections, monkeypatch):
     monkeypatch.setattr(IntMatrix, "_adopt", staticmethod(refuse))
     monkeypatch.setattr(IntMatrix, "__init__", refuse)
     assert [_edge_vectors(s) for s in m_sections] == before
+
+
+# The development that vertex placement replaced, kept as the reference
+# for ``_edge_vectors``: a {0,1}^3 chart per cube, a 3 x 3 signed
+# permutation per glued square, and rotations composed breadth first.
+
+
+def oracle_chart(model, idx):
+    verts = model.cells[3][idx]
+    squares = [frozenset(model.cells[2][sq]) for sq, _ in model.boundary_entries[3][idx]]
+    if len(verts) != 8 or len(squares) != 6 or any(len(s) != 4 for s in squares):
+        raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
+    origin = min(verts)
+    containing = [s for s in squares if origin in s]
+    shared = {g: sum(1 for s in containing if g in s) for g in verts if g != origin}
+    neighbors = sorted(g for g, n in shared.items() if n == 2)
+    if len(containing) != 3 or len(neighbors) != 3:
+        raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
+    planes = []
+    for n in neighbors:
+        omitting = [s for s in containing if n not in s]
+        if len(omitting) != 1:
+            raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
+        planes.append(omitting[0])
+    chart = {g: tuple(0 if g in planes[i] else 1 for i in range(3)) for g in verts}
+    if len(set(chart.values())) != 8:
+        raise FlatGeometryError(f"3-cell {idx} is not a combinatorial cube")
+    return chart
+
+
+def oracle_normal(chart, face):
+    coords = [chart[g] for g in face]
+    for axis in range(3):
+        values = {p[axis] for p in coords}
+        if len(values) == 1:
+            normal = [0, 0, 0]
+            normal[axis] = 1 if values.pop() == 1 else -1
+            return tuple(normal)
+    raise FlatGeometryError("face does not lie in a chart coordinate plane")
+
+
+def oracle_apply(m, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
+
+
+def oracle_times_transpose(a, b):
+    return tuple(oracle_apply(b, row) for row in a)
+
+
+def oracle_transition(chart_a, face_a, chart_b, psi):
+    qs = [chart_a[g] for g in face_a]
+    ps = [chart_b[psi[g]] for g in face_a]
+    q_diffs = [tuple(a - b for a, b in zip(q, qs[0])) for q in qs]
+    p_diffs = [tuple(a - b for a, b in zip(p, ps[0])) for p in ps]
+    edges = [k for k in range(1, 4) if sum(x * x for x in q_diffs[k]) == 1]
+    if len(edges) != 2:
+        raise FlatGeometryError("face is not a chart unit square")
+    n_a = oracle_normal(chart_a, face_a)
+    n_b = oracle_normal(chart_b, [psi[g] for g in face_a])
+    q_cols = [q_diffs[k] for k in edges] + [n_a]
+    p_cols = [p_diffs[k] for k in edges] + [tuple(-x for x in n_b)]
+    linear = oracle_times_transpose(tuple(zip(*p_cols)), tuple(zip(*q_cols)))
+    if any(oracle_apply(linear, q) != p for q, p in zip(q_diffs, p_diffs)):
+        raise FlatGeometryError("face identification is not an isometry "
+                                "of the chart cubes")
+    return linear
+
+
+def oracle_edge_vectors(section):
+    q = section.ambient
+    model = flatgeom.geometry(q.spec.geometry).model
+    owners = Counter(orbit for orbit, _, _ in q.orbit_index[3].values())
+    if any(owners[orbit] != 1 for orbit in section.cells[3]):
+        raise FlatGeometryError("3-cells of the section must be unidentified cubes")
+    cube_keys = [q.representatives[3][orbit] for orbit in section.cells[3]]
+    charts = {key: oracle_chart(model, key[1]) for key in cube_keys}
+    members = {}
+    for key in cube_keys:
+        for sq, _ in model.boundary_entries[3][key[1]]:
+            members.setdefault(q.orbit_index[2][(key[0], sq)][0], []).append((key, sq))
+    adjacency = {key: [] for key in cube_keys}
+    for orbit in sorted(members):
+        pair = sorted(members[orbit])
+        if len(pair) != 2:
+            raise FlatGeometryError(
+                f"boundary square glued {len(pair)} time(s); the section is "
+                f"not a closed 3-manifold")
+        (k1, s1), (k2, s2) = pair
+        at_2 = dict(zip(q.orbit_index[2][(k2[0], s2)][2], model.cells[2][s2]))
+        psi = {v: at_2[j] for v, j in zip(model.cells[2][s1],
+                                            q.orbit_index[2][(k1[0], s1)][2])}
+        linear = oracle_transition(charts[k1], model.cells[2][s1], charts[k2], psi)
+        adjacency[k1].append((k2, linear))
+        adjacency[k2].append((k1, tuple(zip(*linear))))
+    base = min(cube_keys)
+    rotations = {base: ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
+    queue = deque([base])
+    while queue:
+        k1 = queue.popleft()
+        for k2, linear in adjacency[k1]:
+            r2 = oracle_times_transpose(rotations[k1], linear)
+            if k2 not in rotations:
+                rotations[k2] = r2
+                queue.append(k2)
+            elif rotations[k2] != r2:
+                raise FlatGeometryError("cross section has rotational holonomy; not a torus")
+    if len(rotations) != len(cube_keys):
+        raise FlatGeometryError("cross section is not connected")
+    cube_of = {(key[0], g): key for key in cube_keys for g in charts[key]}
+    vectors = []
+    for orbit in section.cells[1]:
+        copy, eidx = q.representatives[1][orbit]
+        ends = model.boundary_entries[1][eidx]
+        keys = {cube_of.get((copy, mv)) for mv, _ in ends}
+        if len(keys) != 1 or None in keys:
+            raise FlatGeometryError("edge representative leaves the section cubes")
+        key = keys.pop()
+        step = tuple(sum(coeff * charts[key][mv][i] for mv, coeff in ends) for i in range(3))
+        vectors.append(oracle_apply(rotations[key], step))
+    return tuple(vectors)
+
+
+def developed(develop, section):
+    """The section's edge vectors by ``develop``, or its refusal message."""
+    try:
+        return develop(section)
+    except FlatGeometryError as error:
+        return str(error)
+
+
+def whole_section(q):
+    """Every cell of a cube gluing's quotient, taken as one section."""
+    cells = tuple(tuple(range(q.chain.cell_count(k))) for k in range(4))
+    return CuspSection(index=0, cells=cells, chain=q.chain, cube_count=1, ambient=q)
+
+
+def random_cube_gluings(count, seed):
+    """Seeded gluings of the cube's facets in pairs, each by one of the
+    eight isometries of the squares, that build a quotient."""
+    facets = geometry("cube").facet_vertices
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        order = rng.sample(range(6), 6)
+        pairings = []
+        for a, b in zip(order[::2], order[1::2]):
+            # Cube vertices are 3-bit coordinates: an edge flips one bit.
+            maps = [image for image in itertools.permutations(facets[b])
+                    if all(bin(image[i] ^ image[j]).count("1") == 1
+                           for i, j in itertools.combinations(range(4), 2)
+                           if bin(facets[a][i] ^ facets[a][j]).count("1") == 1)]
+            pairings.append(Pairing(a, b, tuple(zip(facets[a], rng.choice(maps)))))
+        try:
+            found.append(quotient_complex(SidePairingSpec(geometry="cube",
+                                                          pairings=tuple(pairings))))
+        except GluingError:
+            continue
+    return found
+
+
+def test_edge_vectors_match_the_chart_route(census_n, census_m, search_demo):
+    """The same edge vectors, or the same refusal, as the chart-and-rotation
+    route on every census cusp, the cube 3-torus, seeded cube gluings, and
+    every cusp of each slice (0, 1) leaf and of its double cover."""
+    sections = [*cusp_sections(census_n), *cusp_sections(census_m),
+                whole_section(quotient_complex(three_torus_spec())),
+                *map(whole_section, random_cube_gluings(20, seed=25))]
+    for leaf in search_demo.Search({0, 1}).run():
+        for copies in (1, 2):
+            try:
+                sections += cusp_sections(quotient_complex(leaf, copies=copies))
+            except GluingError:
+                continue
+    assert len(sections) == 10 + 1 + 20 + 432
+    outcomes = [developed(_edge_vectors, s) for s in sections]
+    assert outcomes == [developed(oracle_edge_vectors, s) for s in sections]
+    refused = Counter(outcome for outcome in outcomes if isinstance(outcome, str))
+    assert set(refused) == {"cross section has rotational holonomy; not a torus"}
+    assert len(sections) - sum(refused.values()) > 150
+
+
+def test_two_cusps_are_not_one_section(m_sections):
+    first, second = m_sections[:2]
+    joined = tuple(a + b for a, b in zip(first.cells, second.cells))
+    with pytest.raises(FlatGeometryError, match="^cross section is not connected$"):
+        develop_lattice(_rebuilt(first, cells=joined))
+
+
+def test_a_dropped_cube_leaves_squares_glued_once(m_sections):
+    cells = list(m_sections[4].cells)
+    cells[3] = cells[3][1:]
+    with pytest.raises(FlatGeometryError, match=r"^boundary square glued 1 time\(s\)"):
+        develop_lattice(_rebuilt(m_sections[4], cells=tuple(cells)))
+
+
+def test_an_edge_of_another_cusp_leaves_the_section(m_sections):
+    cells = list(m_sections[0].cells)
+    cells[1] += m_sections[1].cells[1][:1]
+    with pytest.raises(FlatGeometryError, match="edge representative leaves the section cubes"):
+        develop_lattice(_rebuilt(m_sections[0], cells=tuple(cells)))
+
+
+def test_a_glued_three_cell_is_not_a_section_cube(census_m, m_sections):
+    """A truncated octahedron is glued to its partner facet: its orbit
+    has two members."""
+    owners = Counter(orbit for orbit, _, _ in census_m.orbit_index[3].values())
+    cells = list(m_sections[0].cells)
+    cells[3] += (min(orbit for orbit, n in owners.items() if n == 2),)
+    with pytest.raises(FlatGeometryError, match="must be unidentified cubes"):
+        develop_lattice(_rebuilt(m_sections[0], cells=tuple(cells)))
+
+
+def test_covolume_must_match_the_cube_count(m_sections):
+    with pytest.raises(FlatGeometryError,
+                       match="^developed covolume 4 does not match the cube count 5$"):
+        develop_lattice(_rebuilt(m_sections[0], cube_count=5))
+
+
+def test_a_section_without_three_torus_homology_has_no_lattice(census_n, m_sections):
+    """Cover cusp cells that develop, paired with the chain of a cusp of
+    the nonorientable quotient, whose H_1 is not Z^3."""
+    chain = cusp_sections(census_n)[0].chain
+    with pytest.raises(FlatGeometryError, match="^section has H_1 = .*needs a 3-torus$"):
+        develop_lattice(_rebuilt(m_sections[0], chain=chain))
+
+
+def test_a_square_glued_by_a_non_isometry_is_refused():
+    """Swapping the places of two adjacent vertices of one square makes its
+    gluing fold the square's edges onto a diagonal."""
+    q = quotient_complex(three_torus_spec())
+    squares = dict(q.orbit_index[2])
+    orbit, sign, (a, b, *rest) = squares[max(squares)]
+    squares[max(squares)] = (orbit, sign, (b, a, *rest))
+    section = _rebuilt(whole_section(q), ambient=SimpleNamespace(
+        spec=q.spec, representatives=q.representatives,
+        orbit_index=(*q.orbit_index[:2], squares, q.orbit_index[3])))
+    refusal = "face identification is not an isometry of the chart cubes"
+    assert developed(_edge_vectors, section) == refusal
+    assert developed(oracle_edge_vectors, section) == refusal
+
+
+def one_cube_section(monkeypatch, verts, squares):
+    """A section of one cube on a hand-made model whose 3-cell has the
+    given vertices and squares."""
+    faces = tuple((i, 1) for i in range(len(squares)))
+    model = SimpleNamespace(cells=((), (), tuple(squares), (tuple(verts),)),
+                            boundary_entries=((), (), (), (faces,)))
+    monkeypatch.setattr(flatgeom, "geometry", lambda name: SimpleNamespace(model=model))
+    ambient = SimpleNamespace(spec=SimpleNamespace(geometry="made"),
+                              orbit_index=({}, {}, {}, {(0, 0): (0, 1, ())}),
+                              representatives=((), (), (), ((0, 0),)))
+    return CuspSection(index=0, cells=((), (), (), (0,)), chain=None, cube_count=1,
+                       ambient=ambient)
+
+
+@pytest.mark.parametrize("verts, squares", [
+    # Two K4s, each graph edge shared by two squares; two squares reach
+    # outside the cell.
+    (range(8), [(0, 1, 2, 3)] * 2 + [(4, 5, 6, 7)] * 2 + [(0, 4, 8, 9), (1, 5, 8, 10)]),
+    (range(7), [(0, 1, 2, 3)] * 6),
+    (range(8), [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7)]),
+    (range(8), [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7),
+                (0, 1, 2)]),
+    (range(8), [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (1, 3, 5, 7), (2, 3, 6, 7),
+                (4, 5, 6, 6)]),
+    (range(8), [(0, 1, 2, 3)] * 3 + [(4, 5, 6, 7)] * 3),
+    ((0, 1, 2, 3, 4, 5, 6, 6), geometry("cube").facet_vertices),
+], ids=["two-k4", "seven-vertices", "five-squares", "a-triangle", "a-repeated-vertex",
+        "stacked-squares", "a-repeated-cube-vertex"])
+def test_a_cell_that_is_not_a_cube_is_refused(monkeypatch, verts, squares):
+    """Refused as the chart route refuses it, with no loop left hanging."""
+    section = one_cube_section(monkeypatch, verts, squares)
+    refusal = "3-cell 0 is not a combinatorial cube"
+    assert developed(_edge_vectors, section) == refusal
+    assert developed(oracle_edge_vectors, section) == refusal
 
 
 def test_edge_vectors_are_signed_unit_vectors(m_sections):
@@ -304,6 +584,11 @@ def test_weakly_balanced_indeterminate_and_errors():
         weakly_balanced((tight,), 0)
     with pytest.raises(FlatGeometryError, match="no slope lengths"):
         weakly_balanced((), Fraction(1, 100))
+
+
+def test_exp_enclosure_refuses_a_negative_argument():
+    with pytest.raises(ValueError, match="^argument must be nonnegative$"):
+        _exp_enclosure(Fraction(-1, 3))
 
 
 def test_exp_enclosure_brackets_e():
