@@ -233,14 +233,16 @@ def enumerate_short(lattice: FlatLattice,
 
 def _ldl_enumerate(q: list[list[Fraction]],
                    bound: Fraction) -> Iterator[tuple[int, int, int]]:
-    """Exact Fincke-Pohst style search: v^T q v < bound, v nonzero."""
+    """Exact Fincke-Pohst style search: v^T q v < bound, v nonzero.
+
+    ``q`` is positive definite, a positive scale squared times the Gram
+    matrix of a nonsingular basis, so every pivot of its LDL^T is positive.
+    """
     s = [row[:] for row in q]
     d = []
     u = [[Fraction(0)] * 3 for _ in range(3)]
     for i in range(3):
         d.append(s[i][i])
-        if d[i] <= 0:
-            raise FlatGeometryError("quadratic form is not positive definite")
         for j in range(i + 1, 3):
             u[i][j] = s[i][j] / d[i]
         for k in range(i + 1, 3):
@@ -386,6 +388,8 @@ def _edge_vectors(section: CuspSection) -> tuple[Vec3, ...]:
     q = section.ambient
     model = geometry(q.spec.geometry).model
 
+    if not section.cells[3]:
+        raise FlatGeometryError("cross section has no 3-cells")
     owners = Counter(orbit for orbit, _, _ in q.orbit_index[3].values())
     if any(owners[orbit] != 1 for orbit in section.cells[3]):
         raise FlatGeometryError("3-cells of the section must be unidentified cubes")

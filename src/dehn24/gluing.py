@@ -477,38 +477,11 @@ def _least_members(size: int, joins) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Orientation bookkeeping.
-
-
-def _map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
-              memo: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
-    """Target cell and orientation sign of a combinatorial cell map.
-
-    ``mapping`` must cover the source cell's vertices.  The sign compares
-    the pushed-forward boundary chain with the target cell's own chain;
-    both are fundamental cycles, so they agree up to a global sign.
-    ``memo`` receives every cell of the source's closure; run on a paired
-    facet it holds every cell that pairing's links list (see
-    ``_pairing_action``).
-    """
-    key = (dim, source)
-    if key in memo:
-        return memo[key]
-    target = model.index_of(dim, (mapping[v] for v in model.cells[dim][source]))
-    if dim == 0:
-        memo[key] = (target, 1)
-        return memo[key]
-    pushed: dict[int, int] = {}
-    for sub, coeff in model.boundary_entries[dim][source]:
-        sub_target, sub_sign = _map_sign(model, dim - 1, sub, mapping, memo)
-        pushed[sub_target] = pushed.get(sub_target, 0) + coeff * sub_sign
-    reference = dict(model.boundary_entries[dim][target])
-    first = min(reference)
-    sign = 1 if pushed[first] == reference[first] else -1
-    if pushed != {c: sign * x for c, x in reference.items()}:
-        raise GluingError("vertex bijection does not extend to a cell isomorphism")
-    memo[key] = (target, sign)
-    return memo[key]
+# Orientation bookkeeping.  A model cell is oriented by its boundary chain,
+# the fundamental cycle that is +1 on its least subcell.  A pairing sends
+# each face of its facet to a face, so it carries a cell's cycle to plus or
+# minus its image's, and the subcell sent to the image's least subcell
+# tells which.
 
 
 @lru_cache(maxsize=1024)
@@ -517,37 +490,49 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
     """One side-pairing's vertex map on the model: ``(ridges, links)``.
 
     ``links[dim]`` lists ``(cell, image, sign, forward, backward)`` for
-    every model cell of ``facet_a`` in that dimension: its image cell and
-    orientation sign, and two ``operator.itemgetter``s on vertex
-    positions.  ``forward`` carries a tuple over the cell's vertex
-    positions to one over the image's, reading image position j from the
-    cell position of the vertex sent there; ``backward`` carries it back.
-    A vertex has the one position 0, so dimension-0 links carry None for
-    both.  ``ridges`` is the ridge map and that map's inverse.  Copy
-    indices play no part, so both copies of a double cover share one
-    cache entry.  A map sending a face to a non-face raises PairingError.
+    every model cell of ``facet_a`` in that dimension, in increasing
+    order: its image cell and orientation sign, and two
+    ``operator.itemgetter``s on vertex positions.  ``forward`` carries a
+    tuple over the cell's vertex positions to one over the image's,
+    reading image position j from the cell position of the vertex sent
+    there; ``backward`` carries it back.  A vertex has the one position
+    0, so dimension-0 links carry None for both.  ``ridges`` is the ridge
+    map and that map's inverse.  Copy indices play no part, so both
+    copies of a double cover share one cache entry.  A map sending a
+    face to a non-face raises PairingError.
+
+    The closure of ``facet_a`` is collected downward and resolved upward,
+    so each cell's sign reads the signs of its subcells' images.
     """
     geo = geometry(name)
-    model = geo.model
+    model, entries = geo.model, geo.model.boundary_entries
     mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
-    table: dict[tuple[int, int], tuple[int, int]] = {}
-    try:
-        _map_sign(model, model.dim - 1, geo.model_facet[facet_a], mapping, table)
-    except GluingError as error:
-        raise PairingError(f"bijection sends facet {facet_a} to a non-face of "
-                           f"facet {facet_b}: {error}") from None
+    closure = [{geo.model_facet[facet_a]}]
+    for k in range(model.dim - 1, 0, -1):
+        closure.insert(0, {sub for cell in closure[0] for sub, _ in entries[k][cell]})
     links: tuple[list, ...] = tuple([] for _ in range(model.dim + 1))
-    for (dim, idx), (target, sign) in table.items():
-        if dim == 0:
-            links[0].append((idx, target, sign, None, None))
-            continue
-        image = model.cells[dim][target]
-        backward = [image.index(mapping[v]) for v in model.cells[dim][idx]]
-        # A permutation of two positions is its own inverse.
-        forward = backward if len(backward) < 3 else sorted(
-            range(len(backward)), key=backward.__getitem__)
-        links[dim].append((idx, target, sign, itemgetter(*forward), itemgetter(*backward)))
-    ridges = {idx: target for idx, target, *_ in links[model.dim - 2]}
+    below: dict[int, tuple[int, int]] = {}
+    for k, level in enumerate(closure):
+        for cell in sorted(level):
+            sent = [mapping[v] for v in model.cells[k][cell]]
+            try:
+                target = model.index_of(k, sent)
+            except GluingError as error:
+                raise PairingError(f"bijection sends facet {facet_a} to a non-face of "
+                                   f"facet {facet_b}: {error}") from None
+            if not k:
+                links[0].append((cell, target, 1, None, None))
+                continue
+            least, unit = min(entries[k][target])
+            sign = next(coeff * below[sub][1] * unit for sub, coeff in entries[k][cell]
+                        if below[sub][0] == least)
+            backward = list(map(model.cells[k][target].index, sent))
+            # A permutation of two positions is its own inverse.
+            forward = backward if len(backward) < 3 else sorted(
+                range(len(backward)), key=backward.__getitem__)
+            links[k].append((cell, target, sign, itemgetter(*forward), itemgetter(*backward)))
+        below = {cell: (image, sign) for cell, image, sign, _, _ in links[k]}
+    ridges = {cell: target for cell, target, *_ in links[model.dim - 2]}
     ridges = tuple(map(MappingProxyType, (ridges, {t: r for r, t in ridges.items()})))
     return ridges, tuple(map(tuple, links))
 
@@ -816,16 +801,17 @@ def presentation(spec: SidePairingSpec) -> Presentation:
     # The walk stands at ridge key copy * r + ridge and a facet key, leaving
     # across that facet after coming in across the ridge's other one.  A
     # cycle thus uses both facets of each ridge key it meets, and marks it.
+    # One crossing arrives at each facet key, so a step permutes the finite
+    # set of states and every walk comes back to where it started.
     visited: set[int] = set()
     relators: list[tuple[int, ...]] = []
-    limit = 2 * len(ridge_facets) * spec.copies + 2
     for copy in range(spec.copies):
         for start_ridge, (low, _) in ridge_facets.items():
             if (start := copy * r + start_ridge) in visited:
                 continue
             first = facet = copy * n + low
             key, ridge, word = start, start_ridge, []
-            for _ in range(limit):
+            while True:
                 visited.add(key)
                 letter, facets, ridges, other, ridge_map = crossing[facet]
                 ridge = ridge_map[ridge]
@@ -834,8 +820,6 @@ def presentation(spec: SidePairingSpec) -> Presentation:
                 word.append(letter)
                 if key == start and facet == first:
                     break
-            else:
-                raise GluingError("ridge cycle failed to close")
             relators.append(tuple(word))
 
     relators += [(i + 1, i + 1) for i, p in enumerate(spec.pairings) if p.is_self_pairing()]

@@ -108,10 +108,18 @@ def test_projective_plane_homology():
 
 
 def test_homology_out_of_range():
-    with pytest.raises(ValueError):
-        homology(circle(), 2)
-    with pytest.raises(ValueError):
-        homology(circle(), -1)
+    """The circle has top dimension 1.  ``boundary_or_zero`` also answers
+    one degree past the top, with the zero map, and refuses the next."""
+    for k in (-1, 2):
+        refusal = f"^dimension {k} out of range for a complex of top dimension 1$"
+        with pytest.raises(ValueError, match=refusal):
+            homology(circle(), k)
+        with pytest.raises(ValueError, match=refusal):
+            homology_basis(circle(), k)
+    assert circle().boundary_or_zero(2) == IntMatrix.zero(1, 0)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"^dimension {k} out of range$"):
+            circle().boundary_or_zero(k)
 
 
 def test_validate_good_and_corrupted():
@@ -483,7 +491,10 @@ def test_homology_basis_rejects_non_complex():
 
 def test_complex_refuses_boundaries_whose_shapes_do_not_chain():
     """3 vertices but a d_1 with one row: ``homology(c, 0)`` used to answer
-    Z^2 for it.  A mismatch higher up is refused the same way."""
+    Z^2 for it.  A mismatch higher up is refused the same way, and so is a
+    d_0 with a row, as d_0 maps to the zero group."""
+    with pytest.raises(ValueError, match=r"^boundary\[0\] must have zero rows$"):
+        ChainComplex(boundary=(IntMatrix.zero(1, 1),))
     with pytest.raises(ValueError, match=r"boundary\[1\] row count 1 is not dimension 0's "
                                          r"cell count 3"):
         ChainComplex(boundary=(IntMatrix([], cols=3), IntMatrix([[1, -1]]),

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from dehn24 import chains, cli, intlinalg, peripheral
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
+from dehn24.flatgeom import TWO_PI_SQUARED_HIGH, TWO_PI_SQUARED_LOW
 from dehn24.gluing import census_pairing, orientation_character
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
@@ -111,6 +113,40 @@ def test_fill_table_has_notes(capsys):
     assert "homology 4-sphere: yes" in out
     assert any(line.startswith("note: ") and "Poincare duality" in line
                for line in out.splitlines())
+
+
+# At this scale cusps 1 to 4 of the 3,3 tuple have squared lengths inside
+# the certified bracket for 4*pi^2.  At scale 1 their squared length is
+# 73, and at this c the enclosures of weak balance overlap.
+_PRECISION_SCALE = "4596195102491/6250000000000"
+_PRECISION_C = "1280930496648949/281474976710656000"
+
+
+def test_fill_reports_an_undecided_two_pi_test(capsys):
+    code, out, err = run(capsys, "fill", "--scale", _PRECISION_SCALE, *("3,3",) * 5)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    squared = [Fraction(line.split()[4].rstrip(",")) for line in lines
+               if line.startswith("cusp ")]
+    inside = [TWO_PI_SQUARED_LOW <= x <= TWO_PI_SQUARED_HIGH for x in squared]
+    assert inside == [True, True, True, True, False]
+    assert lines[-7:-5] == ["all slopes >= 2pi: -", "status: precision"]
+
+
+def test_fill_reports_an_undecided_balance_test(capsys):
+    code, out, err = run(capsys, "fill", "--balance-c", _PRECISION_C, *("3,3",) * 5)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-8:-5] == [
+        "all slopes >= 2pi: yes", f"weakly balanced (c = {_PRECISION_C}): -",
+        "status: precision"]
+
+
+def test_enumerate_records_an_undecided_balance_test(capsys):
+    code, out, err = run(capsys, "enumerate", "--format", "jsonl", "--box=3:3",
+                         "--balance-c", _PRECISION_C)
+    assert (code, err) == (0, "")
+    [record] = [json.loads(line) for line in out.splitlines()]
+    assert (record["two_pi"], record["balanced"], record["status"]) == (True, None, "precision")
 
 
 def test_enumerate_single_record(capsys):

@@ -394,6 +394,13 @@ def test_a_dropped_cube_leaves_squares_glued_once(m_sections):
         develop_lattice(_rebuilt(m_sections[4], cells=tuple(cells)))
 
 
+def test_a_section_without_cubes_is_refused(m_sections):
+    """Refused before any cube is placed, not by ``min`` of no cubes."""
+    cells = m_sections[0].cells[:3] + ((),)
+    with pytest.raises(FlatGeometryError, match="^cross section has no 3-cells$"):
+        develop_lattice(_rebuilt(m_sections[0], cells=cells))
+
+
 def test_an_edge_of_another_cusp_leaves_the_section(m_sections):
     cells = list(m_sections[0].cells)
     cells[1] += m_sections[1].cells[1][:1]

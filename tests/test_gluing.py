@@ -520,26 +520,15 @@ def test_presentation_relators_word_for_word(census_spec):
         (3, 2, -3, -2), (3, 1, -3, -1), (2, 1, -2, -1))
 
 
-def test_each_pairing_is_resolved_once(census_spec, monkeypatch):
-    """One facet-level cell map per distinct pairing, shared by the signs,
-    the gluing and the ridge walk, and by both copies of the cover."""
-    top = geometry("ideal24").model.dim
-    facet_calls = []
-    real_map_sign = gluing._map_sign
-
-    def counting_map_sign(model, dim, source, mapping, memo):
-        if dim == top - 1:
-            facet_calls.append(source)
-        return real_map_sign(model, dim, source, mapping, memo)
-
-    monkeypatch.setattr(gluing, "_map_sign", counting_map_sign)
+def test_each_pairing_is_resolved_once(census_spec):
+    """One resolution per distinct pairing, shared by the signs, the
+    gluing and the ridge walk, and by both copies of the cover."""
     gluing._pairing_action.cache_clear()
     quotient_complex(census_spec, copies=2)
-    assert len(facet_calls) == len(census_spec.pairings) == 12
-    facet_calls.clear()
+    assert gluing._pairing_action.cache_info().misses == len(census_spec.pairings) == 12
     quotient_complex(census_spec)
     presentation(census_spec)
-    assert facet_calls == []
+    assert gluing._pairing_action.cache_info().misses == 12
 
 
 def test_presentation_squares_a_self_paired_generator():
@@ -639,6 +628,110 @@ def test_pairing_order_does_not_matter(census_spec, census_n, census_m, census_s
     assert report(peripheral_system(q)) == report(census_system)
 
 
+def oracle_map_sign(model: CellModel, dim: int, source: int, mapping: dict[int, int],
+                    memo: dict[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+    """A pairing's cell map as first written, the oracle for
+    ``_pairing_action``: target cell and orientation sign of ``source``.
+
+    The sign compares the pushed-forward boundary chain with the target's
+    own chain, recursing through the closure; ``memo`` receives every cell
+    of that closure.
+    """
+    key = (dim, source)
+    if key in memo:
+        return memo[key]
+    target = model.index_of(dim, (mapping[v] for v in model.cells[dim][source]))
+    if dim == 0:
+        memo[key] = (target, 1)
+        return memo[key]
+    pushed: dict[int, int] = {}
+    for sub, coeff in model.boundary_entries[dim][source]:
+        sub_target, sub_sign = oracle_map_sign(model, dim - 1, sub, mapping, memo)
+        pushed[sub_target] = pushed.get(sub_target, 0) + coeff * sub_sign
+    reference = dict(model.boundary_entries[dim][target])
+    first = min(reference)
+    sign = 1 if pushed[first] == reference[first] else -1
+    if pushed != {c: sign * x for c, x in reference.items()}:
+        raise GluingError("vertex bijection does not extend to a cell isomorphism")
+    memo[key] = (target, sign)
+    return memo[key]
+
+
+def oracle_cell_table(name: str, facet_a: int, facet_b: int, vertex_map) -> dict:
+    """``{(dim, cell): (image, sign)}`` over facet_a's closure, by
+    ``oracle_map_sign``, refused with ``_pairing_action``'s PairingError."""
+    geo = geometry(name)
+    mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
+    table: dict = {}
+    try:
+        oracle_map_sign(geo.model, geo.model.dim - 1, geo.model_facet[facet_a], mapping, table)
+    except GluingError as error:
+        raise PairingError(f"bijection sends facet {facet_a} to a non-face of "
+                           f"facet {facet_b}: {error}") from None
+    return table
+
+
+def _resolves_like_the_oracle(name: str, facet_a: int, facet_b: int, vertex_map) -> bool:
+    """True if both resolve the pairing to the same links; False if both
+    refuse it with the same PairingError text."""
+    try:
+        table = oracle_cell_table(name, facet_a, facet_b, vertex_map)
+    except PairingError as error:
+        with pytest.raises(PairingError) as refused:
+            gluing._pairing_action(name, facet_a, facet_b, vertex_map)
+        assert str(refused.value) == str(error)
+        return False
+    geo = geometry(name)
+    model = geo.model
+    mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
+    ridges, links = gluing._pairing_action(name, facet_a, facet_b, vertex_map)
+    got = {}
+    for dim, level in enumerate(links):
+        for cell, image, sign, forward, backward in level:
+            got[dim, cell] = (image, sign)
+            source, target = model.cells[dim][cell], model.cells[dim][image]
+            if dim == 0:
+                assert (forward, backward) == (None, None)
+                continue
+            positions = range(len(source))
+            assert backward(positions) == tuple(target.index(mapping[v]) for v in source)
+            assert forward(positions) == tuple(source.index(v) for w in target
+                                               for v in source if mapping[v] == w)
+    assert got == table
+    assert dict(ridges[0]) == {cell: image for (dim, cell), (image, _) in table.items()
+                               if dim == model.dim - 2}
+    assert dict(ridges[1]) == {image: cell for cell, image in ridges[0].items()}
+    return True
+
+
+def test_pairing_action_matches_the_recursive_oracle(census_spec, search_demo):
+    """Every support-preserving pairing of the 24-cell (the census, its
+    cover, the leaves of the 15 two-free-class slices and every admissible
+    map of every same-support facet pair), and every vertex bijection
+    between facets of the square and of the cube."""
+    leaves = [spec for key in itertools.combinations(range(6), 2)
+              for spec in search_demo.Search(set(key)).run()]
+    specs = [census_spec, double_cover(census_spec)] + leaves
+    corpus = {(p.facet_a, p.facet_b, p.vertex_map) for spec in specs for p in spec.pairings}
+    corpus |= {(a, b, tuple(sorted(forward.items())))
+               for four in search_demo.support_classes().values()
+               for a, b in itertools.permutations(four, 2)
+               for forward in search_demo.admissible_maps(a, b)}
+    assert len(corpus) == 576
+    assert all(_resolves_like_the_oracle("ideal24", *key) for key in sorted(corpus))
+
+    resolved = refused = 0
+    for name in ("square", "cube"):
+        facets = geometry(name).facet_vertices
+        for a, b in itertools.product(range(len(facets)), repeat=2):
+            for image in itertools.permutations(facets[b]):
+                if _resolves_like_the_oracle(name, a, b, tuple(zip(facets[a], image))):
+                    resolved += 1
+                else:
+                    refused += 1
+    assert (resolved, refused) == (32 + 36 * 8, 36 * 16)
+
+
 def oracle_quotient(spec: SidePairingSpec, copies: int = 1) -> dict:
     """The orbit walk as first written, the oracle for ``quotient_complex``.
 
@@ -656,7 +749,7 @@ def oracle_quotient(spec: SidePairingSpec, copies: int = 1) -> dict:
         mapping = geo.extend_map(Pairing(p.facet_a, p.facet_b, p.vertex_map))
         inverse = {w: v for v, w in mapping.items()}
         table: dict = {}
-        gluing._map_sign(model, top - 1, geo.model_facet[p.facet_a], mapping, table)
+        oracle_map_sign(model, top - 1, geo.model_facet[p.facet_a], mapping, table)
         for (dim, idx), (target, sign) in table.items():
             a, b = (p.copy_a, idx), (p.copy_b, target)
             links[dim].setdefault(a, []).append((b, sign, mapping))

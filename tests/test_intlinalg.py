@@ -771,6 +771,14 @@ def test_int_matrix_refuses_mismatched_shapes(call, message):
         call()
 
 
+def test_int_matrix_is_immutable():
+    """Matrices share their column storage, so none is written after it is built."""
+    m = IntMatrix.identity(2)
+    with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+        m.rows = 3
+    assert m == IntMatrix.identity(2)
+
+
 def test_is_primitive():
     assert is_primitive((1, 17, -4))
     assert not is_primitive((0, 0, 0))
@@ -792,6 +800,8 @@ def test_generates():
     assert not generates(doubled, 5)
     assert generates([], 0)
     assert not generates([], 3)
+    with pytest.raises(ValueError, match="^vector length does not match ambient rank$"):
+        generates([(1, 0), (0, 1, 0)], 2)
 
 
 def test_generates_matches_cokernel_triviality():
@@ -1054,6 +1064,9 @@ def test_abelian_group_descriptions():
     assert AbelianGroup(1, (2, 4)).describe() == "Z + Z_2 + Z_4"
     with pytest.raises(ValueError):
         AbelianGroup(0, (3, 2))
+    # An invariant factor 1 would give 0 a second name, Z_1.
+    with pytest.raises(ValueError, match="^torsion orders must be >= 2$"):
+        AbelianGroup(0, (1,))
 
 
 @pytest.mark.parametrize("args", [(1.5,), (0, (2.0, 4.0)), (Fraction(2),)],

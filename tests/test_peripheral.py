@@ -117,6 +117,16 @@ def test_peripheral_matrix_rejects_torsion_section(census_n):
         peripheral_matrix(census_n, 0)
 
 
+def test_peripheral_matrix_rejects_ambient_torsion(search_demo):
+    """The first leaf of slice (0, 1), glued on one copy: its third cusp
+    section is torsion-free, but the ambient H_1 is not."""
+    q = quotient_complex(search_demo.Search({0, 1}).run()[0])
+    assert str(homology(cusp_sections(q)[2].chain, 1)) == "Z^2"
+    with pytest.raises(PeripheralError, match=r"^ambient H_1 = Z\^2 \+ Z_2\^4 has torsion; "
+                                              r"peripheral matrices are defined against"):
+        peripheral_matrix(q, 2)
+
+
 def test_peripheral_matrix_range(census_m):
     with pytest.raises(PeripheralError, match="out of range"):
         peripheral_matrix(census_m, 5)
