@@ -77,12 +77,9 @@ class FillingResult(Record):
     is_homology_sphere: bool
     notes: tuple[str, ...]
 
-    def __init__(self, h1: AbelianGroup, chi: int, is_homology_sphere: bool,
-                 notes: tuple[str, ...]):
-        if is_homology_sphere and not (h1.is_trivial() and chi == 2):
+    def __post_init__(self):
+        if self.is_homology_sphere and not (self.h1.is_trivial() and self.chi == 2):
             raise ValueError("sphere flag contradicts the recorded invariants")
-        self.__dict__.update(h1=h1, chi=chi, is_homology_sphere=is_homology_sphere,
-                             notes=notes)
 
 
 def is_homology_sphere(system: PeripheralSystem, slopes: FillingSlopes,

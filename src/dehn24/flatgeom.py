@@ -19,10 +19,10 @@ of guessing.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
-from math import floor, isqrt
+from itertools import combinations, product
+from math import floor, isqrt, lcm
 from operator import index
 
 from .chains import homology_basis
@@ -215,65 +215,31 @@ def enumerate_short(lattice: FlatLattice,
                     bound: int | Fraction) -> list[tuple[int, ...]]:
     """All nonzero classes with squared length strictly below ``bound``.
 
-    An exact LDL^T decomposition of the scaled Gram matrix drives a
-    Fincke-Pohst enumeration; membership is decided by the exact
-    quadratic form, and the output is sorted by (squared length, class).
+    The squared length of v is v^T q v, with q = scale^2 times the Gram
+    matrix, positive definite.  The Cauchy-Schwarz inequality in the
+    inner product q gives v_i^2 <= (v^T q v) (q^-1)_ii, and (q^-1)_ii =
+    C_i / det q with C_i the cofactor q_jj q_kk - q_jk^2 ({i, j, k} =
+    {0, 1, 2}).  So every such class lies in the box |v_i| <=
+    isqrt(floor(bound C_i / det q)), which is scanned whole on the
+    integer form den * q against den * bound; the output is sorted by
+    (squared length, class).
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise FlatGeometryError("bound must be positive")
     s2 = lattice.scale ** 2
     q = [[s2 * x for x in row] for row in lattice.gram()]
-
-    def value(v: tuple[int, int, int]) -> Fraction:
-        return sum(q[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
-
-    return [v for _, v in sorted((value(v), v) for v in _ldl_enumerate(q, bound))]
-
-
-def _ldl_enumerate(q: list[list[Fraction]],
-                   bound: Fraction) -> Iterator[tuple[int, int, int]]:
-    """Exact Fincke-Pohst style search: v^T q v < bound, v nonzero.
-
-    ``q`` is positive definite, a positive scale squared times the Gram
-    matrix of a nonsingular basis, so every pivot of its LDL^T is positive.
-    """
-    s = [row[:] for row in q]
-    d = []
-    u = [[Fraction(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        d.append(s[i][i])
-        for j in range(i + 1, 3):
-            u[i][j] = s[i][j] / d[i]
-        for k in range(i + 1, 3):
-            for l in range(i + 1, 3):
-                s[k][l] -= d[i] * u[i][k] * u[i][l]
-
-    def span(center: Fraction, budget: Fraction, weight: Fraction) -> Iterable[int]:
-        # Integers t with weight * (t + center)^2 <= budget, plus slack;
-        # callers re-test exactly, so overshooting is harmless.  Every
-        # budget is positive: a caller skips a level once its bound is used.
-        radius = budget / weight
-        top = isqrt(-((-radius.numerator) // radius.denominator)) + 1
-        lo = floor(-center) - top
-        return range(lo, lo + 2 * top + 1)
-
-    for v2 in span(Fraction(0), bound, d[2]):
-        used2 = d[2] * v2 ** 2
-        if used2 >= bound:
-            continue
-        c1 = u[1][2] * v2
-        for v1 in span(c1, bound - used2, d[1]):
-            used1 = used2 + d[1] * (v1 + c1) ** 2
-            if used1 >= bound:
-                continue
-            c0 = u[0][1] * v1 + u[0][2] * v2
-            for v0 in span(c0, bound - used1, d[0]):
-                v = (v0, v1, v2)
-                if v == (0, 0, 0):
-                    continue
-                if used1 + d[0] * (v0 + c0) ** 2 < bound:
-                    yield v
+    den = lcm(*(x.denominator for row in q for x in row))
+    g = [[int(x * den) for x in row] for row in q]
+    limit, det = bound * den, _det3(g)
+    radii = [isqrt(floor(limit * (g[j][j] * g[k][k] - g[j][k] ** 2) / det))
+             for j, k in ((1, 2), (0, 2), (0, 1))]
+    found = []
+    for v in product(*(range(-r, r + 1) for r in radii)):
+        n = sum(g[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
+        if 0 < n < limit:
+            found.append((n, v))
+    return [v for _, v in sorted(found)]
 
 
 def two_pi_ok(lengths: SlopeLengths) -> bool:

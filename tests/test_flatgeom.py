@@ -12,6 +12,7 @@ import random
 import time
 from collections import Counter, deque
 from fractions import Fraction
+from math import floor, isqrt, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -57,14 +58,35 @@ def m_lattices(m_sections):
 
 
 def brute_force_short(lattice, bound, box=7):
+    """Every nonzero class in the cube |v_i| <= box whose developed vector
+    B v has squared length scale^2 |B v|^2 below ``bound``, sorted by
+    (squared length, class).  The basis is put over one denominator so
+    the scan runs on integers."""
+    den = lcm(*(x.denominator for row in lattice.basis for x in row))
+    columns = [[int(x * den) for x in lattice.column(j)] for j in range(3)]
+    limit = Fraction(bound) * den ** 2 / lattice.scale ** 2
     hits = []
     for v in itertools.product(range(-box, box + 1), repeat=3):
-        if v != (0, 0, 0):
-            sq = slope_length(lattice, v).squared
-            if sq < bound:
-                hits.append((sq, v))
+        n = sum(sum(c[i] * x for c, x in zip(columns, v)) ** 2 for i in range(3))
+        if 0 < n < limit:
+            hits.append((n, v))
     hits.sort()
     return [v for _, v in hits]
+
+
+def covering_box(lattice, bound):
+    """A cube |v_i| <= r that holds every class of squared length below
+    ``bound``, found without the Gram matrix: with x = B v, |v_i| is at
+    most the 1-norm of row i of B^-1 times max |x_j| <= sqrt(bound) / scale.
+    Row i of B^-1 is column i of the adjugate over det B."""
+    b = lattice.basis
+    radius = 0
+    for i in range(3):
+        norm = sum(abs(b[(j + 1) % 3][(i + 1) % 3] * b[(j + 2) % 3][(i + 2) % 3]
+                       - b[(j + 1) % 3][(i + 2) % 3] * b[(j + 2) % 3][(i + 1) % 3])
+                   for j in range(3)) / abs(lattice.det())
+        radius = max(radius, isqrt(floor(norm ** 2 * bound / lattice.scale ** 2)))
+    return radius
 
 
 def _atan_inv_bounds(inv: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -148,6 +170,54 @@ def test_enumerate_skew_lattice_uses_exact_fallback():
     skew = FlatLattice.from_columns([(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     for bound in (Fraction(3), Fraction(5), Fraction(41, 8)):
         assert enumerate_short(skew, bound) == brute_force_short(skew, bound)
+
+
+def test_enumerate_matches_brute_force_on_the_census_cusps(m_lattices):
+    for lat in m_lattices:
+        for bound in (TWO_PI_SQUARED_LOW, TWO_PI_SQUARED_HIGH):
+            box = covering_box(lat, bound)
+            assert box <= 8
+            assert enumerate_short(lat, bound) == brute_force_short(lat, bound, box)
+
+
+def test_enumerate_matches_brute_force_on_seeded_bases():
+    """Twenty seeded integer bases with entries in [-2, 2], every other one
+    at scale 2/3, so that a box or form that drops the scale fails.  At
+    least ten of the sixty enumerations hold a class with v_i^2 q_ii >
+    bound, which a box of radius sqrt(bound / q_ii) would miss.  A basis
+    whose covering box at 4*pi^2 passes 8 is drawn again, to bound the
+    scan."""
+    rng = random.Random(2701)
+    lattices = []
+    while len(lattices) < 20:
+        columns = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if any(columns[j][i] for i in range(3) for j in range(3) if i != j):
+            try:
+                lat = FlatLattice.from_columns(columns, (1, Fraction(2, 3))[len(lattices) % 2])
+            except FlatGeometryError:
+                continue
+            if covering_box(lat, TWO_PI_SQUARED_HIGH) <= 8:
+                lattices.append(lat)
+    stretched = 0
+    for lat in lattices:
+        gram = [[lat.scale ** 2 * x for x in row] for row in lat.gram()]
+        for bound in (Fraction(3), Fraction(41, 8), TWO_PI_SQUARED_HIGH):
+            classes = enumerate_short(lat, bound)
+            assert classes == brute_force_short(lat, bound, covering_box(lat, bound))
+            stretched += any(v[i] ** 2 * gram[i][i] > bound for v in classes for i in range(3))
+    assert stretched >= 10
+
+
+def test_enumerate_box_radius_is_exact_on_a_diagonal_lattice():
+    """q = diag(1, 4, 9) below 9 + 1/100: the radii isqrt(floor(bound /
+    q_ii)) are 3, 1 and 1, and each is reached, so a radius one too small
+    on any axis loses classes."""
+    diagonal = FlatLattice.from_columns([(1, 0, 0), (0, 2, 0), (0, 0, 3)])
+    bound = 9 + Fraction(1, 100)
+    classes = enumerate_short(diagonal, bound)
+    assert classes == brute_force_short(diagonal, bound, box=4)
+    assert [max(abs(v[i]) for v in classes) for i in range(3)] == [3, 1, 1]
+    assert {(3, 0, 0), (0, 1, 0), (0, 0, 1)} <= set(classes)
 
 
 def test_enumerate_is_deterministic(m_lattices):

@@ -34,9 +34,9 @@ from dehn24.gluing import (
     validate_spec,
     vertex_cycles,
 )
-from dehn24.intlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis
+from dehn24.intlinalg import AbelianGroup, IntMatrix, chain_invariants, cokernel, kernel_basis
 from dehn24.peripheral import peripheral_system, report
-from dehn24.polytope import cusp_vertex, truncate
+from dehn24.polytope import build_24cell, cusp_vertex, truncate
 from conftest import is_chain_complex
 
 # Square facets in canonical order: 0=(0,1), 1=(0,3), 2=(1,2), 3=(2,3).
@@ -469,6 +469,69 @@ def test_census_cover_is_orientable(census_spec):
     assert cover.copies == 2
     assert orientation_character(cover).orientable
     assert ("cover", "orientation double cover") in cover.metadata
+
+
+@pytest.fixture(scope="module")
+def raw24_quotients(census_spec):
+    """The census pairing glued on the untruncated 24-cell, on one and
+    two copies: a complex X whose vertices X^0 are the ideal points, one
+    per cusp.  Near each vertex X is the cone on a cusp section, so
+    H_k(X, X^0) = H_k(M-bar, boundary M-bar), from a cell structure that
+    shares no cell with the truncated model."""
+    raw = gluing._closed_geometry("raw24", build_24cell().faces)
+    named = gluing.geometry
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gluing, "geometry", lambda name: raw if name == "raw24" else named(name))
+        spec = SidePairingSpec(pairings=census_spec.pairings, geometry="raw24")
+        quotients = {copies: quotient_complex(spec, copies=copies) for copies in (1, 2)}
+    gluing.geometry.cache_clear()
+    gluing._pairing_action.cache_clear()
+    return quotients
+
+
+def relative_homology(q) -> tuple[AbelianGroup, ...]:
+    """H_1..H_4 of (X, X^0): the chain complex of X with C_0 dropped."""
+    maps = chain_invariants(q.chain.boundary[2:])
+    ranks = [0, *(rank for rank, _ in maps), 0]
+    torsion = [*(factors for _, factors in maps), ()]
+    return tuple(AbelianGroup(q.chain.cell_count(k) - ranks[k - 1] - ranks[k], torsion[k - 1])
+                 for k in range(1, 5))
+
+
+def f2_dimensions(groups_from_0) -> list[int]:
+    """dim H_k(; F_2) from integral H_0, H_1, ..., by the universal
+    coefficient theorem: free rank, plus the torsion factors of H_k and
+    of H_(k-1)."""
+    return [g.free_rank + len(g.torsion) + len(below.torsion)
+            for below, g in zip((AbelianGroup(0), *groups_from_0), groups_from_0)]
+
+
+def test_untruncated_cover_gives_lefschetz_dual_homology(raw24_quotients, census_m):
+    """H_k(X, X^0) = H^(4-k)(M) for the orientable cover, and H^j(M) is
+    the free part of H_j(M) with the torsion of H_(j-1)(M)."""
+    x = raw24_quotients[2]
+    assert [x.chain.cell_count(k) for k in range(5)] == [5, 24, 48, 24, 2]
+    relative = relative_homology(x)
+    assert relative == (AbelianGroup(4), AbelianGroup(10), AbelianGroup(5), AbelianGroup(1))
+    h = groups(census_m, 3)
+    cohomology = [AbelianGroup(h[j].free_rank, h[j - 1].torsion if j else ())
+                  for j in range(4)]
+    assert relative == tuple(reversed(cohomology))
+    assert euler_characteristic(x.chain) - 5 == euler_characteristic(census_m.chain) == 2
+
+
+def test_untruncated_base_gives_lefschetz_dual_homology_mod_2(raw24_quotients, census_n):
+    """The base is not orientable, so duality holds over F_2:
+    dim H_k(X, X^0; F_2) = dim H_(4-k)(M; F_2)."""
+    x = raw24_quotients[1]
+    assert [x.chain.cell_count(k) for k in range(5)] == [5, 12, 24, 12, 1]
+    relative = relative_homology(x)
+    assert relative == (AbelianGroup(4), AbelianGroup(10), AbelianGroup(5, (2,)),
+                        AbelianGroup(0))
+    dims = f2_dimensions((AbelianGroup(0), *relative))[1:]
+    assert dims == [4, 10, 6, 1]
+    assert dims == f2_dimensions(groups(census_n, 3))[::-1]
+    assert euler_characteristic(x.chain) - 5 == euler_characteristic(census_n.chain) == 1
 
 
 def test_census_presentation(census_spec):
