@@ -11,7 +11,7 @@ fractions or exact decimals and records appear in lexicographic tuple
 order.  ``enumerate`` draws, renders and writes the box one chunk at a
 time, so its memory does not grow with the box.  Exit status 0 is
 success, 1 a computational contract failure (a hypothesis of the
-mathematics is not met), 2 an input error.
+mathematics is not met), 2 an input error, 141 a closed output pipe.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -319,7 +320,8 @@ def _filling_setup(config: RunConfig):
                      for s in cusp_sections(q))
     chi = euler_characteristic(q.chain)
     slopes = adapted_slopes(system, ((0, 0),) * system.cusp_count)
-    result = is_homology_sphere(system, slopes, chi, orientable=True)
+    result = is_homology_sphere(system, slopes, chi,
+                                orientable=orientation_character(q.spec).orientable)
     return system, lattices, result
 
 
@@ -511,6 +513,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return func(config)
+    except BrokenPipeError:
+        # The reader left: exit as SIGPIPE would, and flush to nowhere at exit.
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (_InputError, PairingError, GluingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -263,18 +263,17 @@ def _ideal24_geometry() -> Geometry:
 
     edge_index = {frozenset(e): i for i, e in enumerate(edges)}
 
-    def extend(pairing: Pairing) -> dict[int, int]:
+    def extend(facet_a: int, facet_b: int, phi: dict[int, int]) -> dict[int, int]:
         # Flags run in (vertex, edge) order, so the first refused edge is
         # the least one; once edges map to edges, so do the triangles.
-        phi = pairing.forward()
         mapping = {}
-        for flag in trunc.faces[3][model_facet[pairing.facet_a]]:
+        for flag in trunc.faces[3][model_facet[facet_a]]:
             v, e = trunc.flags[flag]
             image = frozenset(phi[w] for w in edges[e])
             if image not in edge_index:
                 raise PairingError(
-                    f"bijection sends face {list(edges[e])} of facet {pairing.facet_a} "
-                    f"to the non-face {sorted(image)} of facet {pairing.facet_b}")
+                    f"bijection sends face {list(edges[e])} of facet {facet_a} "
+                    f"to the non-face {sorted(image)} of facet {facet_b}")
             mapping[flag] = trunc.flag_index(phi[v], edge_index[image])
         return mapping
 
@@ -305,7 +304,7 @@ def _closed_geometry(name: str, faces) -> Geometry:
         model_facet=tuple(range(len(facets))),
         labels=tuple(tuple(("cell", k, i) for i in range(len(faces[k])))
                      for k in range(top + 1)),
-        extend_map=Pairing.forward,
+        extend_map=lambda facet_a, facet_b, forward: forward,
     )
 
 
@@ -349,36 +348,16 @@ def validate_spec(spec: SidePairingSpec) -> None:
             raise PairingError(
                 f"facet {tuple(sorted(slots & seen))[0]} appears in more than one pairing")
         seen |= slots
-        _validate_bijection(geo, p)
+        if p.is_self_pairing() and all(v == w for v, w in p.forward().items()):
+            # Nontrivial self-maps are caught at quotient time; the identity
+            # would silently glue nothing, so refuse it here.
+            raise PairingError(f"facet {p.facet_a} glued to itself pointwise")
+        _pairing_action(spec.geometry, p.facet_a, p.facet_b, p.vertex_map)
     expected = spec.copies * geo.facet_count
     if len(seen) != expected:
         missing = [(c, f) for c in range(spec.copies) for f in range(geo.facet_count)
                    if (c, f) not in seen]
         raise PairingError(f"facets left unpaired: {missing[:4]}{'...' if len(missing) > 4 else ''}")
-
-
-def _validate_bijection(geo: Geometry, p: Pairing) -> None:
-    """Refuse a vertex map that is not a facet isomorphism.
-
-    Past the identity, domain and image checks, the pairing's resolution
-    on the model refuses a face sent to a non-face; its cached links are
-    what the signs, the quotient and the ridge walk read later.
-    """
-    forward = p.forward()
-    source = geo.facet_vertices[p.facet_a]
-    target = geo.facet_vertices[p.facet_b]
-    if p.is_self_pairing() and all(v == w for v, w in forward.items()):
-        # Nontrivial self-maps are caught at quotient time; the identity
-        # would silently glue nothing, so refuse it here.
-        raise PairingError(f"facet {p.facet_a} glued to itself pointwise")
-    if sorted(forward) != sorted(source):
-        raise PairingError(
-            f"bijection domain {_excerpt(sorted(forward))} is not facet {p.facet_a}'s "
-            f"vertex set")
-    if sorted(forward.values()) != sorted(target):
-        raise PairingError(
-            f"bijection image is not facet {p.facet_b}'s vertex set")
-    _pairing_action(geo.name, p.facet_a, p.facet_b, p.vertex_map)
 
 
 def census_pairing() -> SidePairingSpec:
@@ -498,15 +477,22 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
     there; ``backward`` carries it back.  A vertex has the one position
     0, so dimension-0 links carry None for both.  ``ridges`` is the ridge
     map and that map's inverse.  Copy indices play no part, so both
-    copies of a double cover share one cache entry.  A map sending a
-    face to a non-face raises PairingError.
+    copies of a double cover share one cache entry.  A map whose domain
+    or image is not its facet's vertex set, or that sends a face to a
+    non-face, raises PairingError.
 
     The closure of ``facet_a`` is collected downward and resolved upward,
     so each cell's sign reads the signs of its subcells' images.
     """
     geo = geometry(name)
     model, entries = geo.model, geo.model.boundary_entries
-    mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
+    forward = dict(vertex_map)
+    if sorted(forward) != sorted(geo.facet_vertices[facet_a]):
+        raise PairingError(f"bijection domain {_excerpt(sorted(forward))} is not "
+                           f"facet {facet_a}'s vertex set")
+    if sorted(forward.values()) != sorted(geo.facet_vertices[facet_b]):
+        raise PairingError(f"bijection image is not facet {facet_b}'s vertex set")
+    mapping = geo.extend_map(facet_a, facet_b, forward)
     closure = [{geo.model_facet[facet_a]}]
     for k in range(model.dim - 1, 0, -1):
         closure.insert(0, {sub for cell in closure[0] for sub, _ in entries[k][cell]})

@@ -100,39 +100,6 @@ def cusp_sections(q: QuotientComplex) -> tuple[CuspSection, ...]:
     return tuple(sections)
 
 
-def peripheral_matrix(q: QuotientComplex, i: int) -> IntMatrix:
-    """Matrix of the inclusion-induced map H_1(section i) -> H_1(ambient).
-
-    Columns run over the canonical free generators of the section's H_1,
-    rows over the ambient's.  Torsion on either side is unsupported: the
-    downstream adapted-basis procedure needs a 3-torus section inside an
-    ambient complex with free H_1.
-
-    Raises:
-        PeripheralError: cusp index out of range, or torsion present.
-    """
-    sections = cusp_sections(q)
-    if not 0 <= i < len(sections):
-        raise PeripheralError(f"cusp index {i} out of range: {len(sections)} cusps")
-    source = homology_basis(sections[i].chain, 1)
-    target = homology_basis(q.chain, 1)
-    if source.group.torsion:
-        raise PeripheralError(
-            f"cusp {i + 1} section has H_1 = {source.group}; adapted bases need a "
-            f"torsion-free section (a 3-torus cross section)")
-    if target.group.torsion:
-        raise PeripheralError(
-            f"ambient H_1 = {target.group} has torsion; peripheral matrices "
-            f"are defined against a free ambient H_1")
-    columns = []
-    for cycle in source.cycles.columns():
-        lifted = [0] * q.chain.cell_count(1)
-        for a, x in zip(sections[i].cells[1], cycle):
-            lifted[a] = x
-        columns.append(target.coordinates(lifted)[0])
-    return IntMatrix.from_columns(columns, rows=target.group.free_rank)
-
-
 def adapted_basis(matrix: IntMatrix) -> AdaptedBasis:
     """A basis (kappa_1, kappa_2, kappa_3) of Z^3 adapted to the map.
 
@@ -194,26 +161,39 @@ class PeripheralSystem(Record):
 def peripheral_system(q: QuotientComplex) -> PeripheralSystem:
     """Compute matrices, adapted bases and epsilon classes for all cusps.
 
+    One pass over the cusps: each section's canonical H_1 generators are
+    lifted through ``cells[1]`` and read in ambient coordinates, and its
+    group comes from the same basis, so no group-only reduction runs.
+
     Raises:
-        PeripheralError: on torsion anywhere, a cusp of the wrong rank,
-            or epsilon classes failing to generate the ambient H_1.
+        PeripheralError: on ambient torsion, per cusp on section torsion
+            or a map of the wrong rank, or if the epsilons do not generate.
     """
     sections = cusp_sections(q)
-    # Groups come from the generator path that the peripheral matrices
-    # build anyway, so the group-only reduction never runs.
-    ambient = homology_basis(q.chain, 1).group
+    ambient = (target := homology_basis(q.chain, 1)).group
     if ambient.torsion:
         raise PeripheralError(
             f"ambient H_1 = {ambient} has torsion; the peripheral system needs "
             f"free ambient H_1 (pass the orientation double cover)")
     matrices, bases, epsilons, section_groups = [], [], [], []
-    for i, section in enumerate(sections):
-        matrix = peripheral_matrix(q, i)
+    for section in sections:
+        source = homology_basis(section.chain, 1)
+        if source.group.torsion:
+            raise PeripheralError(
+                f"cusp {section.index + 1} section has H_1 = {source.group}; adapted bases "
+                f"need a torsion-free section (a 3-torus cross section)")
+        columns = []
+        for cycle in source.cycles.columns():
+            lifted = [0] * q.chain.cell_count(1)
+            for a, x in zip(section.cells[1], cycle):
+                lifted[a] = x
+            columns.append(target.coordinates(lifted)[0])
+        matrix = IntMatrix.from_columns(columns, rows=ambient.free_rank)
         basis = adapted_basis(matrix)
         matrices.append(matrix)
         bases.append(basis)
         epsilons.append(matrix.apply(basis[0]))
-        section_groups.append(homology_basis(section.chain, 1).group)
+        section_groups.append(source.group)
     if not generates(epsilons, ambient.free_rank):
         raise PeripheralError("the adapted classes' images do not generate the "
                               "ambient H_1")

@@ -347,12 +347,28 @@ def test_invalid_pairing_file_refusals(capsys, tmp_path, old, new, err):
 
 
 def test_contract_failures_exit_1(capsys):
-    code, _, err = run(capsys, "peripheral", "--copies", "1")
-    assert code == 1
-    assert "double cover" in err
-    code, _, err = run(capsys, "lattice", "--copies", "1")
-    assert code == 1
-    assert "not a torus" in err
+    """The one-copy quotient, word for word: its ambient H_1 has torsion
+    and its cross sections are not tori."""
+    ambient = ("error: ambient H_1 = Z_2^6 has torsion; the peripheral system needs "
+               "free ambient H_1 (pass the orientation double cover)\n")
+    assert run(capsys, "peripheral", "--copies", "1") == (1, "", ambient)
+    assert run(capsys, "fill", "--copies", "1", *["3,3"] * 5) == (1, "", ambient)
+    assert run(capsys, "enumerate", "--copies", "1", "--box=0:0") == (1, "", ambient)
+    assert run(capsys, "lattice", "--copies", "1") == (
+        1, "", "error: cross section has rotational holonomy; not a torus\n")
+
+
+def test_filling_reads_orientability_from_the_quotient(capsys, monkeypatch, census_m,
+                                                      census_system):
+    """With the cover's peripheral system and sections put in place of the
+    base's (which stops at its ambient torsion), fill and enumerate on one
+    copy reach the verdict, which refuses the nonorientable base."""
+    monkeypatch.setattr(cli, "peripheral_system", lambda q: census_system)
+    monkeypatch.setattr(cli, "cusp_sections", lambda q: peripheral.cusp_sections(census_m))
+    err = ("error: the homology-sphere argument needs an orientable manifold; "
+           "fill the orientation double cover\n")
+    assert run(capsys, "fill", "--copies", "1", *["3,3"] * 5) == (1, "", err)
+    assert run(capsys, "enumerate", "--copies", "1", "--box=0:0") == (1, "", err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -669,6 +685,25 @@ def test_cold_fill_builds_no_smith_column_transform(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "fill_3_3.out").read_bytes()
     assert sides and not any(sides)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_exits_141(unbuffered):
+    """A reader that stops after one line gets the status of a filter
+    killed by SIGPIPE, 128 + 13, and nothing on stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # About 95 kB of records: more than the pipe holds, so a write fails.
+    proc = subprocess.Popen([sys.executable, "-m", "dehn24.cli", "enumerate", "--box=0:1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b" b1  c1")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_console_entry_point_runs():

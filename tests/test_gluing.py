@@ -471,22 +471,35 @@ def test_census_cover_is_orientable(census_spec):
     assert ("cover", "orientation double cover") in cover.metadata
 
 
-@pytest.fixture(scope="module")
-def raw24_quotients(census_spec):
-    """The census pairing glued on the untruncated 24-cell, on one and
-    two copies: a complex X whose vertices X^0 are the ideal points, one
-    per cusp.  Near each vertex X is the cone on a cusp section, so
-    H_k(X, X^0) = H_k(M-bar, boundary M-bar), from a cell structure that
-    shares no cell with the truncated model."""
+def built_or_refused(spec: SidePairingSpec, copies: int):
+    """The quotient on ``copies`` copies, or the text of its GluingError."""
+    try:
+        return quotient_complex(spec, copies=copies)
+    except GluingError as error:
+        return str(error)
+
+
+def untruncated_quotients(specs, copies: int) -> list:
+    """Each spec's pairings glued on the untruncated 24-cell on ``copies``
+    copies (or the refusal's text): a complex X whose vertices X^0 are the
+    ideal points, one per cusp.  Near each vertex X is the cone on a cusp
+    section, so H_k(X, X^0) = H_k(M-bar, boundary M-bar), from a cell
+    structure that shares no cell with the truncated model."""
     raw = gluing._closed_geometry("raw24", build_24cell().faces)
     named = gluing.geometry
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gluing, "geometry", lambda name: raw if name == "raw24" else named(name))
-        spec = SidePairingSpec(pairings=census_spec.pairings, geometry="raw24")
-        quotients = {copies: quotient_complex(spec, copies=copies) for copies in (1, 2)}
+        quotients = [built_or_refused(SidePairingSpec(pairings=spec.pairings, geometry="raw24"),
+                                      copies) for spec in specs]
     gluing.geometry.cache_clear()
     gluing._pairing_action.cache_clear()
     return quotients
+
+
+@pytest.fixture(scope="module")
+def raw24_quotients(census_spec):
+    """The census pairing glued on the untruncated 24-cell, on one and two copies."""
+    return {copies: untruncated_quotients([census_spec], copies)[0] for copies in (1, 2)}
 
 
 def relative_homology(q) -> tuple[AbelianGroup, ...]:
@@ -506,17 +519,21 @@ def f2_dimensions(groups_from_0) -> list[int]:
             for below, g in zip((AbelianGroup(0), *groups_from_0), groups_from_0)]
 
 
+def dual_cohomology(m) -> tuple[AbelianGroup, ...]:
+    """H^3..H^0 of M, where H^j(M) is the free part of H_j(M) with the
+    torsion of H_(j-1)(M)."""
+    h = groups(m, 3)
+    return tuple(AbelianGroup(h[j].free_rank, h[j - 1].torsion if j else ())
+                 for j in reversed(range(4)))
+
+
 def test_untruncated_cover_gives_lefschetz_dual_homology(raw24_quotients, census_m):
-    """H_k(X, X^0) = H^(4-k)(M) for the orientable cover, and H^j(M) is
-    the free part of H_j(M) with the torsion of H_(j-1)(M)."""
+    """H_k(X, X^0) = H^(4-k)(M) for the orientable cover."""
     x = raw24_quotients[2]
     assert [x.chain.cell_count(k) for k in range(5)] == [5, 24, 48, 24, 2]
     relative = relative_homology(x)
     assert relative == (AbelianGroup(4), AbelianGroup(10), AbelianGroup(5), AbelianGroup(1))
-    h = groups(census_m, 3)
-    cohomology = [AbelianGroup(h[j].free_rank, h[j - 1].torsion if j else ())
-                  for j in range(4)]
-    assert relative == tuple(reversed(cohomology))
+    assert relative == dual_cohomology(census_m)
     assert euler_characteristic(x.chain) - 5 == euler_characteristic(census_m.chain) == 2
 
 
@@ -532,6 +549,39 @@ def test_untruncated_base_gives_lefschetz_dual_homology_mod_2(raw24_quotients, c
     assert dims == [4, 10, 6, 1]
     assert dims == f2_dimensions(groups(census_n, 3))[::-1]
     assert euler_characteristic(x.chain) - 5 == euler_characteristic(census_n.chain) == 1
+
+
+def test_untruncated_slice_quotients_satisfy_duality(search_demo):
+    """The 53 leaves of slice (0, 1).  On each copy count the untruncated
+    and the truncated quotient build or refuse together, and 14 leaves
+    refuse on both.  Every double cover satisfies integral Lefschetz
+    duality and chi(X) - |X^0| = chi(M) = 2.  Of the one-copy quotients,
+    the 28 with chi 1 satisfy the F_2 duality and the chi relation; the 11
+    with chi 4 fail both, so they are not manifolds."""
+    leaves = search_demo.Search({0, 1}).run()
+    assert len(leaves) == 53
+    truncated = {copies: [built_or_refused(leaf, copies) for leaf in leaves] for copies in (1, 2)}
+    raw = {copies: untruncated_quotients(leaves, copies) for copies in (1, 2)}
+    refused = {copies: [i for i, q in enumerate(truncated[copies]) if isinstance(q, str)]
+               for copies in (1, 2)}
+    for copies in (1, 2):
+        assert refused[copies] == [i for i, x in enumerate(raw[copies]) if isinstance(x, str)]
+    assert refused[1] == refused[2] and len(refused[1]) == 14
+
+    chis = {}
+    for i in sorted(set(range(len(leaves))) - set(refused[1])):
+        x, m = raw[2][i], truncated[2][i]
+        assert relative_homology(x) == dual_cohomology(m)
+        assert euler_characteristic(x.chain) - x.chain.cell_count(0) == 2
+        assert euler_characteristic(m.chain) == 2
+        x, m = raw[1][i], truncated[1][i]
+        chi = euler_characteristic(m.chain)
+        dims = f2_dimensions((AbelianGroup(0), *relative_homology(x)))[1:]
+        dual = dims == f2_dimensions(groups(m, 3))[::-1]
+        relation = euler_characteristic(x.chain) - x.chain.cell_count(0) == chi
+        assert dual == relation == (chi == 1)
+        chis[chi] = chis.get(chi, 0) + 1
+    assert chis == {1: 28, 4: 11}
 
 
 def test_census_presentation(census_spec):
@@ -724,7 +774,7 @@ def oracle_cell_table(name: str, facet_a: int, facet_b: int, vertex_map) -> dict
     """``{(dim, cell): (image, sign)}`` over facet_a's closure, by
     ``oracle_map_sign``, refused with ``_pairing_action``'s PairingError."""
     geo = geometry(name)
-    mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
+    mapping = geo.extend_map(facet_a, facet_b, dict(vertex_map))
     table: dict = {}
     try:
         oracle_map_sign(geo.model, geo.model.dim - 1, geo.model_facet[facet_a], mapping, table)
@@ -746,7 +796,7 @@ def _resolves_like_the_oracle(name: str, facet_a: int, facet_b: int, vertex_map)
         return False
     geo = geometry(name)
     model = geo.model
-    mapping = geo.extend_map(Pairing(facet_a, facet_b, vertex_map))
+    mapping = geo.extend_map(facet_a, facet_b, dict(vertex_map))
     ridges, links = gluing._pairing_action(name, facet_a, facet_b, vertex_map)
     got = {}
     for dim, level in enumerate(links):
@@ -809,7 +859,7 @@ def oracle_quotient(spec: SidePairingSpec, copies: int = 1) -> dict:
     top = model.dim
     links: list[dict] = [{} for _ in range(top + 1)]
     for p in spec.pairings:
-        mapping = geo.extend_map(Pairing(p.facet_a, p.facet_b, p.vertex_map))
+        mapping = geo.extend_map(p.facet_a, p.facet_b, p.forward())
         inverse = {w: v for v, w in mapping.items()}
         table: dict = {}
         oracle_map_sign(model, top - 1, geo.model_facet[p.facet_a], mapping, table)

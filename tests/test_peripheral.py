@@ -20,7 +20,6 @@ from dehn24.peripheral import (
     PeripheralSystem,
     adapted_basis,
     cusp_sections,
-    peripheral_matrix,
     peripheral_system,
     report,
     slope,
@@ -112,29 +111,20 @@ def test_no_boundary_means_no_sections():
 # Peripheral matrices.
 
 
-def test_peripheral_matrix_rejects_torsion_section(census_n):
-    with pytest.raises(PeripheralError, match="torsion-free section"):
-        peripheral_matrix(census_n, 0)
-
-
-def test_peripheral_matrix_rejects_ambient_torsion(search_demo):
-    """The first leaf of slice (0, 1), glued on one copy: its third cusp
-    section is torsion-free, but the ambient H_1 is not."""
-    q = quotient_complex(search_demo.Search({0, 1}).run()[0])
-    assert str(homology(cusp_sections(q)[2].chain, 1)) == "Z^2"
-    with pytest.raises(PeripheralError, match=r"^ambient H_1 = Z\^2 \+ Z_2\^4 has torsion; "
-                                              r"peripheral matrices are defined against"):
-        peripheral_matrix(q, 2)
-
-
-def test_peripheral_matrix_range(census_m):
-    with pytest.raises(PeripheralError, match="out of range"):
-        peripheral_matrix(census_m, 5)
+def test_peripheral_system_rejects_a_torsion_section(search_demo):
+    """Leaf 20 of slice (0, 1), on two copies: the ambient H_1 is free, and
+    the first cusp section is not a 3-torus."""
+    q = quotient_complex(search_demo.Search({0, 1}).run()[20], copies=2)
+    assert homology(q.chain, 1).torsion == ()
+    with pytest.raises(PeripheralError, match=r"^cusp 1 section has H_1 = Z \+ Z_2\^2; "
+                                              r"adapted bases need a torsion-free section"):
+        peripheral_system(q)
 
 
 def test_peripheral_matrices_of_m(census_m):
-    for i in range(5):
-        matrix = peripheral_matrix(census_m, i)
+    matrices = peripheral_system(census_m).matrices
+    assert len(matrices) == 5
+    for matrix in matrices:
         assert (matrix.rows, matrix.cols) == (5, 3)
         decomp_rank = sum(1 for j in range(3) if any(matrix.column(j)))
         assert decomp_rank == 1  # exactly one surviving direction
@@ -158,8 +148,9 @@ def test_adapted_basis_sign_fix():
 
 
 def test_adapted_basis_is_unimodular_and_kernel_spans(census_m):
-    for i in range(5):
-        matrix = peripheral_matrix(census_m, i)
+    matrices = peripheral_system(census_m).matrices
+    assert len(matrices) == 5
+    for matrix in matrices:
         k1, k2, k3 = adapted_basis(matrix)
         det = IntMatrix.from_columns([k1, k2, k3]).det()
         assert det in (1, -1)
@@ -289,7 +280,7 @@ def test_slope_identity_and_primitivity():
 
 
 def test_slope_image_constant(census_m):
-    matrix = peripheral_matrix(census_m, 2)
+    matrix = peripheral_system(census_m).matrices[2]
     basis = adapted_basis(matrix)
     expected = matrix.apply(basis[0])
     for b, c in ((0, 0), (3, -7), (-50, 50), (11, 13)):
