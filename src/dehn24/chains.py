@@ -23,10 +23,10 @@ from .intlinalg import (
     AbelianGroup,
     EchelonBasis,
     IntMatrix,
+    _smith,
     chain_invariants,
     forest_kernel,
     kernel_basis,
-    snf,
 )
 from .record import Record
 
@@ -150,17 +150,16 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     else:
         # In the forest basis a cycle's coordinates are its pivot entries.
         image_coords = d_next.submatrix(pivots, range(d_next.cols))
-    z = cycles.cols
-    decomp = snf(image_coords, right=False)
-    rank = decomp.rank
-    factors = decomp.D.diagonal_entries()
-    # Per adapted-basis position: 0 marks a free generator, 1 a killed one.
-    orders = tuple(factors[i] if i < rank else 0 for i in range(z))
+    reduction = _smith(image_coords, right=False)
+    # Per adapted-basis position, the diagonal of D: 0 marks a free
+    # generator, 1 a killed one.
+    orders = tuple(row.get(i, 0) for i, row in enumerate(reduction.d))
     # Generators are the free, then torsion, columns of cycles * U^-1;
-    # only those columns are formed, not the whole product, and only
-    # their rows of U are kept for ``coordinates``.
+    # only those columns of U^-1, and their rows of U for
+    # ``coordinates``, are replayed from the reduction's log.
     kept = [i for i, d in enumerate(orders) if d == 0]
     kept += [i for i, d in enumerate(orders) if d >= 2]
+    to_adapted, from_adapted = reduction.transforms(kept)
     group = AbelianGroup(
         free_rank=sum(1 for d in orders if d == 0),
         torsion=tuple(d for d in orders if d >= 2),
@@ -168,9 +167,9 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     return HomologyBasis(
         group=group,
         dim=k,
-        cycles=cycles * decomp.u_inv.submatrix(range(z), kept),
+        cycles=cycles * from_adapted,
         _kernel=kernel,
-        _to_adapted=decomp.U.submatrix(kept, range(z)),
+        _to_adapted=to_adapted,
         _orders=tuple(orders[i] for i in kept),
         _boundary=d_k,
     )

@@ -17,6 +17,8 @@ mathematics is not met), 2 an input error, 141 a closed output pipe.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -51,6 +53,11 @@ from .gluing import (
 from .peripheral import PeripheralError, cusp_sections, peripheral_system, report
 from .polytope import embedded_cusp_scale
 from .record import Record
+
+# Importing this module means running the program.  At exit, freeze the
+# heap before the interpreter's shutdown collection, which then skips the
+# cached set-up objects and leaves them for the operating system to reclaim.
+atexit.register(gc.freeze)
 
 _CHUNK = 1024
 # The most tuples ``enumerate`` renders; a larger box is refused as input.
@@ -510,9 +517,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     func: Callable[[RunConfig], int] = args.func
+    collecting = gc.isenabled()
     try:
+        # One command leaves a few hundred cyclic objects whatever its size,
+        # so collecting while set-up builds its caches is wasted work.
+        gc.disable()
         config = _config_from_args(args)
-        return func(config)
+        status = func(config)
+        # Fail here, not in the interpreter's final flush, if the reader left.
+        sys.stdout.flush()
+        return status
     except BrokenPipeError:
         # The reader left: exit as SIGPIPE would, and flush to nowhere at exit.
         sys.stdout = open(os.devnull, "w")
@@ -524,6 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

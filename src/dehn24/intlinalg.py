@@ -242,20 +242,16 @@ class IntMatrix:
 class SNFDecomposition(Record):
     """Smith normal form ``U * A * V = D`` with unimodular U and V.
 
-    ``u_inv`` is the exact inverse of U, accumulated during the reduction
-    so no separate inversion is ever needed.  A transform the caller did
-    not ask for is ``None``: U and ``u_inv`` come with the row side, V
-    with the column side.
+    ``u_inv`` is the exact inverse of U, replayed with U from the logged
+    row operations, so no separate inversion is ever needed.  A transform
+    the caller did not ask for is ``None``: U and ``u_inv`` come with the
+    row side, V with the column side.
     """
 
     U: IntMatrix | None
     D: IntMatrix
     V: IntMatrix | None
     u_inv: IntMatrix | None
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.D.diagonal_entries() if d != 0)
 
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.D.diagonal_entries() if d != 0)
@@ -342,48 +338,45 @@ class _Reduction:
     """Mutable state for the Smith reduction, stored row-sparse.
 
     The working matrix is one ``{column: nonzero}`` dict per row, read
-    from the input's column storage; U is kept as row dicts, its inverse
-    and V as column dicts, so every elementary operation costs only the
-    nonzeros it touches.  No zero is ever stored, so the column dicts
-    become the storage of the returned matrices as they stand.  An
-    accumulator that was not asked for is ``None`` and never updated; the
-    pivot sequence depends on the working matrix alone.
+    from the input's column storage, and V, when asked for, is kept as
+    column dicts, so every elementary operation costs only the nonzeros
+    it touches.  U is not accumulated: each row operation is appended to
+    ``log`` as ``(i, k, c)``, where c != 0 adds c * row k to row i,
+    ``(i, i, 0)`` negates row i and ``(i, k, 0)`` swaps rows i and k.
+    ``transforms`` replays the log onto just the rows of U and columns of
+    U^-1 a caller reads.  No zero is ever stored, so the column dicts
+    become the storage of the returned matrices as they stand; the pivot
+    sequence depends on the working matrix alone.
     """
 
-    def __init__(self, a: IntMatrix, left: bool, right: bool):
+    def __init__(self, a: IntMatrix, right: bool):
         self.m = a.rows
         self.n = a.cols
         self.d = _transposed(a._cols, self.m)
-        self.u = [{i: 1} for i in range(self.m)] if left else None
-        self.ui = [{i: 1} for i in range(self.m)] if left else None
+        self.log: list[tuple[int, int, int]] = []
         self.v = [{j: 1} for j in range(self.n)] if right else None
         # Stage of the reduction: rows t..m-1 are the active ones.
         self.t = 0
 
-    # Row operations act on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
+    # Row operations act on the left, D <- E D, and are logged: U is the
+    # product of the logged E, the last one leftmost.
 
     def swap_rows(self, i: int, k: int) -> None:
         if i == k:
             return
         self.d[i], self.d[k] = self.d[k], self.d[i]
-        if self.u is not None:
-            self.u[i], self.u[k] = self.u[k], self.u[i]
-            self.ui[i], self.ui[k] = self.ui[k], self.ui[i]
+        self.log.append((i, k, 0))
 
     def negate_row(self, i: int) -> None:
         self.d[i] = {j: -x for j, x in self.d[i].items()}
-        if self.u is not None:
-            self.u[i] = {j: -x for j, x in self.u[i].items()}
-            self.ui[i] = {j: -x for j, x in self.ui[i].items()}
+        self.log.append((i, i, 0))
 
     def add_row(self, i: int, k: int, c: int) -> None:
-        """row_i += c * row_k; inverse transform: col_k of Uinv -= c * col_i."""
+        """row_i += c * row_k."""
         if c == 0:
             return
         _add_scaled(self.d[i], self.d[k], c)
-        if self.u is not None:
-            _add_scaled(self.u[i], self.u[k], c)
-            _add_scaled(self.ui[k], self.ui[i], -c)
+        self.log.append((i, k, c))
 
     # Column operations act on the right: D <- D F, V <- V F.  They only
     # ever touch columns >= t, and every row above t already holds its
@@ -440,42 +433,39 @@ class _Reduction:
                         break
         return best
 
-    def matrices(self) -> tuple[IntMatrix | None, IntMatrix, IntMatrix | None, IntMatrix | None]:
-        """U, D, V and U^-1 as ``IntMatrix`` values (``None`` when not kept)."""
-        m, n = self.m, self.n
-        u = ui = v = None
-        if self.u is not None:
-            u = IntMatrix._adopt(m, _transposed(self.u, m))
-            ui = IntMatrix._adopt(m, self.ui)
-        if self.v is not None:
-            v = IntMatrix._adopt(n, self.v)
-        return u, IntMatrix._adopt(m, _transposed(self.d, n)), v, ui
+    def transforms(self, kept: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
+        """Rows ``kept`` of U and columns ``kept`` of U^-1, in that order.
+
+        With U = E_N ... E_1 for the logged operations, row r of U is
+        e_r^T E_N ... E_1 and column j of U^-1 is E_1^-1 ... E_N^-1 e_j,
+        so both come from one backward pass over the log, each vector
+        starting as a unit vector: for row_i += c * row_k, a row of U
+        takes entry k += c * entry i and a column of U^-1 entry
+        i -= c * entry k.  ``u[j]`` holds column j of the kept rows of U
+        and ``ui[i]`` row i of the kept columns of U^-1.
+        """
+        u: list[dict[int, int]] = [{} for _ in range(self.m)]
+        ui: list[dict[int, int]] = [{} for _ in range(self.m)]
+        for position, r in enumerate(kept):
+            u[r][position] = ui[r][position] = 1
+        for i, k, c in reversed(self.log):
+            if c:
+                _add_scaled(u[k], u[i], c)
+                _add_scaled(ui[i], ui[k], -c)
+            elif i == k:
+                u[i] = {j: -x for j, x in u[i].items()}
+                ui[i] = {j: -x for j, x in ui[i].items()}
+            else:
+                u[i], u[k] = u[k], u[i]
+                ui[i], ui[k] = ui[k], ui[i]
+        return (IntMatrix._adopt(len(kept), u),
+                IntMatrix._adopt(self.m, _transposed(ui, len(kept))))
 
 
-def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
-    """Smith normal form of an integer matrix.
-
-    The pivot at each stage is the nonzero entry of minimal absolute value
-    in the active submatrix, ties broken by lowest row then lowest column;
-    this keeps coefficient growth modest without modular tricks.  The
-    reduction is fully deterministic, so the transforms (and everything
-    derived from them, like canonical homology bases) are reproducible.
-
-    The working matrix and the transforms are stored row- or column-sparse
-    while the reduction runs and come back in the matrices' own column
-    storage, so a step costs the nonzeros it touches rather than the size
-    of the matrix; the pivot rule above fixes every step, so the results
-    are those of the plain dense elimination.
-
-    ``left=False`` skips U and its inverse, ``right=False`` skips V; the
-    skipped fields come back as ``None``.  Neither flag changes D or the
-    transforms that are built, so callers that need only the invariant
-    factors pay for the working matrix alone; in the package those are
-    the residues of ``chain_invariants`` with content 1 and no unit.  The
-    package itself never asks for V: its kernels come from
-    ``hermite_graph``.
-    """
-    r = _Reduction(a, left, right)
+def _smith(a: IntMatrix, right: bool) -> _Reduction:
+    """The finished Smith reduction of ``a`` (see ``snf``), V kept only
+    when ``right``: its working matrix holds D, and its log gives U."""
+    r = _Reduction(a, right)
     d = r.d
     while r.t < min(r.m, r.n):
         t = r.t
@@ -517,8 +507,39 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
                 break
             r.add_row(t, bad_row, 1)
         r.t += 1
-    u, dm, v, ui = r.matrices()
-    return SNFDecomposition(U=u, D=dm, V=v, u_inv=ui)
+    return r
+
+
+def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
+    """Smith normal form of an integer matrix.
+
+    The pivot at each stage is the nonzero entry of minimal absolute value
+    in the active submatrix, ties broken by lowest row then lowest column;
+    this keeps coefficient growth modest without modular tricks.  The
+    reduction is fully deterministic, so the transforms (and everything
+    derived from them, like canonical homology bases) are reproducible.
+
+    The working matrix and V are stored row- or column-sparse while the
+    reduction runs and come back in the matrices' own column storage, so
+    a step costs the nonzeros it touches rather than the size of the
+    matrix; U and U^-1 are replayed afterwards from the logged row
+    operations.  The pivot rule above fixes every step, so the results
+    are those of the plain dense elimination.
+
+    ``left=False`` skips U and its inverse, ``right=False`` skips V; the
+    skipped fields come back as ``None``.  Neither flag changes D or the
+    transforms that are built, so callers that need only the invariant
+    factors pay for the working matrix and its log; in the package those
+    are the residues of ``chain_invariants`` with content 1 and no unit.  The
+    package itself never asks for V: its kernels come from
+    ``hermite_graph``, and ``homology_basis`` replays only the rows of U
+    it keeps.
+    """
+    r = _smith(a, right)
+    u, ui = r.transforms(range(r.m)) if left else (None, None)
+    v = None if r.v is None else IntMatrix._adopt(r.n, r.v)
+    d = IntMatrix._adopt(r.m, _transposed(r.d, r.n))
+    return SNFDecomposition(U=u, D=d, V=v, u_inv=ui)
 
 
 class _SparseMap:

@@ -303,21 +303,29 @@ def test_group_only_homology_builds_no_transforms(census_n, census_m, monkeypatc
 
 
 def test_generator_path_builds_only_the_transforms_it_reads(monkeypatch):
-    """kernel_basis runs no Smith form; homology_basis reads only U and U^-1."""
-    flags = []
-    real_snf = intlinalg.snf
+    """kernel_basis runs no Smith form; homology_basis runs one reduction
+    without V and replays its log onto the kept rows of U and columns of
+    U^-1 alone (``snf`` would replay onto every row)."""
+    reductions, replays = [], []
+    real_smith, real_transforms = intlinalg._smith, intlinalg._Reduction.transforms
 
-    def recording_snf(a, *, left=True, right=True):
-        flags.append((left, right))
-        return real_snf(a, left=left, right=right)
+    def recording_smith(a, right):
+        reductions.append(right)
+        return real_smith(a, right)
 
-    for module in (chains, intlinalg):
-        monkeypatch.setattr(module, "snf", recording_snf)
+    def recording_transforms(self, kept):
+        replays.append(list(kept))
+        return real_transforms(self, kept)
+
+    monkeypatch.setattr(chains, "_smith", recording_smith)
+    monkeypatch.setattr(intlinalg, "_smith", recording_smith)
+    monkeypatch.setattr(intlinalg._Reduction, "transforms", recording_transforms)
     c = klein_bottle()
     intlinalg.kernel_basis(c.boundary[1])
-    assert flags == []
+    assert reductions == replays == []
     assert homology_basis.__wrapped__(c, 1).group == AbelianGroup(1, (2,))
-    assert flags == [(True, False)]
+    # The Klein bottle's two cycles: one free generator, one of order 2.
+    assert (reductions, replays) == ([False], [[1, 0]])
 
 
 def _dense_generators(c: ChainComplex, k: int):
@@ -346,7 +354,8 @@ def _dense_generators(c: ChainComplex, k: int):
                                    rows=cycles.cols)
     decomp = intlinalg.snf(image)
     factors = decomp.D.diagonal_entries()
-    orders = [factors[i] if i < decomp.rank else 0 for i in range(cycles.cols)]
+    rank = len(decomp.invariant_factors())
+    orders = [factors[i] if i < rank else 0 for i in range(cycles.cols)]
     free = [i for i, d in enumerate(orders) if d == 0]
     torsion = [i for i, d in enumerate(orders) if d >= 2]
     adapted = cycles * decomp.u_inv

@@ -5,6 +5,8 @@ stdout, so the full pipeline (parsing, gluing, peripheral structure,
 development, filling) runs exactly as a shell user would see it.
 """
 
+import gc
+import io
 import json
 import math
 import os
@@ -35,6 +37,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _child_env(unbuffered: bool = False) -> dict:
+    """The environment of a child that imports the package this process
+    imported, installed or not, with stdout buffered unless asked."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def test_build_table_report(capsys):
@@ -669,49 +683,136 @@ def test_endless_pairing_file_is_refused(tmp_path):
 
 def test_cold_fill_builds_no_smith_column_transform(capsys, monkeypatch):
     """Kernels and adapted bases come from Hermite reductions: a cold
-    fill asks no Smith form for its column transform V."""
-    real_snf = intlinalg.snf
-    sides = []
+    fill asks no Smith form for its column transform V, and replays each
+    reduction's row operations onto only the generators it keeps, 5 rows
+    of U and 5 columns of U^-1 for the ambient H_1 and 3 and 3 per cusp."""
+    real_smith, real_transforms = intlinalg._smith, intlinalg._Reduction.transforms
+    sides, kept = [], []
 
-    def recording_snf(a, *, left=True, right=True):
+    def recording_smith(a, right):
         sides.append(right)
-        return real_snf(a, left=left, right=right)
+        return real_smith(a, right)
 
-    for module in (chains, intlinalg):
-        monkeypatch.setattr(module, "snf", recording_snf)
+    def recording_transforms(self, positions):
+        kept.append(len(positions))
+        return real_transforms(self, positions)
+
+    monkeypatch.setattr(chains, "_smith", recording_smith)
+    monkeypatch.setattr(intlinalg, "_smith", recording_smith)
+    monkeypatch.setattr(intlinalg._Reduction, "transforms", recording_transforms)
     for cached in (chains.homology_basis, chains._boundary_invariants, peripheral.cusp_sections):
         cached.cache_clear()
     code, out, err = run(capsys, "fill", "3,3", "3,3", "3,3", "3,3", "3,3")
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "fill_3_3.out").read_bytes()
-    assert sides and not any(sides)
+    assert sides == [False] * 6
+    assert kept == [5, 3, 3, 3, 3, 3]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_output_pipe_exits_141(unbuffered):
     """A reader that stops after one line gets the status of a filter
     killed by SIGPIPE, 128 + 13, and nothing on stderr."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     # About 95 kB of records: more than the pipe holds, so a write fails.
     proc = subprocess.Popen([sys.executable, "-m", "dehn24.cli", "enumerate", "--box=0:1"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_child_env(unbuffered))
     assert proc.stdout.readline().startswith(b" b1  c1")
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["fill"] + ["3,3"] * 5, ["build"], ["peripheral"],
+                                  ["enumerate", "--box=0:0"]],
+                         ids=["fill", "build", "peripheral", "enumerate"])
+def test_reader_gone_before_the_start_exits_141(unbuffered, argv):
+    """Output that fits in stdout's buffer fails in main's own flush, not
+    in the interpreter's at exit, so a reader that closed before the
+    command started gets 141 and nothing on stderr as well."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dehn24.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=_child_env(unbuffered), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class _GoneReader(io.StringIO):
+    """A stdout whose reader has left."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "not-collecting"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting):
+    """main turns the collector off while a command runs and puts it back
+    on every exit: success, contract failure, input error and a reader
+    that left.  It freezes nothing in-process; only the exit hook does."""
+    was_collecting, frozen = gc.isenabled(), gc.get_freeze_count()
+    during = []
+    real_load_spec = cli._load_spec
+
+    def recording_load_spec(config):
+        during.append(gc.isenabled())
+        return real_load_spec(config)
+
+    monkeypatch.setattr(cli, "_load_spec", recording_load_spec)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, status in [(["cusps"], 0), (["lattice", "--copies", "1"], 1),
+                             (["enumerate", "--box=1:0"], 2)]:
+            assert run(capsys, *argv)[0] == status
+            assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
+        monkeypatch.setattr(sys, "stdout", _GoneReader())
+        assert main(["cusps"]) == 141
+        sys.stdout.close()
+        assert (gc.isenabled(), gc.get_freeze_count()) == (collecting, frozen)
+        assert during == [False] * 3
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+
+
+def test_the_heap_is_frozen_at_exit_with_stdout_whole():
+    """The CLI registers ``gc.freeze`` at import, so a hook registered
+    before that import runs after it and finds the heap frozen, with the
+    output still flushed byte for byte."""
+    code = ("import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "from dehn24.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, "fill"] + ["3,3"] * 5,
+                          capture_output=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"True\n")
+    assert proc.stdout == (GOLDEN / "fill_3_3.out").read_bytes()
+
+
+def test_records_leave_no_cyclic_garbage(capsys):
+    """Collecting is safe to skip while a command runs because its cyclic
+    garbage does not grow with the box: a collection after 1,024 records
+    finds as many unreachable objects as after one."""
+    was_collecting = gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, "enumerate", "--box=0:0")[0] == 0
+        gc.collect()
+        found = []
+        for box in ("--box=0:0", "--box=0:1"):
+            assert run(capsys, "enumerate", box)[0] == 0
+            found.append(gc.collect())
+        assert found[0] == found[1]
+    finally:
+        if was_collecting:
+            gc.enable()
+
+
 def test_console_entry_point_runs():
-    # The child imports the package this process imported, installed or not.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dehn24.cli", "build", "--format", "jsonl"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["chi"] == 1

@@ -505,6 +505,51 @@ def test_snf_matches_dense_oracle_on_census(census_oracle, left, right):
         assert got.V == (dense.V if right else None)
 
 
+def test_replayed_transforms_match_the_dense_oracle(census_m, monkeypatch):
+    """The log replayed onto some positions gives the dense oracle's rows
+    of U and columns of U^-1 there, in the order asked: on the six
+    matrices behind the cover's peripheral H_1 bases (the ambient's and
+    each cusp's) and on seeded matrices of deficient rank with torsion,
+    for the free-then-torsion positions ``homology_basis`` keeps and for
+    seeded samples."""
+    inputs = []
+
+    def recording_smith(a, right):
+        inputs.append(a)
+        return intlinalg._smith(a, right)
+
+    monkeypatch.setattr(chains, "_smith", recording_smith)
+    for c in [census_m.chain] + [s.chain for s in cusp_sections(census_m)]:
+        homology_basis.__wrapped__(c, 1)
+    monkeypatch.undo()
+    assert [a.rows for a in inputs] == [121, 9, 9, 9, 9, 65]
+    rng = random.Random(83)
+    shapes = []
+    for _ in range(60):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(m, n))
+        factors, d = [], 1
+        for _ in range(rank):
+            d *= rng.choice((1, 1, 2, 3))
+            factors.append(d)
+        diagonal = IntMatrix([[factors[i] if i == j and i < rank else 0 for j in range(n)]
+                              for i in range(m)], cols=n)
+        inputs.append(random_unimodular(rng, m) * diagonal * random_unimodular(rng, n))
+        shapes.append((rank < min(m, n), bool(factors) and factors[-1] > 1))
+    assert {(True, True), (False, True), (True, False)} <= set(shapes)
+    for a in inputs:
+        dense = dense_snf(a, right=False)
+        reduction = intlinalg._smith(a, False)
+        orders = [row.get(i, 0) for i, row in enumerate(reduction.d)]
+        kept = [i for i, d in enumerate(orders) if d == 0]
+        kept += [i for i, d in enumerate(orders) if d >= 2]
+        sample = rng.sample(range(a.rows), rng.randint(0, a.rows))
+        for positions in (kept, sample):
+            u, u_inv = reduction.transforms(positions)
+            assert u == dense.U.submatrix(positions, range(a.rows))
+            assert u_inv == dense.u_inv.submatrix(range(a.rows), positions)
+
+
 def test_snf_never_builds_a_dense_matrix(census_m, monkeypatch):
     """The reduction reads its input and builds its outputs, nothing more:
     ``IntMatrix`` keeps no dense row copy, and with the identity refused
@@ -666,7 +711,7 @@ def test_kernel_basis_is_actual_kernel():
         # Columns are integrally independent: Hermite form has no zero column.
         if k.cols:
             decomp = snf(k)
-            assert decomp.rank == k.cols
+            assert len(decomp.invariant_factors()) == k.cols
 
 
 def test_kernel_basis_canonical_under_row_operations():
@@ -898,7 +943,8 @@ def test_kernel_bases_match_dense_hermite_on_census(census_n, census_m):
     for q in (census_n, census_m):
         for d in q.chain.boundary:
             decomp = snf(d, left=False)
-            raw = [list(decomp.V.column(j)) for j in range(decomp.rank, decomp.V.cols)]
+            rank = len(decomp.invariant_factors())
+            raw = [list(decomp.V.column(j)) for j in range(rank, decomp.V.cols)]
             want = [r for r in dense_row_hermite(raw, decomp.V.rows) if any(r)]
             got = kernel_basis(d)
             assert [list(got.column(j)) for j in range(got.cols)] == want
@@ -912,7 +958,7 @@ def smith_kernel_basis(a: IntMatrix) -> IntMatrix:
     """The kernel route before ``hermite_graph``, kept as an oracle: the
     last columns of the Smith column transform V, in Hermite form."""
     decomp = snf(a, left=False)
-    raw = [decomp.V.column(j) for j in range(decomp.rank, a.cols)]
+    raw = [decomp.V.column(j) for j in range(len(decomp.invariant_factors()), a.cols)]
     if not raw:
         return IntMatrix.zero(a.cols, 0)
     return transpose(row_hermite(IntMatrix(raw, cols=a.cols)))
