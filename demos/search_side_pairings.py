@@ -267,7 +267,7 @@ class Search:
                 self.remove(assignment, a1, b1)
 
 
-def invariant_cascade(leaves, verbose=True):
+def invariant_cascade(leaves):
     counts = {"leaves": len(leaves), "cusp pattern": 0, "H1 = Z_2^6": 0,
               "nonorientable": 0, "manifold build": 0,
               "full homology": 0, "double cover": 0}
@@ -301,9 +301,8 @@ def invariant_cascade(leaves, verbose=True):
             continue
         counts["double cover"] += 1
         survivors.append(spec)
-    if verbose:
-        for stage, n in counts.items():
-            print(f"  {stage}: {n}")
+    for stage, n in counts.items():
+        print(f"  {stage}: {n}")
     return survivors
 
 

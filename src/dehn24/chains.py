@@ -86,7 +86,6 @@ class HomologyBasis(Record):
     """
 
     group: AbelianGroup
-    dim: int
     cycles: IntMatrix
     _kernel: EchelonBasis
     # Rows of U for the generators, and each generator's order (0 if free).
@@ -150,10 +149,10 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     else:
         # In the forest basis a cycle's coordinates are its pivot entries.
         image_coords = d_next.submatrix(pivots, range(d_next.cols))
-    reduction = _smith(image_coords, right=False)
+    reduction = _smith(image_coords, False)
     # Per adapted-basis position, the diagonal of D: 0 marks a free
     # generator, 1 a killed one.
-    orders = tuple(row.get(i, 0) for i, row in enumerate(reduction.d))
+    orders = reduction.diagonal()
     # Generators are the free, then torsion, columns of cycles * U^-1;
     # only those columns of U^-1, and their rows of U for
     # ``coordinates``, are replayed from the reduction's log.
@@ -166,7 +165,6 @@ def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     )
     return HomologyBasis(
         group=group,
-        dim=k,
         cycles=cycles * from_adapted,
         _kernel=kernel,
         _to_adapted=to_adapted,

@@ -209,7 +209,6 @@ def _sphere_cycle(k: int, subs: list[int], previous) -> tuple[tuple[int, int], .
 class Geometry(Record, eq=False):
     """Binding between spec-level facets and a concrete cell model."""
 
-    name: str
     model: CellModel
     spec_vertex_count: int
     facet_vertices: tuple[tuple[int, ...], ...]
@@ -245,9 +244,9 @@ def geometry(name: str) -> Geometry:
     if name == "ideal24":
         return _ideal24_geometry()
     if name == "square":
-        return _closed_geometry(name, _square_faces())
+        return _closed_geometry(_square_faces())
     if name == "cube":
-        return _closed_geometry(name, _cube_faces())
+        return _closed_geometry(_cube_faces())
     raise GluingError(f"unknown geometry {name!r}")
 
 
@@ -278,7 +277,6 @@ def _ideal24_geometry() -> Geometry:
         return mapping
 
     return Geometry(
-        name="ideal24",
         model=model,
         spec_vertex_count=24,
         facet_vertices=base.faces[3],
@@ -288,7 +286,7 @@ def _ideal24_geometry() -> Geometry:
     )
 
 
-def _closed_geometry(name: str, faces) -> Geometry:
+def _closed_geometry(faces) -> Geometry:
     """A small untruncated polytope for test gluings.
 
     Spec facets are the model's own facets, pairings act on the model's
@@ -297,7 +295,6 @@ def _closed_geometry(name: str, faces) -> Geometry:
     top = len(faces) - 1
     facets = faces[top - 1]
     return Geometry(
-        name=name,
         model=build_cell_model(faces),
         spec_vertex_count=len(faces[0]),
         facet_vertices=facets,
@@ -475,11 +472,11 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
     tuple over the cell's vertex positions to one over the image's,
     reading image position j from the cell position of the vertex sent
     there; ``backward`` carries it back.  A vertex has the one position
-    0, so dimension-0 links carry None for both.  ``ridges`` is the ridge
-    map and that map's inverse.  Copy indices play no part, so both
-    copies of a double cover share one cache entry.  A map whose domain
-    or image is not its facet's vertex set, or that sends a face to a
-    non-face, raises PairingError.
+    0, so dimension-0 links carry the identity, ``tuple``, for both.
+    ``ridges`` is the ridge map and that map's inverse.  Copy indices
+    play no part, so both copies of a double cover share one cache
+    entry.  A map whose domain or image is not its facet's vertex set,
+    or that sends a face to a non-face, raises PairingError.
 
     The closure of ``facet_a`` is collected downward and resolved upward,
     so each cell's sign reads the signs of its subcells' images.
@@ -507,7 +504,7 @@ def _pairing_action(name: str, facet_a: int, facet_b: int,
                 raise PairingError(f"bijection sends facet {facet_a} to a non-face of "
                                    f"facet {facet_b}: {error}") from None
             if not k:
-                links[0].append((cell, target, 1, None, None))
+                links[0].append((cell, target, 1, tuple, tuple))
                 continue
             least, unit = min(entries[k][target])
             sign = next(coeff * below[sub][1] * unit for sub, coeff in entries[k][cell]
@@ -653,17 +650,9 @@ def quotient_complex(spec: SidePairingSpec, copies: int = 1) -> QuotientComplex:
 
     # Per dimension, a list on keys copy * n + cell holds each key's orbit,
     # sign and vertex positions in its orbit's representative, the least
-    # key.  Vertices carry sign +1 and position (0,), so their orbits are
-    # union-find classes; higher cells are walked along the links.
-    n = len(model.cells[0])
-    roots = _least_members(spec.copies * n, (
-        (copy_a * n + a, copy_b * n + b)
-        for copy_a, copy_b, per_dim in actions for a, b, _, _, _ in per_dim[0]))
-    reps = [key for key, root in enumerate(roots) if key == root]
-    entry = {key: (orbit, 1, (0,)) for orbit, key in enumerate(reps)}
-    levels = [[entry[root] for root in roots]]
-    representatives = [tuple(divmod(key, n) for key in reps)]
-    for k in range(1, top + 1):
+    # key, walked along the links from that key.
+    levels, representatives = [], []
+    for k in range(top + 1):
         n = len(cells := model.cells[k])
         reps = []
         links: list[list] = [[] for _ in range(spec.copies * n)]

@@ -240,18 +240,11 @@ class IntMatrix:
 
 
 class SNFDecomposition(Record):
-    """Smith normal form ``U * A * V = D`` with unimodular U and V.
+    """Smith normal form ``U * A * V = D`` with unimodular U and V."""
 
-    ``u_inv`` is the exact inverse of U, replayed with U from the logged
-    row operations, so no separate inversion is ever needed.  A transform
-    the caller did not ask for is ``None``: U and ``u_inv`` come with the
-    row side, V with the column side.
-    """
-
-    U: IntMatrix | None
+    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix | None
-    u_inv: IntMatrix | None
+    V: IntMatrix
 
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.D.diagonal_entries() if d != 0)
@@ -433,6 +426,10 @@ class _Reduction:
                         break
         return best
 
+    def diagonal(self) -> tuple[int, ...]:
+        """Per row position, D's diagonal entry once finished: 0 past the rank."""
+        return tuple(row.get(i, 0) for i, row in enumerate(self.d))
+
     def transforms(self, kept: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
         """Rows ``kept`` of U and columns ``kept`` of U^-1, in that order.
 
@@ -510,7 +507,7 @@ def _smith(a: IntMatrix, right: bool) -> _Reduction:
     return r
 
 
-def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
+def snf(a: IntMatrix) -> SNFDecomposition:
     """Smith normal form of an integer matrix.
 
     The pivot at each stage is the nonzero entry of minimal absolute value
@@ -522,24 +519,19 @@ def snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposit
     The working matrix and V are stored row- or column-sparse while the
     reduction runs and come back in the matrices' own column storage, so
     a step costs the nonzeros it touches rather than the size of the
-    matrix; U and U^-1 are replayed afterwards from the logged row
-    operations.  The pivot rule above fixes every step, so the results
-    are those of the plain dense elimination.
+    matrix; U is replayed afterwards from the logged row operations.  The
+    pivot rule above fixes every step, so the results are those of the
+    plain dense elimination.
 
-    ``left=False`` skips U and its inverse, ``right=False`` skips V; the
-    skipped fields come back as ``None``.  Neither flag changes D or the
-    transforms that are built, so callers that need only the invariant
-    factors pay for the working matrix and its log; in the package those
-    are the residues of ``chain_invariants`` with content 1 and no unit.  The
-    package itself never asks for V: its kernels come from
-    ``hermite_graph``, and ``homology_basis`` replays only the rows of U
-    it keeps.
+    The package itself calls ``_smith``: the residues of
+    ``chain_invariants`` with content 1 and no unit read only the
+    reduction's diagonal, and ``homology_basis`` replays only the rows of
+    U and columns of U^-1 it keeps.
     """
-    r = _smith(a, right)
-    u, ui = r.transforms(range(r.m)) if left else (None, None)
-    v = None if r.v is None else IntMatrix._adopt(r.n, r.v)
-    d = IntMatrix._adopt(r.m, _transposed(r.d, r.n))
-    return SNFDecomposition(U=u, D=d, V=v, u_inv=ui)
+    r = _smith(a, True)
+    u, _ = r.transforms(range(r.m))
+    return SNFDecomposition(U=u, D=IntMatrix._adopt(r.m, _transposed(r.d, r.n)),
+                            V=IntMatrix._adopt(r.n, r.v))
 
 
 class _SparseMap:
@@ -612,7 +604,7 @@ class _SparseMap:
         is divided out into a running scale and the quotient swept again:
         SNF(g M) = g SNF(M), so each unit pivot found then is one factor
         equal to the scale.  Only a residue of content 1 with no unit goes
-        to ``snf``, its factors times the scale.  Scales only grow by
+        to ``_smith``, its diagonal times the scale.  Scales only grow by
         multiples, so the factors come out as a divisibility chain.
         """
         factors = [1] * self.units
@@ -624,8 +616,7 @@ class _SparseMap:
                 if g == 1:
                     break
             if g == 1:
-                decomp = snf(self.residue(), left=False, right=False)
-                factors += [scale * d for d in decomp.invariant_factors()]
+                factors += [scale * d for d in _smith(self.residue(), False).diagonal() if d]
                 break
             for row in self.rows:
                 for j in row:
@@ -661,7 +652,7 @@ def chain_invariants(maps: Sequence[IntMatrix]) -> tuple[tuple[int, tuple[int, .
     reduced maps still compose to zero.  Each map then finishes alone, by
     content division (``_SparseMap.finish``): a residue that is g times a
     matrix with unit pivots needs no Smith form, and only one of content 1
-    with no unit goes to ``snf`` without transforms.  No input is changed.
+    with no unit goes to ``_smith`` without transforms.  No input is changed.
     """
     work = [_SparseMap(_transposed(a._cols, a.rows), {j: set(c) for j, c in enumerate(a._cols)})
             for a in maps]

@@ -485,7 +485,7 @@ def untruncated_quotients(specs, copies: int) -> list:
     ideal points, one per cusp.  Near each vertex X is the cone on a cusp
     section, so H_k(X, X^0) = H_k(M-bar, boundary M-bar), from a cell
     structure that shares no cell with the truncated model."""
-    raw = gluing._closed_geometry("raw24", build_24cell().faces)
+    raw = gluing._closed_geometry(build_24cell().faces)
     named = gluing.geometry
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gluing, "geometry", lambda name: raw if name == "raw24" else named(name))
@@ -804,8 +804,7 @@ def _resolves_like_the_oracle(name: str, facet_a: int, facet_b: int, vertex_map)
             got[dim, cell] = (image, sign)
             source, target = model.cells[dim][cell], model.cells[dim][image]
             if dim == 0:
-                assert (forward, backward) == (None, None)
-                continue
+                assert (forward, backward) == (tuple, tuple)
             positions = range(len(source))
             assert backward(positions) == tuple(target.index(mapping[v]) for v in source)
             assert forward(positions) == tuple(source.index(v) for w in target
@@ -967,6 +966,38 @@ def test_orbit_walk_matches_oracle_on_search_leaves(search_demo, key, nonorienta
     agreed = [spec for spec in specs if agrees_with_oracle(spec)]
     assert (len(specs), len(agreed)) == (nonorientable, built)
     assert all(agrees_with_oracle(spec, 2) for spec in agreed)
+
+
+def union_find_vertex_orbits(q) -> tuple:
+    """``q``'s vertex representatives and orbit index as union-find
+    classes of the pairings' vertex links (``_least_members``): each
+    class is an orbit, its least key the representative, every vertex
+    at sign +1 and position (0,)."""
+    spec = q.spec
+    n = len(geometry(spec.geometry).model.cells[0])
+    joins = [(p.copy_a * n + a, p.copy_b * n + b) for p in spec.pairings
+             for a, b, *_ in gluing._pairing_action(spec.geometry, p.facet_a, p.facet_b,
+                                                    p.vertex_map)[1][0]]
+    roots = gluing._least_members(spec.copies * n, joins)
+    reps = [key for key, root in enumerate(roots) if key == root]
+    orbit = {key: i for i, key in enumerate(reps)}
+    return (tuple(divmod(key, n) for key in reps),
+            {divmod(key, n): (orbit[root], 1, (0,)) for key, root in enumerate(roots)})
+
+
+def test_vertex_orbits_of_the_walk_are_union_find_classes(census_n, census_m, search_demo):
+    """The link walk finds the vertices' orbits too: on the census at 1 and
+    2 copies and on every quotient built from slice (0, 1)'s leaves."""
+    quotients = [census_n, census_m]
+    for spec in search_demo.Search({0, 1}).run():
+        for copies in (1, 2):
+            try:
+                quotients.append(quotient_complex(spec, copies=copies))
+            except GluingError:
+                pass
+    assert len(quotients) == 2 + 78
+    for q in quotients:
+        assert (q.representatives[0], q.orbit_index[0]) == union_find_vertex_orbits(q)
 
 
 def oracle_vertex_cycles(spec: SidePairingSpec):

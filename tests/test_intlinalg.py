@@ -88,17 +88,15 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 class _DenseReduction:
     """Mutable state for the Smith reduction: the working matrix plus the
-    accumulators for U and its inverse (``left``) and for V (``right``).
-    An accumulator that was not asked for is ``None`` and never updated;
-    the pivot sequence depends on the working matrix alone."""
+    accumulators for U, its inverse and V."""
 
-    def __init__(self, a: IntMatrix, left: bool, right: bool):
+    def __init__(self, a: IntMatrix):
         self.m = a.rows
         self.n = a.cols
         self.d = row_lists(a)
-        self.u = row_lists(IntMatrix.identity(self.m)) if left else None
-        self.ui = row_lists(IntMatrix.identity(self.m)) if left else None
-        self.v = row_lists(IntMatrix.identity(self.n)) if right else None
+        self.u = row_lists(IntMatrix.identity(self.m))
+        self.ui = row_lists(IntMatrix.identity(self.m))
+        self.v = row_lists(IntMatrix.identity(self.n))
 
     # Row operations act on the left: D <- E D, U <- E U, Uinv <- Uinv E^-1.
 
@@ -106,17 +104,15 @@ class _DenseReduction:
         if i == k:
             return
         self.d[i], self.d[k] = self.d[k], self.d[i]
-        if self.u is not None:
-            self.u[i], self.u[k] = self.u[k], self.u[i]
-            for row in self.ui:
-                row[i], row[k] = row[k], row[i]
+        self.u[i], self.u[k] = self.u[k], self.u[i]
+        for row in self.ui:
+            row[i], row[k] = row[k], row[i]
 
     def negate_row(self, i: int) -> None:
         self.d[i] = [-x for x in self.d[i]]
-        if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
-            for row in self.ui:
-                row[i] = -row[i]
+        self.u[i] = [-x for x in self.u[i]]
+        for row in self.ui:
+            row[i] = -row[i]
 
     def add_row(self, i: int, k: int, c: int) -> None:
         """row_i += c * row_k; inverse transform: col_k of Uinv -= c * col_i."""
@@ -125,12 +121,11 @@ class _DenseReduction:
         di, dk = self.d[i], self.d[k]
         for j in range(self.n):
             di[j] += c * dk[j]
-        if self.u is not None:
-            ui_, uk = self.u[i], self.u[k]
-            for j in range(self.m):
-                ui_[j] += c * uk[j]
-            for row in self.ui:
-                row[k] -= c * row[i]
+        ui_, uk = self.u[i], self.u[k]
+        for j in range(self.m):
+            ui_[j] += c * uk[j]
+        for row in self.ui:
+            row[k] -= c * row[i]
 
     # Column operations act on the right: D <- D F, V <- V F.
 
@@ -139,9 +134,8 @@ class _DenseReduction:
             return
         for row in self.d:
             row[j], row[k] = row[k], row[j]
-        if self.v is not None:
-            for row in self.v:
-                row[j], row[k] = row[k], row[j]
+        for row in self.v:
+            row[j], row[k] = row[k], row[j]
 
     def add_col(self, j: int, k: int, c: int) -> None:
         """col_j += c * col_k."""
@@ -149,26 +143,20 @@ class _DenseReduction:
             return
         for row in self.d:
             row[j] += c * row[k]
-        if self.v is not None:
-            for row in self.v:
-                row[j] += c * row[k]
+        for row in self.v:
+            row[j] += c * row[k]
 
 
-def dense_snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDecomposition:
-    """Smith normal form of an integer matrix.
+def dense_snf(a: IntMatrix) -> tuple[SNFDecomposition, IntMatrix]:
+    """Smith normal form of an integer matrix, and U^-1.
 
     The pivot at each stage is the nonzero entry of minimal absolute value
     in the active submatrix, ties broken by lowest row then lowest column;
     this keeps coefficient growth modest without modular tricks.  The
     reduction is fully deterministic, so the transforms (and everything
     derived from them, like canonical homology bases) are reproducible.
-
-    ``left=False`` skips U and its inverse, ``right=False`` skips V; the
-    skipped fields come back as ``None``.  Neither flag changes D or the
-    transforms that are built, so callers that need only the invariant
-    factors pay for the working matrix alone.
     """
-    r = _DenseReduction(a, left, right)
+    r = _DenseReduction(a)
     m, n = r.m, r.n
     t = 0
     while t < min(m, n):
@@ -217,12 +205,14 @@ def dense_snf(a: IntMatrix, *, left: bool = True, right: bool = True) -> SNFDeco
                 break
             r.add_row(t, bad_row, 1)
         t += 1
-    return SNFDecomposition(
-        U=IntMatrix(r.u, cols=m) if left else None,
-        D=IntMatrix(r.d, cols=n),
-        V=IntMatrix(r.v, cols=n) if right else None,
-        u_inv=IntMatrix(r.ui, cols=m) if left else None,
-    )
+    decomp = SNFDecomposition(U=IntMatrix(r.u, cols=m), D=IntMatrix(r.d, cols=n),
+                              V=IntMatrix(r.v, cols=n))
+    return decomp, IntMatrix(r.ui, cols=m)
+
+
+def smith_u_inv(a: IntMatrix) -> IntMatrix:
+    """U^-1 of ``snf(a)``, replayed from the row-operation log."""
+    return intlinalg._smith(a, False).transforms(range(a.rows))[1]
 
 
 
@@ -321,9 +311,9 @@ def test_int_matrix_equality_across_construction_routes():
             ]
             for b in routes:
                 assert b == a and hash(b) == hash(a)
-            got, dense = snf(a), dense_snf(a)
+            got, (dense, dense_u_inv) = snf(a), dense_snf(a)
             for x, y in [(got.U, dense.U), (got.D, dense.D), (got.V, dense.V),
-                         (got.u_inv, dense.u_inv)]:
+                         (smith_u_inv(a), dense_u_inv)]:
                 assert x == y and hash(x) == hash(y)
             if m and n:
                 i, j = rng.randrange(m), rng.randrange(n)
@@ -369,7 +359,7 @@ def test_snf_transform_identity_holds():
         assert decomp.U * a * decomp.V == decomp.D
         assert decomp.U.det() in (1, -1)
         assert decomp.V.det() in (1, -1)
-        assert decomp.U * decomp.u_inv == IntMatrix.identity(m)
+        assert decomp.U * smith_u_inv(a) == IntMatrix.identity(m)
         diag = [d for d in decomp.D.diagonal_entries() if d != 0]
         assert all(d > 0 for d in diag)
         for x, y in zip(diag, diag[1:]):
@@ -379,25 +369,6 @@ def test_snf_transform_identity_holds():
             for j in range(n):
                 if i != j:
                     assert decomp.D[i, j] == 0
-
-
-def test_snf_transform_selection():
-    # Same matrices as test_snf_transform_identity_holds.
-    rng = random.Random(7)
-    for _ in range(400):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_matrix(rng, m, n)
-        full = snf(a)
-        bare = snf(a, left=False, right=False)
-        assert bare.D == full.D
-        assert bare.U is None and bare.u_inv is None and bare.V is None
-        column_side = snf(a, left=False)
-        assert column_side.D == full.D and column_side.V == full.V
-        assert column_side.U is None and column_side.u_inv is None
-        row_side = snf(a, right=False)
-        assert row_side.D == full.D
-        assert row_side.U == full.U and row_side.u_inv == full.u_inv
-        assert row_side.V is None
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -413,9 +384,6 @@ def test_snf_deterministic():
     first = snf(a)
     second = snf(a)
     assert first.U == second.U and first.V == second.V and first.D == second.D
-
-
-FLAGS = [(True, True), (True, False), (False, True), (False, False)]
 
 
 def branch_matrices() -> list[IntMatrix]:
@@ -475,18 +443,16 @@ def test_branch_matrices_take_every_branch(monkeypatch):
     assert {(a.rows, a.cols) for a in matrices} >= {(0, 0), (0, 3), (4, 0)}
 
 
-@pytest.mark.parametrize("left,right", FLAGS)
-def test_snf_matches_dense_oracle_on_branch_matrices(left, right):
+def test_snf_matches_dense_oracle_on_branch_matrices():
     for a in branch_matrices():
-        assert snf(a, left=left, right=right) == dense_snf(a, left=left, right=right)
+        assert (snf(a), smith_u_inv(a)) == dense_snf(a)
 
 
 @pytest.fixture(scope="module")
 def census_oracle(census_n, census_m):
     """Every boundary of both census complexes, plus the cover's degree-1
     image-coordinate matrix (the one ``homology_basis`` reduces), each
-    with its dense reduction.  The dense flags only drop fields (see
-    ``test_snf_transform_selection``), so one full reduction serves all."""
+    with its dense reduction."""
     found = [d for q in (census_n, census_m) for d in q.chain.boundary]
     cover = census_m.chain
     cycles = kernel_basis(cover.boundary[1])
@@ -496,13 +462,9 @@ def census_oracle(census_n, census_m):
     return [(a, dense_snf(a)) for a in found]
 
 
-@pytest.mark.parametrize("left,right", FLAGS)
-def test_snf_matches_dense_oracle_on_census(census_oracle, left, right):
+def test_snf_matches_dense_oracle_on_census(census_oracle):
     for a, dense in census_oracle:
-        got = snf(a, left=left, right=right)
-        assert got.D == dense.D
-        assert (got.U, got.u_inv) == ((dense.U, dense.u_inv) if left else (None, None))
-        assert got.V == (dense.V if right else None)
+        assert (snf(a), smith_u_inv(a)) == dense
 
 
 def test_replayed_transforms_match_the_dense_oracle(census_m, monkeypatch):
@@ -538,34 +500,30 @@ def test_replayed_transforms_match_the_dense_oracle(census_m, monkeypatch):
         shapes.append((rank < min(m, n), bool(factors) and factors[-1] > 1))
     assert {(True, True), (False, True), (True, False)} <= set(shapes)
     for a in inputs:
-        dense = dense_snf(a, right=False)
+        dense, dense_u_inv = dense_snf(a)
         reduction = intlinalg._smith(a, False)
-        orders = [row.get(i, 0) for i, row in enumerate(reduction.d)]
+        orders = reduction.diagonal()
         kept = [i for i, d in enumerate(orders) if d == 0]
         kept += [i for i, d in enumerate(orders) if d >= 2]
         sample = rng.sample(range(a.rows), rng.randint(0, a.rows))
         for positions in (kept, sample):
             u, u_inv = reduction.transforms(positions)
             assert u == dense.U.submatrix(positions, range(a.rows))
-            assert u_inv == dense.u_inv.submatrix(range(a.rows), positions)
+            assert u_inv == dense_u_inv.submatrix(range(a.rows), positions)
 
 
 def test_snf_never_builds_a_dense_matrix(census_m, monkeypatch):
     """The reduction reads its input and builds its outputs, nothing more:
     ``IntMatrix`` keeps no dense row copy, and with the identity refused
-    the cover's d2 still reduces under every flag combination."""
+    the cover's d2 still reduces and U^-1 still replays."""
     d2 = census_m.chain.boundary[2]
-    full = snf(d2)
+    full, u_inv = snf(d2), smith_u_inv(d2)
 
     def refuse(*args):
         raise AssertionError("snf asked for a dense working copy")
 
     monkeypatch.setattr(IntMatrix, "identity", staticmethod(refuse))
-    for left, right in FLAGS:
-        got = snf(d2, left=left, right=right)
-        assert got.D == full.D
-        assert (got.U, got.u_inv) == ((full.U, full.u_inv) if left else (None, None))
-        assert got.V == (full.V if right else None)
+    assert (snf(d2), smith_u_inv(d2)) == (full, u_inv)
 
 
 def test_pipeline_never_asks_for_dense_rows(census_m):
@@ -606,15 +564,17 @@ def _times(a: IntMatrix, g: int) -> IntMatrix:
                                    rows=a.rows)
 
 
-def _recording_snf(monkeypatch) -> list[tuple[int, int]]:
-    """Patch ``intlinalg.snf`` to record the shape of every matrix it gets."""
-    shapes, real_snf = [], intlinalg.snf
+def _recording_smith(monkeypatch) -> list[tuple[int, int]]:
+    """Patch ``_smith``, which every Smith form in the package runs, to
+    record the shape of every matrix it gets."""
+    shapes, real_smith = [], intlinalg._smith
 
-    def recording_snf(a, *, left=True, right=True):
+    def recording_smith(a, right):
         shapes.append((a.rows, a.cols))
-        return real_snf(a, left=left, right=right)
+        return real_smith(a, right)
 
-    monkeypatch.setattr(intlinalg, "snf", recording_snf)
+    monkeypatch.setattr(chains, "_smith", recording_smith)
+    monkeypatch.setattr(intlinalg, "_smith", recording_smith)
     return shapes
 
 
@@ -636,7 +596,7 @@ def test_cokernel_of_a_multiple_of_a_triangular_matrix_runs_no_smith_form(monkey
     """g T, for T unitriangular up to row order and signs, has content g,
     and T has unit pivots all the way down, so every factor g is found on
     a unit and no Smith form runs."""
-    shapes = _recording_snf(monkeypatch)
+    shapes = _recording_smith(monkeypatch)
     rng = random.Random(47)
     for g in (2, 3, 4, 6):
         for _ in range(20):
@@ -652,7 +612,7 @@ def test_sweep_looks_again_at_a_column_a_later_pivot_changed(monkeypatch):
     """Column 0 of [[2, 1], [3, 1]] has no unit until the pivot in column 1
     subtracts row 0 from row 1, so the sweep must pass over it again; a
     single pass would leave the unit [[1]] to a Smith form."""
-    shapes = _recording_snf(monkeypatch)
+    shapes = _recording_smith(monkeypatch)
     assert cokernel(IntMatrix([[2, 1], [3, 1]])) == AbelianGroup(0)
     assert cokernel(IntMatrix([[4, 2], [6, 2]])) == AbelianGroup(0, (2, 2))
     assert shapes == []
@@ -661,9 +621,8 @@ def test_sweep_looks_again_at_a_column_a_later_pivot_changed(monkeypatch):
 def test_cokernel_reaches_smith_form_on_content_one_without_units(monkeypatch):
     """diag(2A, 3B) with A and B of content 1 has content 1 and no +-1, so
     neither the unit sweep nor content division finishes it: its one
-    residue goes to ``snf``.  So does the 1 x 2 matrix (2 3)."""
-    real_snf = intlinalg.snf
-    shapes = _recording_snf(monkeypatch)
+    residue goes to ``_smith``.  So does the 1 x 2 matrix (2 3)."""
+    shapes = _recording_smith(monkeypatch)
     rng = random.Random(53)
     tried = 0
     while tried < 100:
@@ -674,13 +633,13 @@ def test_cokernel_reaches_smith_form_on_content_one_without_units(monkeypatch):
         d = IntMatrix([[2 * x for x in a[0]] + [0, 0], [2 * x for x in a[1]] + [0, 0],
                        [0, 0] + [3 * x for x in b[0]], [0, 0] + [3 * x for x in b[1]]])
         factors = minor_gcd_invariant_factors(d)
-        assert list(real_snf(d).invariant_factors()) == factors
+        assert list(snf(d).invariant_factors()) == factors
         shapes.clear()
         assert cokernel(d) == AbelianGroup(4 - len(factors), tuple(x for x in factors if x >= 2))
         assert len(shapes) == 1
-    shapes.clear()
     row = IntMatrix([[2, 3]])
-    assert minor_gcd_invariant_factors(row) == list(real_snf(row).invariant_factors()) == [1]
+    assert minor_gcd_invariant_factors(row) == list(snf(row).invariant_factors()) == [1]
+    shapes.clear()
     assert cokernel(row) == AbelianGroup(0)
     assert shapes == [(1, 2)]
 
@@ -942,7 +901,7 @@ def test_kernel_bases_match_dense_hermite_on_census(census_n, census_m):
     matches as a row Hermite input too."""
     for q in (census_n, census_m):
         for d in q.chain.boundary:
-            decomp = snf(d, left=False)
+            decomp = snf(d)
             rank = len(decomp.invariant_factors())
             raw = [list(decomp.V.column(j)) for j in range(rank, decomp.V.cols)]
             want = [r for r in dense_row_hermite(raw, decomp.V.rows) if any(r)]
@@ -957,7 +916,7 @@ def test_kernel_bases_match_dense_hermite_on_census(census_n, census_m):
 def smith_kernel_basis(a: IntMatrix) -> IntMatrix:
     """The kernel route before ``hermite_graph``, kept as an oracle: the
     last columns of the Smith column transform V, in Hermite form."""
-    decomp = snf(a, left=False)
+    decomp = snf(a)
     raw = [decomp.V.column(j) for j in range(len(decomp.invariant_factors()), a.cols)]
     if not raw:
         return IntMatrix.zero(a.cols, 0)

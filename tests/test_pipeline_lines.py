@@ -8,6 +8,7 @@ miss the lines that only a cold start runs.
 
 import importlib.util
 import pathlib
+import re
 import runpy
 import subprocess
 import sys
@@ -43,6 +44,42 @@ def test_map_names_tests_that_exist():
     for test in sorted(named):
         path, _, name = test.partition("::")
         assert f"def {name}(" in (ROOT / "tests" / path).read_text("utf-8"), test
+
+
+def test_no_documented_command_redirects_into_the_map():
+    """The tool reads the map's triage, so a command that redirects its
+    output into the map (the shell empties the file first) would lose
+    every kind: the map's header, the tool's usage and the README must
+    each name a scratch file instead."""
+    tool = _tool()
+    texts = (tool.HEADER, tool.__doc__, (ROOT / "README.md").read_text("utf-8"))
+    targets = [target for text in texts
+               for target in re.findall(r"(?:^|\s)>\s*([\w./-]+)", text)]
+    assert targets
+    assert tool.MAP not in [(ROOT / target).resolve() for target in targets]
+
+
+def test_unread_fields_on_a_fixture(tmp_path):
+    """A field counts as read only through its own class or a subclass,
+    whatever another record reads under the same name."""
+    tool = _tool()
+    module = tmp_path / "tiny.py"
+    module.write_text("from dehn24.record import Record\n"
+                      "class A(Record):\n"
+                      "    x: int\n"
+                      "    y: int = 0\n"
+                      "class B(A):\n"
+                      "    z: int\n"
+                      "class C(Record):\n"
+                      "    y: int\n"
+                      "class Plain:\n"
+                      "    w: int\n")
+    namespace = runpy.run_path(str(module))
+    reads = set()
+    tool.reading_fields(reads, lambda: (namespace["B"](1, 2, 3).x, namespace["C"](4).y))
+    assert {(namespace["B"], "x"), (namespace["C"], "y")} <= reads
+    assert tool.unread_fields(module, namespace, reads) == [
+        ("tiny.py", 4, "y: int = 0"), ("tiny.py", 6, "z: int")]
 
 
 def test_map_comparison_on_a_fixture(tmp_path):

@@ -114,7 +114,7 @@ def test_derived_fields_skip_equality_and_hidden_fields_skip_repr(samples):
     assert other == lattice and hash(other) == hash(lattice)
     assert _rebuilt(basis, _orders=()) != basis
     text = repr(basis)
-    assert text.startswith("HomologyBasis(group=AbelianGroup(free_rank=5, torsion=()), dim=1, ")
+    assert text.startswith("HomologyBasis(group=AbelianGroup(free_rank=5, torsion=()), cycles=")
     assert not any(name in text for name in ("_kernel", "_to_adapted", "_orders", "_boundary"))
     assert "_flag_index" not in repr(lattice) and "provenance=" in repr(lattice)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from dehn24 import chains, intlinalg
-from test_intlinalg import _recording_snf
+from test_intlinalg import _recording_smith
 
 STAGES = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "search_stages.json").read_text())
@@ -171,12 +171,12 @@ def _counting(counted, name, real):
 def test_slice_cascade_runs_no_smith_form(search_demo, capsys, monkeypatch):
     """Cost guard: every relation matrix and boundary the cascade over
     slice (0, 1) reduces finishes on unit pivots, after content division,
-    so ``intlinalg.snf`` is never called; the stage counts stay put.  The
+    so no Smith reduction (``_smith``) runs; the stage counts stay put.  The
     H1 screen writes its relation rows straight into the reduction, so
     no ``IntMatrix`` is built from columns and rows are transposed only
     for the four maps of each of the four complexes whose homology is
     taken (three quotients and one double cover)."""
-    calls = _recording_snf(monkeypatch)
+    calls = _recording_smith(monkeypatch)
     counted = collections.Counter()
     monkeypatch.setattr(intlinalg.IntMatrix, "from_columns", staticmethod(
         _counting(counted, "from_columns", intlinalg.IntMatrix.from_columns)))
