@@ -215,6 +215,26 @@ def smith_u_inv(a: IntMatrix) -> IntMatrix:
     return intlinalg._smith(a, False).transforms(range(a.rows))[1]
 
 
+FLAGS = list(itertools.product([True, False], repeat=2))
+
+
+def assert_reduction_matches(a: IntMatrix, dense: tuple[SNFDecomposition, IntMatrix],
+                             left: bool, right: bool) -> None:
+    """``_smith(a, right)``, read the way the package reads it, against the
+    dense oracle: D (a diagonal working matrix) always, V only when
+    ``right``, U and U^-1 replayed from the log when ``left``; with both,
+    the public ``snf`` as well."""
+    decomp, u_inv = dense
+    r = intlinalg._smith(a, right)
+    assert all(set(row) <= {i} for i, row in enumerate(r.d))
+    assert r.diagonal() == decomp.D.diagonal_entries() + (0,) * (a.rows - min(a.rows, a.cols))
+    assert (IntMatrix._adopt(a.cols, r.v) == decomp.V) if right else r.v is None
+    if left:
+        assert r.transforms(range(a.rows)) == (decomp.U, u_inv)
+    if left and right:
+        assert snf(a) == decomp
+
+
 
 # -- a dense reference for ``IntMatrix`` ---------------------------------
 
@@ -443,9 +463,10 @@ def test_branch_matrices_take_every_branch(monkeypatch):
     assert {(a.rows, a.cols) for a in matrices} >= {(0, 0), (0, 3), (4, 0)}
 
 
-def test_snf_matches_dense_oracle_on_branch_matrices():
+@pytest.mark.parametrize("left,right", FLAGS)
+def test_snf_matches_dense_oracle_on_branch_matrices(left, right):
     for a in branch_matrices():
-        assert (snf(a), smith_u_inv(a)) == dense_snf(a)
+        assert_reduction_matches(a, dense_snf(a), left, right)
 
 
 @pytest.fixture(scope="module")
@@ -462,9 +483,10 @@ def census_oracle(census_n, census_m):
     return [(a, dense_snf(a)) for a in found]
 
 
-def test_snf_matches_dense_oracle_on_census(census_oracle):
+@pytest.mark.parametrize("left,right", FLAGS)
+def test_snf_matches_dense_oracle_on_census(census_oracle, left, right):
     for a, dense in census_oracle:
-        assert (snf(a), smith_u_inv(a)) == dense
+        assert_reduction_matches(a, dense, left, right)
 
 
 def test_replayed_transforms_match_the_dense_oracle(census_m, monkeypatch):
