@@ -47,7 +47,9 @@ def main():
     print("\n[2] orientation double cover")
     m = quotient_complex(spec, copies=2)
     cells = [m.chain.cell_count(k) for k in range(5)]
-    print(f"    cells {cells}, chi {euler_characteristic(m.chain)}")
+    chi = euler_characteristic(m.chain)
+    orientable = orientation_character(m.spec).orientable
+    print(f"    cells {cells}, chi {chi}")
     print(f"    {homology_line(m.chain, 4)}")
     predicted = alexander_complement_homology(5)
     computed = tuple(homology(m.chain, k) for k in (1, 2, 3))
@@ -75,9 +77,7 @@ def main():
     for pairs in [((0, 0),) * 5, ((3, 3),) * 5]:
         slopes = adapted_slopes(system, pairs)
         lengths = slope_lengths(lattices, slopes.classes)
-        result = is_homology_sphere(system, slopes,
-                                    euler_characteristic(m.chain),
-                                    orientable=True)
+        result = is_homology_sphere(system, slopes, chi, orientable=orientable)
         print(f"    coefficients {pairs}:")
         for i, sl in enumerate(lengths):
             print(f"      cusp {i + 1}: slope {sl.slope}, squared length "
@@ -99,7 +99,7 @@ def main():
         pairs = ((b, b),) * 5
         slopes = adapted_slopes(system, pairs)
         lengths = slope_lengths(lattices, slopes.classes)
-        result = is_homology_sphere(system, slopes, 2, orientable=True)
+        result = is_homology_sphere(system, slopes, chi, orientable=orientable)
         verdict = two_pi_ok(lengths)
         sq = ", ".join(str(sl.squared) for sl in lengths)
         print(f"    b = {b}: squared lengths ({sq}), "

@@ -120,9 +120,9 @@ class HomologyBasis(Record):
 def homology_basis(c: ChainComplex, k: int) -> HomologyBasis:
     """Homology in dimension k together with its canonical generator cycles.
 
-    Cached by value: complexes are immutable and repeat callers
-    (peripheral matrices, one call per cusp) would otherwise redo the
-    same Smith forms.
+    Cached by value: complexes are immutable, and a filling command reads
+    each cusp section's basis twice (``peripheral_system``, then
+    ``develop_lattice``), which would otherwise redo the same Smith forms.
 
     The kernel of d_k is its Hermite basis, from ``forest_kernel`` when
     d_k is an incidence matrix (so the next boundary's coordinates are

@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
@@ -32,6 +32,8 @@ from pathlib import Path
 from .chains import euler_characteristic, homology
 from .filling import FillingError, adapted_slopes, is_homology_sphere
 from .flatgeom import (
+    _SQRT_DIGITS,
+    _SQRT_SCALE,
     FlatGeometryError,
     PrecisionError,
     develop_lattice,
@@ -52,7 +54,6 @@ from .gluing import (
 )
 from .peripheral import PeripheralError, cusp_sections, peripheral_system, report
 from .polytope import embedded_cusp_scale
-from .record import Record
 
 # Importing this module means running the program.  At exit, freeze the
 # heap before the interpreter's shutdown collection, which then skips the
@@ -83,18 +84,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         super().error(_LONG_VALUE.sub(lambda m: _excerpt(m[m.lastindex]), message))
-
-
-class RunConfig(Record):
-    """Everything one subcommand invocation needs, already validated."""
-
-    pairing: str | None = None
-    copies: int = 1
-    box: tuple[tuple[int, int], ...] = ()
-    scale: Fraction = Fraction(1)
-    balance_c: Fraction | None = None
-    format: str = "table"
-    coefficients: tuple[tuple[int, int], ...] = ()
 
 
 def _parse_fraction(text: str, name: str) -> Fraction:
@@ -153,10 +142,10 @@ def _parse_pairs(texts: Sequence[str]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _load_spec(config: RunConfig):
-    if config.pairing is None:
+def _load_spec(args: argparse.Namespace):
+    if args.pairing is None:
         return census_pairing()
-    path = Path(config.pairing)
+    path = Path(args.pairing)
     with path.open("rb") as handle:
         data = handle.read(_MAX_PAIRING_BYTES + 1)
     if len(data) > _MAX_PAIRING_BYTES:
@@ -169,12 +158,17 @@ def _load_spec(config: RunConfig):
 
 
 def _exact_decimal(x: Fraction) -> str:
-    """Exact decimal rendering of a multiple of 10^-13, as every enclosure
-    bound is."""
-    n = (x * 10 ** 13).numerator
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    return f"{sign}{n // 10 ** 13}.{n % 10 ** 13:013d}"
+    """Exact decimal rendering of a point of flatgeom's enclosure grid, on
+    which every length bound lies.
+
+    Raises:
+        ValueError: if x is not a multiple of 10^-``_SQRT_DIGITS``.
+    """
+    if _SQRT_SCALE % x.denominator:
+        raise ValueError(f"length bound {x} is not a multiple of 10^-{_SQRT_DIGITS}")
+    n = x.numerator * (_SQRT_SCALE // x.denominator)
+    whole, part = divmod(abs(n), _SQRT_SCALE)
+    return f"{'-' if n < 0 else ''}{whole}.{part:0{_SQRT_DIGITS}d}"
 
 
 def _emit(lines: Iterable[str]) -> int:
@@ -193,26 +187,25 @@ def _cycle_text(cycle) -> str:
     return "(" + " ".join(one(v) for v in cycle) + ")"
 
 
-def cmd_build(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    character = orientation_character(spec)
-    q = quotient_complex(spec, copies=config.copies)
+def cmd_build(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    q = quotient_complex(spec, copies=args.copies)
+    character = orientation_character(q.spec)
     cells = [q.chain.cell_count(k) for k in range(q.top_dim + 1)]
     chi = euler_characteristic(q.chain)
     groups = [homology(q.chain, k) for k in range(1, 4)]
     cycles = vertex_cycles(q.spec)
-    orientable = config.copies == 2 or character.orientable
-    if config.format == "jsonl":
+    if args.format == "jsonl":
         record = {
             "cells": cells,
             "chi": chi,
-            "copies": config.copies,
+            "copies": args.copies,
             "cycles": [[list(v) if isinstance(v, tuple) else v for v in cycle]
                        for cycle in cycles],
             "facets": geometry(spec.geometry).facet_count,
             "h": [str(g) for g in groups],
             "metadata": spec.metadata_dict(),
-            "orientable": orientable,
+            "orientable": character.orientable,
             "pairings": len(spec.pairings),
             "self_pairings": sum(1 for p in spec.pairings if p.is_self_pairing()),
         }
@@ -220,14 +213,14 @@ def cmd_build(config: RunConfig) -> int:
     lines = []
     for key, value in spec.metadata_dict().items():
         lines.append(f"{key}: {value}")
-    lines.append(f"geometry: {spec.geometry}, copies: {config.copies}")
+    lines.append(f"geometry: {spec.geometry}, copies: {args.copies}")
     lines.append(f"facets: {geometry(spec.geometry).facet_count} glued by "
                  f"{len(spec.pairings)} pairings "
                  f"({sum(1 for p in spec.pairings if p.is_self_pairing())} self)")
     lines.append("cells: " + " ".join(str(n) for n in cells))
     lines.append(f"chi: {chi}")
-    lines.append("orientable: " + ("yes" if orientable else "no"))
-    if config.copies == 1:
+    lines.append("orientable: " + ("yes" if character.orientable else "no"))
+    if args.copies == 1:
         lines.append("character: " +
                      " ".join("+" if s == 1 else "-" for s in character.signs))
     lines.append("vertex cycles: " + " ".join(_cycle_text(c) for c in cycles))
@@ -236,14 +229,14 @@ def cmd_build(config: RunConfig) -> int:
     return _emit(lines)
 
 
-def cmd_cusps(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    q = quotient_complex(spec, copies=config.copies)
+def cmd_cusps(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    q = quotient_complex(spec, copies=args.copies)
     sections = cusp_sections(q)
     lines = []
     for s in sections:
         groups = [homology(s.chain, k) for k in range(4)]
-        if config.format == "jsonl":
+        if args.format == "jsonl":
             lines.append(_jsonl({
                 "cells": [len(c) for c in s.cells],
                 "cubes": s.cube_count,
@@ -259,10 +252,10 @@ def cmd_cusps(config: RunConfig) -> int:
     return _emit(lines)
 
 
-def cmd_peripheral(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    system = peripheral_system(quotient_complex(spec, copies=config.copies))
-    if config.format == "table":
+def cmd_peripheral(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    system = peripheral_system(quotient_complex(spec, copies=args.copies))
+    if args.format == "table":
         sys.stdout.write(report(system))
         return 0
     lines = []
@@ -286,15 +279,15 @@ def _overlap(scale: Fraction) -> str:
             f"the cusps overlap") if scale > bound else ""
 
 
-def cmd_lattice(config: RunConfig) -> int:
-    if overlap := _overlap(config.scale):
+def cmd_lattice(args: argparse.Namespace) -> int:
+    if overlap := _overlap(args.scale):
         print(f"note: {overlap}", file=sys.stderr)
-    spec = _load_spec(config)
-    q = quotient_complex(spec, copies=config.copies)
+    spec = _load_spec(args)
+    q = quotient_complex(spec, copies=args.copies)
     lines = []
     for s in cusp_sections(q):
-        lattice = develop_lattice(s, scale=config.scale)
-        if config.format == "jsonl":
+        lattice = develop_lattice(s, scale=args.scale)
+        if args.format == "jsonl":
             lines.append(_jsonl({
                 "basis": [[str(x) for x in lattice.column(j)] for j in range(3)],
                 "covolume": str(lattice.covolume()),
@@ -307,7 +300,7 @@ def cmd_lattice(config: RunConfig) -> int:
     return _emit(lines)
 
 
-def _filling_setup(config: RunConfig):
+def _filling_setup(args: argparse.Namespace):
     """Peripheral system, cusp lattices and filling verdict for fill and enumerate.
 
     kappa_2 and kappa_3 span each peripheral kernel, so every adapted
@@ -318,12 +311,12 @@ def _filling_setup(config: RunConfig):
     The 2*pi verdict assumes embedded, disjoint cusps, so a scale above
     the largest embedded one is refused first.
     """
-    if overlap := _overlap(config.scale):
+    if overlap := _overlap(args.scale):
         raise FlatGeometryError(f"{overlap}, so the 2pi test does not apply")
-    spec = _load_spec(config)
-    q = quotient_complex(spec, copies=config.copies)
+    spec = _load_spec(args)
+    q = quotient_complex(spec, copies=args.copies)
     system = peripheral_system(q)
-    lattices = tuple(develop_lattice(s, scale=config.scale)
+    lattices = tuple(develop_lattice(s, scale=args.scale)
                      for s in cusp_sections(q))
     chi = euler_characteristic(q.chain)
     slopes = adapted_slopes(system, ((0, 0),) * system.cusp_count)
@@ -332,7 +325,7 @@ def _filling_setup(config: RunConfig):
     return system, lattices, result
 
 
-def _measure(system, lattices, result, pairs, balance_c):
+def _measure(system, lattices, pairs, balance_c):
     """Shared per-tuple evaluation for fill and enumerate."""
     slopes = adapted_slopes(system, pairs)
     lengths = tuple(slope_length(lattices[i], slopes.classes[i])
@@ -349,10 +342,10 @@ def _measure(system, lattices, result, pairs, balance_c):
             balanced = weakly_balanced(lengths, balance_c)
         except PrecisionError:
             balanced, status = None, "precision"
-    return slopes, result, lengths, two_pi, balanced, status
+    return slopes, lengths, two_pi, balanced, status
 
 
-def _record(pairs, slopes, result, lengths, two_pi, balanced, status) -> dict:
+def _record(pairs, result, slopes, lengths, two_pi, balanced, status) -> dict:
     return {
         "balanced": balanced,
         "h1": str(result.h1),
@@ -384,13 +377,12 @@ _TABLE_HEADER = (" b1  c1  b2  c2  b3  c3  b4  c4  b5  c5  "
                  "H1       sphere        min_len 2pi    balanced status")
 
 
-def cmd_fill(config: RunConfig) -> int:
-    system, lattices, result = _filling_setup(config)
-    values = _measure(system, lattices, result, config.coefficients,
-                      config.balance_c)
-    slopes, result, lengths, two_pi, balanced, status = values
-    if config.format == "jsonl":
-        return _emit([_jsonl(_record(config.coefficients, *values))])
+def cmd_fill(args: argparse.Namespace) -> int:
+    system, lattices, result = _filling_setup(args)
+    values = _measure(system, lattices, args.coefficients, args.balance_c)
+    slopes, lengths, two_pi, balanced, status = values
+    if args.format == "jsonl":
+        return _emit([_jsonl(_record(args.coefficients, result, *values))])
     lines = [f"slopes: " + " ".join(str(tuple(v)) for v in slopes.classes),
              f"H1 filled: {result.h1}",
              f"homology 4-sphere: {_flag(result.is_homology_sphere)}"]
@@ -398,26 +390,26 @@ def cmd_fill(config: RunConfig) -> int:
         lines.append(f"cusp {i + 1}: squared length {s.squared}, length in "
                      f"[{_exact_decimal(s.lower)}, {_exact_decimal(s.upper)}]")
     lines.append(f"all slopes >= 2pi: {_flag(two_pi)}")
-    if config.balance_c is not None:
-        lines.append(f"weakly balanced (c = {config.balance_c}): {_flag(balanced)}")
+    if args.balance_c is not None:
+        lines.append(f"weakly balanced (c = {args.balance_c}): {_flag(balanced)}")
     if status != "ok":
         lines.append(f"status: {status}")
     lines.extend("note: " + note for note in result.notes)
     return _emit(lines)
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    system, lattices, result = _filling_setup(config)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    system, lattices, result = _filling_setup(args)
 
     def render(tup: tuple[int, ...]) -> str:
         pairs = tuple((tup[2 * i], tup[2 * i + 1]) for i in range(5))
-        values = _measure(system, lattices, result, pairs, config.balance_c)
-        if config.format == "jsonl":
-            return _jsonl(_record(pairs, *values))
-        return _table_row(pairs, *values[1:])
+        values = _measure(system, lattices, pairs, args.balance_c)
+        if args.format == "jsonl":
+            return _jsonl(_record(pairs, result, *values))
+        return _table_row(pairs, result, *values[1:])
 
-    tuples = product(*(range(lo, hi + 1) for lo, hi in config.box))
-    if config.format == "table":
+    tuples = product(*(range(lo, hi + 1) for lo, hi in args.box))
+    if args.format == "table":
         sys.stdout.write(_TABLE_HEADER + "\n")
     while chunk := list(islice(tuples, _CHUNK)):
         _emit([render(tup) for tup in chunk])
@@ -483,47 +475,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    scale = _parse_fraction(getattr(args, "scale", "1"), "scale")
-    if scale <= 0:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` with each option its subcommand takes parsed and checked in place."""
+    args.scale = _parse_fraction(getattr(args, "scale", "1"), "scale")
+    if args.scale <= 0:
         raise _InputError("scale must be positive")
-    balance_text = getattr(args, "balance_c", None)
-    balance_c = None
-    if balance_text is not None:
-        balance_c = _parse_fraction(balance_text, "balance constant")
-        if balance_c <= 0:
+    args.balance_c = getattr(args, "balance_c", None)
+    if args.balance_c is not None:
+        args.balance_c = _parse_fraction(args.balance_c, "balance constant")
+        if args.balance_c <= 0:
             raise _InputError("balance constant must be positive")
     threads = getattr(args, "threads", 1)
     if threads < 1:
         raise _InputError("thread count must be at least 1")
     if threads > _MAX_THREADS:
         raise _InputError(f"thread count must be at most {_MAX_THREADS}")
-    box = _parse_box(getattr(args, "box", "0:0"))
-    size = math.prod(hi - lo + 1 for lo, hi in box)
+    args.box = _parse_box(getattr(args, "box", "0:0"))
+    size = math.prod(hi - lo + 1 for lo, hi in args.box)
     if size > _MAX_BOX:
         count = f"{size:,}" if size < 10 ** 40 else "more than 10^40"
         raise _InputError(f"box has {count} tuples; enumerate renders at most {_MAX_BOX:,}")
-    return RunConfig(
-        pairing=args.pairing,
-        copies=args.copies,
-        box=box,
-        scale=scale,
-        balance_c=balance_c,
-        format=args.format,
-        coefficients=_parse_pairs(getattr(args, "coefficients", ())),
-    )
+    args.coefficients = _parse_pairs(getattr(args, "coefficients", ()))
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    func: Callable[[RunConfig], int] = args.func
     collecting = gc.isenabled()
     try:
         # One command leaves a few hundred cyclic objects whatever its size,
         # so collecting while set-up builds its caches is wasted work.
         gc.disable()
-        config = _config_from_args(args)
-        status = func(config)
+        status = args.func(_config_from_args(args))
         # Fail here, not in the interpreter's final flush, if the reader left.
         sys.stdout.flush()
         return status

@@ -47,7 +47,9 @@ class PrecisionError(ValueError):
 TWO_PI_SQUARED_LOW = Fraction("39.4784176043")
 TWO_PI_SQUARED_HIGH = Fraction("39.4784176045")
 
-_SQRT_SCALE = 10 ** 13
+# The enclosure grid: every length bound is a multiple of 10^-_SQRT_DIGITS.
+_SQRT_DIGITS = 13
+_SQRT_SCALE = 10 ** _SQRT_DIGITS
 
 
 def _sqrt_enclosure(squared: Fraction) -> tuple[Fraction, Fraction]:

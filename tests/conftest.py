@@ -1,5 +1,5 @@
 """Shared fixtures: the bundled census pairing, its two quotients and the
-side-pairing search demo; and ``is_chain_complex``, the d∘d = 0 check."""
+two demos, loaded as modules; and ``is_chain_complex``, the d∘d = 0 check."""
 
 import importlib.util
 import sys
@@ -42,14 +42,23 @@ def census_system(census_m):
     return peripheral_system(census_m)
 
 
-@pytest.fixture(scope="session")
-def search_demo():
-    """``demos/search_side_pairings.py``, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "demos" / "search_side_pairings.py"
-    loader = importlib.util.spec_from_file_location("search_side_pairings", path)
+def _demo(name):
+    """``demos/<name>.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def search_demo():
+    return _demo("search_side_pairings")
+
+
+@pytest.fixture(scope="session")
+def walkthrough_demo():
+    return _demo("homology_sphere_walkthrough")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

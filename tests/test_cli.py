@@ -5,6 +5,7 @@ stdout, so the full pipeline (parsing, gluing, peripheral structure,
 development, filling) runs exactly as a shell user would see it.
 """
 
+import collections
 import gc
 import io
 import json
@@ -26,7 +27,7 @@ from dehn24 import chains, cli, intlinalg, peripheral
 from dehn24.chains import euler_characteristic
 from dehn24.cli import main
 from dehn24.filling import adapted_slopes, is_homology_sphere
-from dehn24.flatgeom import TWO_PI_SQUARED_HIGH, TWO_PI_SQUARED_LOW
+from dehn24.flatgeom import TWO_PI_SQUARED_HIGH, TWO_PI_SQUARED_LOW, _sqrt_enclosure
 from dehn24.gluing import census_pairing, orientation_character
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
@@ -816,3 +817,143 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["chi"] == 1
+
+
+def test_exact_decimal_refuses_a_value_off_the_enclosure_grid():
+    """Bounds render on flatgeom's 10^-13 grid; a value off it raises
+    rather than print the digits of a rounded value."""
+    assert cli._exact_decimal(Fraction(-1, 10 ** 13)) == "-0.0000000000001"
+    assert cli._exact_decimal(Fraction(7, 2)) == "3.5000000000000"
+    for x in (Fraction(1, 3), Fraction(1, 10 ** 15)):
+        with pytest.raises(ValueError, match="not a multiple of 10\\^-13"):
+            cli._exact_decimal(x)
+
+
+def test_jsonl_bounds_are_the_enclosures_of_their_squared_lengths(capsys):
+    code, out, _ = run(capsys, "fill", "--format", "jsonl", *["3,3"] * 5)
+    assert code == 0
+    for length in json.loads(out)["lengths"]:
+        assert (Fraction(length["lo"]), Fraction(length["hi"])) == _sqrt_enclosure(
+            Fraction(length["sq"]))
+
+
+def test_search_leaves_through_pairing_files(capsys, tmp_path, search_demo):
+    """The 53 leaves of the search demo's slice (0, 1), each read from a
+    pairing file by ``build --copies 2``, ``peripheral`` and ``lattice``.
+    The exit statuses are pinned by kind; the 14 leaves with no CW
+    quotient refuse all three as input errors.  A run prints on stdout
+    only when it succeeds, and a failed one prints one short ``error:``
+    line."""
+    statuses = collections.Counter()
+    for n, spec in enumerate(search_demo.Search({0, 1}).run()):
+        path = tmp_path / f"leaf{n}.txt"
+        path.write_text(_pairing_text(spec, [(p.facet_a, p.facet_b, p.vertex_map)
+                                             for p in spec.pairings]))
+        codes = []
+        for argv in (["build", "--copies", "2"], ["peripheral"], ["lattice"]):
+            code, out, err = run(capsys, *argv, "--pairing", str(path))
+            if code == 0:
+                assert out and err == "", (n, argv)
+            else:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                assert len(err.encode()) < 400, (n, argv)
+            codes.append(code)
+        statuses[tuple(codes)] += 1
+    assert statuses == {(0, 1, 1): 34, (2, 2, 2): 14, (0, 1, 0): 4, (0, 0, 0): 1}
+
+
+class _Reached(Exception):
+    """Raised in place of reading the pairing: the input was accepted."""
+
+
+def _reach(args):
+    raise _Reached
+
+
+_RATIONALS = ["1e999", "1e1001", "1e-99999", "9" * 1001, "1/0", "x", "",
+              "١٠", "1_0", "1", "3/2", "1/1000", "-1", "0"]
+_PAIRS = ["3,3", "-1,0", "0,0", "1", "1,2,3", "a,b", "", "١,٢", "1e5,2",
+          "9" * 1001 + ",1", "1/2,1", "1;2"]
+_OVERLAP = " exceeds the largest embedded cusp scale 1"
+
+
+def _random_box(rng):
+    count = rng.choice([1, 2, 9, 10, 11])
+    ranges = []
+    for _ in range(count):
+        lo, hi = rng.randint(-2, 2), rng.randint(-2, 2)
+        ranges.append(f"{lo}:{hi}" if rng.random() < 0.8 else f"{max(lo, hi) + 1}:{min(lo, hi)}")
+    return ",".join(ranges)
+
+
+_OPTIONS = {
+    "--pairing": lambda rng: ["p" * 500],
+    "--copies": lambda rng: [rng.choice(["1", "2", "3"])],
+    "--format": lambda rng: [rng.choice(["table", "jsonl", "xml"])],
+    "--scale": lambda rng: [rng.choice(_RATIONALS)],
+    "--balance-c": lambda rng: [rng.choice(_RATIONALS)],
+    "--box": lambda rng: [_random_box(rng)],
+    "--threads": lambda rng: [rng.choice(["0", "1", "64", "65"])],
+    "--frobnicate": lambda rng: [],
+}
+_COMMON = ("--pairing", "--copies", "--format")
+_TAKES = {"build": _COMMON, "cusps": _COMMON, "peripheral": _COMMON,
+          "lattice": _COMMON + ("--scale",),
+          "fill": _COMMON + ("--scale", "--balance-c"),
+          "enumerate": _COMMON + ("--scale", "--balance-c", "--box", "--threads"),
+          "frobnicate": ()}
+
+
+def _random_argv(rng):
+    """A subcommand (or an unknown one) with zero to three options, each
+    one it takes but one time in six any option, holding values at and
+    past every bound the options check."""
+    command = rng.choice(list(_TAKES))
+    argv = [command]
+    for _ in range(rng.randint(0, 3)):
+        names = _TAKES[command]
+        name = rng.choice(list(_OPTIONS) if rng.random() < 1 / 6 or not names else names)
+        argv += [name, *_OPTIONS[name](rng)]
+    if command == "fill":
+        argv += [rng.choice(_PAIRS) for _ in range(rng.randint(4, 6))]
+    return argv
+
+
+def test_bad_argument_corpus_stops_before_set_up_or_refuses(capsys, monkeypatch):
+    """600 seeded argument lists, with reading the pairing replaced by a
+    sentinel: each call reaches the sentinel, or ends in argparse's
+    SystemExit(2) or in status 2 with one ``error:`` line, in under a
+    second and with nothing on stdout.  A scale above the embedded bound
+    also ends ``fill`` and ``enumerate`` with status 1 before the pairing
+    is read, and is the one refusal that prints its value whole (so the
+    only stderr line of 400 bytes or more)."""
+    monkeypatch.setattr(cli, "_load_spec", _reach)
+    rng = random.Random(31)
+    endings = collections.Counter()
+    for _ in range(600):
+        argv = _random_argv(rng)
+        start = time.perf_counter()
+        try:
+            ending = main(argv)
+        except _Reached:
+            ending = "set-up"
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            ending = "usage"
+        assert time.perf_counter() - start < 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        lines = err.splitlines()
+        overlap = [line for line in lines if _OVERLAP in line]
+        assert all(len(line.encode()) < 400 for line in lines if line not in overlap), argv
+        if ending == "usage":
+            assert lines[0].startswith("usage: dehn24") and ": error: " in lines[-1], argv
+            assert all(": error: " not in line for line in lines[:-1]), argv
+        elif ending == "set-up":
+            assert lines == [] or (argv[0] == "lattice" and lines == overlap
+                                   and len(lines) == 1 and lines[0].startswith("note: ")), argv
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
+            assert ending == 2 or (ending == 1 and lines == overlap), argv
+        endings[ending] += 1
+    assert endings == {"usage": 290, "set-up": 252, 2: 56, 1: 2}

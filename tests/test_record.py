@@ -2,7 +2,8 @@
 
 Every class in ``src/dehn24`` that derives from ``Record`` is sampled
 from the census pipeline and checked for immutability, value or
-identity equality, and construction.  The package imports neither
+identity equality, and construction; ``Options``, a record defined here
+whose every field has a default, is checked beside them.  The package imports neither
 ``dataclasses`` nor ``inspect`` and generates no code, so a cold command
 pays for none of it.
 """
@@ -18,7 +19,6 @@ from fractions import Fraction
 import pytest
 
 from dehn24.chains import ChainComplex, HomologyBasis, homology_basis
-from dehn24.cli import RunConfig
 from dehn24.filling import FillingError, FillingSlopes, adapted_slopes, is_homology_sphere
 from dehn24.flatgeom import (
     FlatGeometryError,
@@ -38,14 +38,26 @@ PACKAGE = ROOT / "src" / "dehn24"
 IDENTITY = {"CellModel", "Geometry", "QuotientComplex", "CuspSection"}
 
 
+class Options(Record):
+    """Command options, every one with a default."""
+
+    pairing: str | None = None
+    copies: int = 1
+    box: tuple[tuple[int, int], ...] = ()
+    scale: Fraction = Fraction(1)
+    balance_c: Fraction | None = None
+    format: str = "table"
+    coefficients: tuple[tuple[int, int], ...] = ()
+
+
 @pytest.fixture(scope="module")
 def samples(census_spec, census_m, census_system):
-    """One instance of every record class, by class name."""
+    """One instance of every record class and of ``Options``, by class name."""
     section = cusp_sections(census_m)[0]
     lattice = develop_lattice(section)
     slopes = adapted_slopes(census_system, [(0, 0)] * 5)
     return {sample.__class__.__name__: sample for sample in (
-        census_m.chain, homology_basis(census_m.chain, 1), RunConfig(copies=2),
+        census_m.chain, homology_basis(census_m.chain, 1), Options(copies=2),
         slopes, is_homology_sphere(census_system, slopes, 2, True),
         lattice, slope_length(lattice, (1, 0, 0)),
         census_spec.pairings[0], census_spec, geometry("ideal24").model, geometry("ideal24"),
@@ -72,7 +84,7 @@ def _rebuilt(record, **changes):
 
 
 def test_every_record_class_is_sampled(samples):
-    assert _record_classes() == set(samples)
+    assert _record_classes() == set(samples) - {"Options"}
     assert IDENTITY <= set(samples)
 
 
@@ -100,7 +112,7 @@ def test_value_records_compare_by_fields(samples):
 
 def test_changed_field_breaks_equality():
     assert AbelianGroup(0, (2,)) != AbelianGroup(0, (4,))
-    assert RunConfig(copies=2) != RunConfig()
+    assert Options(copies=2) != Options()
     assert FlatLattice(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 2) != FlatLattice(
         ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
@@ -122,10 +134,13 @@ def test_derived_fields_skip_equality_and_hidden_fields_skip_repr(samples):
 def test_positional_keyword_and_default_construction():
     assert AbelianGroup(3) == AbelianGroup(free_rank=3) == AbelianGroup(3, torsion=())
     assert repr(AbelianGroup(0, (2, 2))) == "AbelianGroup(free_rank=0, torsion=(2, 2))"
-    config = RunConfig()
-    assert (config.pairing, config.copies, config.box, config.scale, config.balance_c,
-            config.format, config.coefficients) == (None, 1, (), 1, None, "table", ())
-    assert RunConfig(None, 2) == RunConfig(copies=2)
+    options = Options()
+    assert (options.pairing, options.copies, options.box, options.scale, options.balance_c,
+            options.format, options.coefficients) == (None, 1, (), 1, None, "table", ())
+    assert Options(None, 2) == Options(copies=2)
+    assert repr(Options(copies=2)) == ("Options(pairing=None, copies=2, box=(), "
+                                       "scale=Fraction(1, 1), balance_c=None, "
+                                       "format='table', coefficients=())")
     lattice = FlatLattice(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert lattice.scale == 1 and lattice == FlatLattice(lattice.basis, scale=1)
     length = SlopeLength((1, 0, 0), 1, 1, 1)
@@ -134,9 +149,9 @@ def test_positional_keyword_and_default_construction():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: RunConfig(None, 1, (), 1, None, "table", (), "extra"),
-    lambda: RunConfig(colour="red"),
-    lambda: RunConfig(None, pairing="x"),
+    lambda: Options(None, 1, (), 1, None, "table", (), "extra"),
+    lambda: Options(colour="red"),
+    lambda: Options(None, pairing="x"),
     lambda: ChainComplex(),
     lambda: AbelianGroup(),
     lambda: SlopeLength((1, 0, 0), 1, 1),
