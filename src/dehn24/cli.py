@@ -476,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """``args`` with each option its subcommand takes parsed and checked in place."""
+    """``args``, each option parsed and checked in place (one it lacks at its default)."""
     args.scale = _parse_fraction(getattr(args, "scale", "1"), "scale")
     if args.scale <= 0:
         raise _InputError("scale must be positive")
